@@ -207,6 +207,28 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _summary_rows(report: Report) -> list[tuple[str, list[str]]]:
+    """The Median, Mean and SD rows' cells, shared by both renderings."""
+    rows = []
+    for name, attr, fmt_rate in (
+        ("Median", "median", _fmt_rate_median),
+        ("Mean", "mean", _fmt_rate_mean),
+        ("SD", "sd", _fmt_rate_sd),
+    ):
+        def pick(column: Stats | None) -> float | None:
+            return None if column is None else getattr(column, attr)
+
+        cells: list[str] = []
+        for c in CATEGORIES:
+            cells += [
+                _fmt_count(pick(report.sent_stats[c])),
+                _fmt_count(pick(report.received_stats[c])),
+                fmt_rate(pick(report.rate_stats[c])),
+            ]
+        rows.append((name, cells))
+    return rows
+
+
 def render_text(report: Report) -> str:
     """Aligned per-pair counts and rates with Median/Mean/SD rows appended."""
     header = ["Pair"]
@@ -220,45 +242,8 @@ def render_text(report: Report) -> str:
             tally = pair.tallies[c]
             row += [str(tally.sent), str(tally.received), _rate_cell(tally.rate)]
         rows.append(row)
-
-    def summary_row(name: str, pick) -> list[str]:
-        row = [name]
-        for c in CATEGORIES:
-            sent, received, rate = report.sent_stats[c], report.received_stats[c], report.rate_stats[c]
-            row += pick(sent, received, rate)
-        return row
-
     if report.pairs:
-        rows.append(
-            summary_row(
-                "Median",
-                lambda s, r, rt: [
-                    _fmt_count(s.median if s else None),
-                    _fmt_count(r.median if r else None),
-                    _fmt_rate_median(rt.median if rt else None),
-                ],
-            )
-        )
-        rows.append(
-            summary_row(
-                "Mean",
-                lambda s, r, rt: [
-                    _fmt_count(s.mean if s else None),
-                    _fmt_count(r.mean if r else None),
-                    _fmt_rate_mean(rt.mean if rt else None),
-                ],
-            )
-        )
-        rows.append(
-            summary_row(
-                "SD",
-                lambda s, r, rt: [
-                    _fmt_count(s.sd if s else None),
-                    _fmt_count(r.sd if r else None),
-                    _fmt_rate_sd(rt.sd if rt else None),
-                ],
-            )
-        )
+        rows += [[name] + cells for name, cells in _summary_rows(report)]
     return _table(rows) + "\n"
 
 
@@ -275,25 +260,5 @@ def render_csv(report: Report) -> str:
             cells += [str(tally.sent), str(tally.received), _rate_cell(tally.rate)]
         lines.append(",".join(cells))
     if report.pairs:
-        for name, pick in (
-            ("Median", lambda s, r, rt: [
-                _fmt_count(s.median if s else None),
-                _fmt_count(r.median if r else None),
-                _fmt_rate_median(rt.median if rt else None),
-            ]),
-            ("Mean", lambda s, r, rt: [
-                _fmt_count(s.mean if s else None),
-                _fmt_count(r.mean if r else None),
-                _fmt_rate_mean(rt.mean if rt else None),
-            ]),
-            ("SD", lambda s, r, rt: [
-                _fmt_count(s.sd if s else None),
-                _fmt_count(r.sd if r else None),
-                _fmt_rate_sd(rt.sd if rt else None),
-            ]),
-        ):
-            cells = [name, "", ""]
-            for c in CATEGORIES:
-                cells += pick(report.sent_stats[c], report.received_stats[c], report.rate_stats[c])
-            lines.append(",".join(cells))
+        lines += [",".join([name, "", ""] + cells) for name, cells in _summary_rows(report)]
     return "\n".join(lines) + "\n"

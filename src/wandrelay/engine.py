@@ -193,13 +193,3 @@ def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad context sample: {exc}") from None
 
-
-def condition_result_to_dict(result: ConditionResult) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    if result.geofence_hit is not None:
-        out["geofence_hit"] = result.geofence_hit
-    if result.window_hit is not None:
-        out["window_hit"] = result.window_hit
-    if result.marker_hit is not None:
-        out["marker_hit"] = result.marker_hit
-    return out

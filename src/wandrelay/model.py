@@ -294,6 +294,8 @@ def schedule_to_dict(schedule: TriggerSchedule) -> dict[str, Any]:
 
 
 def schedule_from_dict(d: Mapping[str, Any]) -> TriggerSchedule:
+    if not isinstance(d, Mapping):
+        raise ParseError(f"schedule must be an object, got {type(d).__name__}")
     geofence = window = marker = None
     try:
         if "geofence" in d and d["geofence"] is not None:

@@ -66,11 +66,9 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
 
 
 def decode_frame(line: str | bytes) -> dict[str, Any]:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
     try:
-        frame = json.loads(line)
-    except json.JSONDecodeError as exc:
+        frame = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except ValueError as exc:  # not JSON, or bytes that are not UTF-8
         raise ParseError(f"bad frame: {exc}") from None
     if not isinstance(frame, dict):
         raise ParseError("frame must be a JSON object")

@@ -70,10 +70,6 @@ class CaptureSession:
     def deadline(self) -> datetime:
         return self.started_at + timedelta(seconds=CAPTURE_SECONDS)
 
-    def remaining(self, at: datetime) -> float:
-        """Countdown in seconds, clamped at zero."""
-        return max(0.0, (self.deadline - at).total_seconds())
-
     def _check_append(self, t: datetime) -> None:
         if self.state in (CaptureState.FORWARDED, CaptureState.DISCARDED):
             raise SessionClosed(f"session for {self.message_id} is {self.state}")
@@ -118,9 +114,6 @@ class CaptureManager:
 
     def get(self, message_id: str) -> CaptureSession | None:
         return self._sessions.get(message_id)
-
-    def sessions(self) -> list[CaptureSession]:
-        return list(self._sessions.values())
 
 
 def finalize(session: CaptureSession, consent_yes: bool) -> ReactionRecord | None:

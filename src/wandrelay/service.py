@@ -23,7 +23,6 @@ from typing import Any
 from . import protocol
 from .engine import (
     ContextSample,
-    DeliveryRecord,
     evaluate_sample,
     expire_messages,
     sample_from_dict,
@@ -33,6 +32,7 @@ from .errors import (
     DuplicateMessageId,
     NoSession,
     NotDelivered,
+    OutOfOrderSample,
     ParseError,
     UnknownMessage,
     UnknownRecipient,
@@ -113,6 +113,39 @@ class SenderVisibleRecord:
         return out
 
 
+# Stored event kind -> the state that event moves its message to.
+_TRANSITIONS = {
+    "delivered": MessageState.DELIVERED,
+    "expired": MessageState.EXPIRED,
+    "reacted": MessageState.REACTED,
+    "declined": MessageState.REACTION_DECLINED,
+}
+
+
+def _field(payload: dict[str, Any], name: str, kind: type) -> Any:
+    """One request payload field, checked against its JSON type."""
+    value = payload.get(name)
+    if not isinstance(value, kind):
+        raise ParseError(f"payload field {name!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _scene_frame(sample: ContextSample) -> SceneFrame:
+    return SceneFrame(t=sample.t, lat=sample.lat, lon=sample.lon, visible_markers=sample.visible_markers)
+
+
+def _reaction_start(session: CaptureSession, to: str) -> dict[str, Any]:
+    return protocol.make_frame(
+        protocol.REACTION_START,
+        {
+            "message_id": session.message_id,
+            "started_at": format_rfc3339(session.started_at),
+            "deadline": format_rfc3339(session.deadline),
+        },
+        to=to,
+    )
+
+
 class DeliveryService:
     def __init__(
         self,
@@ -137,41 +170,53 @@ class DeliveryService:
         self._journal: dict[str, list[dict[str, Any]]] = {}
         self._captures = CaptureManager()
         self._active_capture: dict[str, CaptureSession] = {}
-        self._capture_queue: dict[str, deque[DeliveryRecord]] = {}
-        self._notify_flags: dict[str, bool] = {}
+        self._capture_queue: dict[str, deque[str]] = {}  # message ids awaiting a capture
 
         self._recover()
 
-    # -- persistence ---------------------------------------------------------
+    # -- events ----------------------------------------------------------------
 
-    def _record_event(self, recipient_id: str, event: dict[str, Any]) -> None:
+    def _apply(self, recipient_id: str, event: dict[str, Any]) -> None:
+        """Fold one stored event into the message states, queues and journal.
+
+        The only code that changes them: live operations call it once the
+        store holds the event, and recovery calls it for every stored event,
+        so both run the same transitions.
+        """
+        kind = event["ev"]
+        if kind == "enqueued":
+            message = message_from_dict(event["message"])
+            self._messages[message.message_id] = message
+            self._by_sender.setdefault(message.sender_id, []).append(message.message_id)
+            self._pending.setdefault(recipient_id, []).append(message)
+        elif kind in _TRANSITIONS:
+            message_id = event["message_id"]
+            message = self._messages.get(message_id)
+            if message is None:
+                raise UnknownMessage(message_id)
+            self._messages[message_id] = message.with_state(_TRANSITIONS[kind])
+            if message.state is MessageState.PENDING:
+                queue = self._pending[recipient_id]
+                self._pending[recipient_id] = [m for m in queue if m.message_id != message_id]
+            if kind == "delivered":
+                self._delivered_at[message_id] = parse_rfc3339(event["at"])
+            elif kind == "reacted":
+                self._reactions[message_id] = reaction_from_dict(event["reaction"])
+        else:
+            raise ParseError(f"unknown stored event kind {kind!r}")
         self._journal.setdefault(recipient_id, []).append(event)
+
+    def _record(self, recipient_id: str, event: dict[str, Any]) -> None:
+        """Make the event durable, then apply it."""
         self._store.record_event(recipient_id, event)
+        self._apply(recipient_id, event)
 
     def _recover(self) -> None:
-        principals, states = self._store.recover()
+        principals, journal = self._store.recover()
         self._principals.update(principals)
-        for recipient_id, events in states.items():
-            self._journal[recipient_id] = list(events)
+        for recipient_id, events in journal.items():
             for event in events:
-                kind = event["ev"]
-                if kind == "enqueued":
-                    message = message_from_dict(event["message"])
-                    self._messages[message.message_id] = message
-                    self._by_sender.setdefault(message.sender_id, []).append(message.message_id)
-                    self._pending.setdefault(recipient_id, []).append(message)
-                elif kind == "delivered":
-                    self._transition(event["message_id"], MessageState.DELIVERED, persist=False)
-                    self._delivered_at[event["message_id"]] = parse_rfc3339(event["at"])
-                elif kind == "expired":
-                    self._transition(event["message_id"], MessageState.EXPIRED, persist=False)
-                elif kind == "reacted":
-                    self._transition(event["message_id"], MessageState.REACTED, persist=False)
-                    self._reactions[event["message_id"]] = reaction_from_dict(event["reaction"])
-                elif kind == "declined":
-                    self._transition(event["message_id"], MessageState.REACTION_DECLINED, persist=False)
-                else:
-                    raise ParseError(f"unknown stored event kind {kind!r}")
+                self._apply(recipient_id, event)
 
     def close(self) -> None:
         """Flush a snapshot of every queue and release the store."""
@@ -186,9 +231,6 @@ class DeliveryService:
             if principal not in self._principals:
                 self._principals.add(principal)
                 self._store.record_principal(principal)
-
-    def is_registered(self, principal: str) -> bool:
-        return principal in self._principals
 
     def open_session(self, recipient_id: str) -> int:
         """Open the live session for a recipient, superseding any earlier one.
@@ -214,19 +256,6 @@ class DeliveryService:
     def session_generation(self, recipient_id: str) -> int | None:
         return self._sessions.get(recipient_id)
 
-    # -- state transitions ---------------------------------------------------------
-
-    def _transition(self, message_id: str, new_state: MessageState, *, persist: bool = True) -> ArMessage:
-        message = self._messages.get(message_id)
-        if message is None:
-            raise UnknownMessage(message_id)
-        updated = message.with_state(new_state)
-        self._messages[message_id] = updated
-        queue = self._pending.get(message.recipient_id)
-        if queue is not None and new_state is not MessageState.PENDING:
-            self._pending[message.recipient_id] = [m for m in queue if m.message_id != message_id]
-        return updated
-
     # -- operations -------------------------------------------------------------------
 
     def submit(self, message: ArMessage) -> dict[str, Any]:
@@ -237,33 +266,16 @@ class DeliveryService:
             if message.message_id in self._messages:
                 raise DuplicateMessageId(message.message_id)
             if message.state is not MessageState.PENDING:
-                raise ValueError(f"submitted message must be Pending, got {message.state.value}")
+                raise ParseError(f"submitted message must be Pending, got {message.state.value}")
             catalog_item(message.content_id)
             if message.schedule is not None:
                 validate_schedule(message.schedule, self._markers)
-            self._messages[message.message_id] = message
-            self._by_sender.setdefault(message.sender_id, []).append(message.message_id)
-            self._pending.setdefault(message.recipient_id, []).append(message)
-            self._record_event(
-                message.recipient_id, {"ev": "enqueued", "message": message_to_dict(message)}
-            )
+            self._record(message.recipient_id, {"ev": "enqueued", "message": message_to_dict(message)})
             return {"message_id": message.message_id, "state": message.state.value}
 
-    def pending_for(self, recipient_id: str) -> list[ArMessage]:
-        with self._lock:
-            return list(self._pending.get(recipient_id, []))
-
-    def message(self, message_id: str) -> ArMessage:
-        with self._lock:
-            if message_id not in self._messages:
-                raise UnknownMessage(message_id)
-            return self._messages[message_id]
-
-    def _activate_capture(self, delivery: DeliveryRecord, at: datetime) -> CaptureSession:
-        message = self._messages[delivery.message_id]
-        session = self._captures.begin_capture(
-            delivery.message_id, started_at=at, voice_note=message.voice_note
-        )
+    def _activate_capture(self, message_id: str, at: datetime) -> CaptureSession:
+        message = self._messages[message_id]
+        session = self._captures.begin_capture(message_id, started_at=at, voice_note=message.voice_note)
         self._active_capture[message.recipient_id] = session
         return session
 
@@ -273,15 +285,11 @@ class DeliveryService:
             recipient_id = sample.recipient_id
             if recipient_id not in self._sessions:
                 raise NoSession(recipient_id)
-            last_t = self._last_t.get(recipient_id)
-
-            pending = self._pending.get(recipient_id, [])
-            expired, pending = expire_messages(sample.t, pending)
-            deliveries, pending = evaluate_sample(sample, pending, last_t)
+            expired, pending = expire_messages(sample.t, self._pending.get(recipient_id, []))
+            deliveries, _ = evaluate_sample(sample, pending, self._last_t.get(recipient_id))
             self._last_t[recipient_id] = sample.t
             for message in expired:
-                self._transition(message.message_id, MessageState.EXPIRED)
-                self._record_event(
+                self._record(
                     recipient_id,
                     {"ev": "expired", "message_id": message.message_id, "at": format_rfc3339(sample.t)},
                 )
@@ -290,57 +298,38 @@ class DeliveryService:
             # deadline; at or past the deadline it flips to awaiting-consent.
             active = self._active_capture.get(recipient_id)
             if active is not None and active.state == CaptureState.RECORDING:
-                if sample.t <= active.deadline:
-                    active.append_frame(
-                        SceneFrame(
-                            t=sample.t,
-                            lat=sample.lat,
-                            lon=sample.lon,
-                            visible_markers=sample.visible_markers,
-                        )
-                    )
+                if active.started_at <= sample.t <= active.deadline:
+                    active.append_frame(_scene_frame(sample))
                 active.mark_awaiting(sample.t)
 
             events: list[PlaybackEvent] = []
             started: list[CaptureSession] = []
             for delivery in deliveries:
-                updated = self._transition(delivery.message_id, MessageState.DELIVERED)
-                self._delivered_at[delivery.message_id] = delivery.delivered_at
-                self._record_event(
+                message_id = delivery.message_id
+                self._record(
                     recipient_id,
-                    {
-                        "ev": "delivered",
-                        "message_id": delivery.message_id,
-                        "at": format_rfc3339(delivery.delivered_at),
-                    },
+                    {"ev": "delivered", "message_id": message_id, "at": format_rfc3339(delivery.delivered_at)},
                 )
-                item = catalog_item(updated.content_id)
+                message = self._messages[message_id]
                 events.append(
                     PlaybackEvent(
-                        message_id=updated.message_id,
+                        message_id=message_id,
                         delivered_at=delivery.delivered_at,
-                        content_id=updated.content_id,
-                        anchor=item.anchor,
-                        scale=updated.scale,
-                        voice_note=updated.voice_note,
+                        content_id=message.content_id,
+                        anchor=catalog_item(message.content_id).anchor,
+                        scale=message.scale,
+                        voice_note=message.voice_note,
                     )
                 )
                 active = self._active_capture.get(recipient_id)
                 if active is None or active.state in (CaptureState.FORWARDED, CaptureState.DISCARDED):
-                    session = self._activate_capture(delivery, delivery.delivered_at)
-                    session.append_frame(
-                        SceneFrame(
-                            t=sample.t,
-                            lat=sample.lat,
-                            lon=sample.lon,
-                            visible_markers=sample.visible_markers,
-                        )
-                    )
+                    session = self._activate_capture(message_id, delivery.delivered_at)
+                    session.append_frame(_scene_frame(sample))
                     started.append(session)
                 else:
                     # A capture is already running for this recipient; this
                     # delivery's capture starts once that one finalizes.
-                    self._capture_queue.setdefault(recipient_id, deque()).append(delivery)
+                    self._capture_queue.setdefault(recipient_id, deque()).append(message_id)
             return events, started
 
     def append_reaction_item(self, message_id: str, utterance: Utterance) -> None:
@@ -349,7 +338,10 @@ class DeliveryService:
             session = self._captures.get(message_id)
             if session is None:
                 raise UnknownMessage(f"no capture session for {message_id}")
-            session.append_utterance(utterance)
+            try:
+                session.append_utterance(utterance)
+            except ValueError as exc:  # before the capture start or the previous utterance
+                raise OutOfOrderSample(str(exc)) from None
 
     def consent(self, message_id: str, answer_yes: bool, at: datetime) -> tuple[ReactionRecord | None, list[CaptureSession]]:
         """Apply the Yes/No voice command; may start the next queued capture."""
@@ -359,28 +351,24 @@ class DeliveryService:
                 raise UnknownMessage(f"no capture session for {message_id}")
             session.mark_awaiting(at)
             record = finalize(session, answer_yes)
+            recipient_id = self._messages[message_id].recipient_id
             if record is not None:
                 self.notify_reaction(record)
             else:
-                self._transition(message_id, MessageState.REACTION_DECLINED)
-                recipient_id = self._messages[message_id].recipient_id
-                self._record_event(
-                    recipient_id,
-                    {"ev": "declined", "message_id": message_id, "at": format_rfc3339(at)},
+                self._record(
+                    recipient_id, {"ev": "declined", "message_id": message_id, "at": format_rfc3339(at)}
                 )
             started: list[CaptureSession] = []
-            recipient_id = self._messages[message_id].recipient_id
             if self._active_capture.get(recipient_id) is session:
                 queue = self._capture_queue.get(recipient_id)
                 if queue:
-                    delivery = queue.popleft()
-                    started.append(self._activate_capture(delivery, at))
+                    started.append(self._activate_capture(queue.popleft(), at))
                 else:
                     self._active_capture.pop(recipient_id, None)
             return record, started
 
-    def notify_reaction(self, record: ReactionRecord) -> dict[str, Any]:
-        """Attach a consented reaction and flag the sender's notification."""
+    def notify_reaction(self, record: ReactionRecord) -> None:
+        """Attach a consented reaction to its Delivered message."""
         with self._lock:
             message = self._messages.get(record.message_id)
             if message is None:
@@ -391,20 +379,13 @@ class DeliveryService:
                 raise NotDelivered(f"{record.message_id} is {message.state.value}")
             if record.consent != "Yes":
                 raise ValueError("only consented reactions can be forwarded")
-            self._transition(record.message_id, MessageState.REACTED)
-            self._reactions[record.message_id] = record
-            self._record_event(
+            self._record(
                 message.recipient_id,
                 {"ev": "reacted", "message_id": record.message_id, "reaction": reaction_to_dict(record)},
             )
-            self._notify_flags[message.sender_id] = True
-            return {"message_id": record.message_id, "state": MessageState.REACTED.value}
-
-    def has_pending_notification(self, sender_id: str) -> bool:
-        return self._notify_flags.get(sender_id, False)
 
     def sender_view(self, sender_id: str) -> list[SenderVisibleRecord]:
-        """One record per message this sender submitted; clears the notify flag."""
+        """One record per message this sender submitted, oldest first."""
         with self._lock:
             records = []
             for message_id in self._by_sender.get(sender_id, []):
@@ -418,7 +399,6 @@ class DeliveryService:
                     )
                 )
             records.sort(key=lambda r: (self._messages[r.message_id].created_at, r.message_id))
-            self._notify_flags[sender_id] = False
             return records
 
     def end_of_run(self, at: datetime) -> list[str]:
@@ -429,33 +409,21 @@ class DeliveryService:
         Returns the ids of messages expired here.
         """
         with self._lock:
+            stamp = format_rfc3339(at)
             expired_ids: list[str] = []
             for recipient_id, queue in list(self._pending.items()):
                 for message in list(queue):
-                    self._transition(message.message_id, MessageState.EXPIRED)
-                    self._record_event(
-                        recipient_id,
-                        {"ev": "expired", "message_id": message.message_id, "at": format_rfc3339(at)},
-                    )
+                    self._record(recipient_id, {"ev": "expired", "message_id": message.message_id, "at": stamp})
                     expired_ids.append(message.message_id)
-            for recipient_id, session in list(self._active_capture.items()):
+            for recipient_id, session in self._active_capture.items():
                 if session.state in (CaptureState.RECORDING, CaptureState.AWAITING_CONSENT):
                     session.state = CaptureState.AWAITING_CONSENT
                     finalize(session, False)
-                    self._transition(session.message_id, MessageState.REACTION_DECLINED)
-                    self._record_event(
-                        recipient_id,
-                        {"ev": "declined", "message_id": session.message_id, "at": format_rfc3339(at)},
-                    )
-                self._active_capture.pop(recipient_id, None)
-            for recipient_id, queue in list(self._capture_queue.items()):
+                    self._record(recipient_id, {"ev": "declined", "message_id": session.message_id, "at": stamp})
+            self._active_capture.clear()
+            for recipient_id, queue in self._capture_queue.items():
                 while queue:
-                    delivery = queue.popleft()
-                    self._transition(delivery.message_id, MessageState.REACTION_DECLINED)
-                    self._record_event(
-                        recipient_id,
-                        {"ev": "declined", "message_id": delivery.message_id, "at": format_rfc3339(at)},
-                    )
+                    self._record(recipient_id, {"ev": "declined", "message_id": queue.popleft(), "at": stamp})
             return expired_ids
 
     def message_states(self) -> dict[str, MessageState]:
@@ -495,7 +463,7 @@ class DeliveryService:
         if kind == protocol.HELLO:
             role = payload.get("role")
             principal = payload.get("principal")
-            if role not in ("sender", "recipient") or not principal:
+            if role not in ("sender", "recipient") or not principal or not isinstance(principal, str):
                 raise ParseError("HELLO requires role in {sender, recipient} and a principal")
             if role == "recipient":
                 self.open_session(principal)
@@ -505,36 +473,24 @@ class DeliveryService:
             return [protocol.make_frame(protocol.ACK, ack, to=principal)]
 
         if kind == protocol.SUBMIT:
-            message = message_from_dict(payload["message"])
+            message = message_from_dict(_field(payload, "message", dict))
             ack = self.submit(message)
             ack["of"] = protocol.SUBMIT
             return [protocol.make_frame(protocol.ACK, ack, to=message.sender_id)]
 
         if kind == protocol.CONTEXT:
-            sample = sample_from_dict(payload["sample"])
+            sample = sample_from_dict(_field(payload, "sample", dict))
             events, started = self.push_context(sample)
             frames = [
                 protocol.make_frame(protocol.PLAYBACK, e.to_payload(), to=sample.recipient_id)
                 for e in events
             ]
-            for session in started:
-                frames.append(
-                    protocol.make_frame(
-                        protocol.REACTION_START,
-                        {
-                            "message_id": session.message_id,
-                            "started_at": format_rfc3339(session.started_at),
-                            "deadline": format_rfc3339(session.deadline),
-                        },
-                        to=sample.recipient_id,
-                    )
-                )
-            return frames
+            return frames + [_reaction_start(s, sample.recipient_id) for s in started]
 
         if kind == protocol.REACTION_FRAME:
-            message_id = str(payload["message_id"])
-            utterance = Utterance(t=parse_rfc3339(payload["t"]), transcript=str(payload["transcript"]))
-            self.append_reaction_item(message_id, utterance)
+            message_id = _field(payload, "message_id", str)
+            t = parse_rfc3339(_field(payload, "t", str))
+            self.append_reaction_item(message_id, Utterance(t, _field(payload, "transcript", str)))
             return [
                 protocol.make_frame(
                     protocol.ACK, {"of": protocol.REACTION_FRAME, "message_id": message_id}, to=origin
@@ -542,11 +498,11 @@ class DeliveryService:
             ]
 
         if kind == protocol.CONSENT:
-            message_id = str(payload["message_id"])
-            answer = str(payload.get("answer", "")).lower()
+            message_id = _field(payload, "message_id", str)
+            answer = _field(payload, "answer", str).lower()
             if answer not in ("yes", "no"):
-                raise ParseError(f"consent answer must be yes or no, got {payload.get('answer')!r}")
-            at = parse_rfc3339(payload["t"])
+                raise ParseError(f"consent answer must be yes or no, got {payload['answer']!r}")
+            at = parse_rfc3339(_field(payload, "t", str))
             record, started = self.consent(message_id, answer == "yes", at)
             message = self._messages[message_id]
             frames = [
@@ -564,22 +520,10 @@ class DeliveryService:
                         to=message.sender_id,
                     )
                 )
-            for session in started:
-                frames.append(
-                    protocol.make_frame(
-                        protocol.REACTION_START,
-                        {
-                            "message_id": session.message_id,
-                            "started_at": format_rfc3339(session.started_at),
-                            "deadline": format_rfc3339(session.deadline),
-                        },
-                        to=message.recipient_id,
-                    )
-                )
-            return frames
+            return frames + [_reaction_start(s, message.recipient_id) for s in started]
 
         if kind == protocol.SENDER_VIEW_REQ:
-            sender_id = str(payload["sender_id"])
+            sender_id = _field(payload, "sender_id", str)
             records = self.sender_view(sender_id)
             return [
                 protocol.make_frame(

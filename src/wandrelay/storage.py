@@ -1,10 +1,18 @@
 """Durable state for the delivery service.
 
-Per-recipient queues persist as an append-only event log plus a snapshot, both
-in the canonical JSON encoding. Every event is flushed and fsynced when
-appended, so a process killed right after acknowledging a submit loses
-nothing. ``snapshot()`` (called on graceful shutdown) folds the log into the
-snapshot file and truncates it; recovery is snapshot + replay.
+Each recipient queue is an event journal kept in two files under
+``queues/``, both canonical JSON: an append-only log and a snapshot. Every
+event is appended as one line, flushed and fsynced, so a process killed right
+after acknowledging a submit loses nothing. ``snapshot()`` (called on
+graceful shutdown) writes each logged queue's whole journal to its snapshot
+file as ``{"v": 1, "events": [...]}`` and removes the log only once the
+snapshot is durable; recovery is the snapshot's events, then the log's.
+
+Recovery also repairs what a crash can leave behind. An unterminated last
+line is an append cut short, never acknowledged: it is dropped and cut off
+the file. A log whose events already end the snapshot is one a crash left
+between the snapshot's rename and the log's removal: it is removed. A bad
+line anywhere else is corruption and raises ParseError.
 
 Reaction capture buffers are deliberately NOT stored here; only consented,
 composed reaction records ever reach disk.
@@ -15,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from .errors import DataDirUnwritable, ParseError
 
@@ -79,15 +87,33 @@ class FileStore:
         self._append_line(self._log_path(recipient_id), event)
 
     def snapshot(self, states: dict[str, list[dict[str, Any]]]) -> None:
-        """Write each recipient's folded event list and truncate its log."""
+        """Write each logged queue's journal to its snapshot, then remove its log.
+
+        Every snapshot is fsynced and renamed into place, and the directory
+        fsynced, before the first log goes. A queue without a log has
+        appended nothing since its snapshot was written and is skipped.
+        """
+        logs = []
         for recipient_id, events in states.items():
+            log = self._log_path(recipient_id)
+            if not log.exists():
+                continue
             snap = self._snap_path(recipient_id)
             tmp = snap.with_suffix(".tmp")
-            tmp.write_text(json.dumps({"v": 1, "events": events}, separators=(",", ":")))
-            tmp.replace(snap)
-            log = self._log_path(recipient_id)
-            if log.exists():
-                log.unlink()
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"v": 1, "events": events}, separators=(",", ":")))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, snap)
+            logs.append(log)
+        if logs:
+            fd = os.open(self.root / "queues", os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        for log in logs:
+            log.unlink()
 
     def close(self) -> None:
         pass
@@ -95,18 +121,25 @@ class FileStore:
     # -- recovery --
 
     @staticmethod
-    def _read_lines(path: Path) -> Iterable[dict[str, Any]]:
+    def _read_lines(path: Path) -> list[dict[str, Any]]:
+        """Parse a log, dropping (and cutting off) an unterminated last line."""
         if not path.exists():
-            return
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+            return []
+        data = path.read_bytes()
+        body, _, torn = data.rpartition(b"\n")
+        entries = []
+        for lineno, line in enumerate(body.split(b"\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(json.loads(line))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if torn:
+            with open(path, "r+b") as fh:
+                fh.truncate(len(data) - len(torn))
+                os.fsync(fh.fileno())
+        return entries
 
     def recover(self) -> tuple[set[str], dict[str, list[dict[str, Any]]]]:
         """Return (principals, per-recipient ordered event lists)."""
@@ -117,6 +150,10 @@ class FileStore:
             recipient_id = snap.name[: -len(".snap.json")]
             states[recipient_id] = json.loads(snap.read_text())["events"]
         for log in sorted(queues_dir.glob("*.log")):
-            recipient_id = log.stem
-            states.setdefault(recipient_id, []).extend(self._read_lines(log))
+            events = self._read_lines(log)
+            journal = states.setdefault(log.stem, [])
+            if events and journal[-len(events):] == events:
+                log.unlink()  # already folded into the snapshot
+            else:
+                journal.extend(events)
         return principals, states

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from wandrelay import analytics, protocol, sim
-from wandrelay.engine import evaluate_sample, expire_messages
+from wandrelay.engine import ContextSample, evaluate_sample, expire_messages
 from wandrelay.model import (
     ALLOWED_TRANSITIONS,
     MessageState,
@@ -372,8 +372,10 @@ def test_criterion_6_determinism_and_durability(tmp_path):
     del service  # crash: no close(), no snapshot
 
     reborn = DeliveryService(FileStore(data_dir))
-    assert [m.message_id for m in reborn.pending_for("r1")] == [message.message_id]
-    assert reborn.message(message.message_id).state is MessageState.PENDING
+    assert reborn.message_states() == {message.message_id: MessageState.PENDING}
+    reborn.open_session("r1")
+    events, _ = reborn.push_context(ContextSample("r1", at("09:00:00"), 0.0, 0.0, wearing=True))
+    assert [e.message_id for e in events] == [message.message_id]
     ok(
         "criterion 6 — byte-identical logs on repeated runs; a pending message "
         "survives an unclean restart between submit and delivery"

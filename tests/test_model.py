@@ -295,6 +295,7 @@ class TestRoundTrip:
             lambda d: d.pop("message_id"),
             lambda d: d.update(state="Vanished"),
             lambda d: d.update(created_at="not-a-time"),
+            lambda d: d.update(schedule=""),
         ):
             doc = json.loads(json.dumps(good))
             breakage(doc)

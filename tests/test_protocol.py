@@ -34,6 +34,8 @@ class TestFrames:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             protocol.decode_frame("not json at all")
+        with pytest.raises(ParseError):
+            protocol.decode_frame(b'{"v": 1, "kind": "\xff"}\n')
 
     def test_reaction_frames_logged_without_transcript(self):
         frame = protocol.make_frame(
@@ -144,6 +146,20 @@ class TestWireServer:
             start = recipient.read_frame()
             assert start["kind"] == protocol.REACTION_START
             assert start["payload"]["message_id"] == message.message_id
+
+    def test_bad_frame_gets_error_and_connection_keeps_working(self, running_server):
+        host, port, _ = running_server
+        with WireClient(host, port) as recipient:
+            recipient.hello("recipient", "r1")
+        message, frame = submit_frame()
+        with WireClient(host, port) as sender:
+            sender.hello("sender", "s1")
+            bad = sender.request(protocol.make_frame(protocol.SUBMIT, {"message": 5}, sender="s1"))
+            assert bad["kind"] == protocol.ERROR
+            assert bad["payload"]["code"] == "ParseError"
+            ack = sender.request(frame)
+            assert ack["kind"] == protocol.ACK
+            assert ack["payload"]["message_id"] == message.message_id
 
     def test_first_frame_must_be_hello(self, running_server):
         host, port, _ = running_server

@@ -41,11 +41,6 @@ class TestBeginCapture:
         with pytest.raises(DuplicateSession):
             manager.begin_capture("msg-1", started_at=at("09:00:05"), voice_note=NOTE)
 
-    def test_countdown(self):
-        session = fresh_session()
-        assert session.remaining(at("09:00:04")) == pytest.approx(6.0)
-        assert session.remaining(at("09:00:20")) == 0.0
-
 
 class TestAppend:
     def test_utterance_within_window(self):

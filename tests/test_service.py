@@ -62,7 +62,7 @@ class TestSubmit:
         message = make_message()
         ack = service.submit(message)
         assert ack["message_id"] == message.message_id
-        assert [m.message_id for m in service.pending_for("r1")] == [message.message_id]
+        assert service.message_states() == {message.message_id: MessageState.PENDING}
 
     def test_duplicate_id_rejected(self, service):
         message = make_message()
@@ -101,7 +101,7 @@ class TestPushContext:
             service.submit(make_message(seed=seed))
         events, started = service.push_context(sample(wearing=False))
         assert events == [] and started == []
-        assert len(service.pending_for("r1")) == 3
+        assert list(service.message_states().values()) == [MessageState.PENDING] * 3
 
     def test_direct_delivery_emits_flash_then_render(self, service):
         message = make_message()
@@ -111,7 +111,7 @@ class TestPushContext:
         payload = events[0].to_payload()
         assert [e["kind"] for e in payload["events"]] == ["flash", "render"]
         assert payload["events"][0]["duration"] == 0.5
-        assert service.message(message.message_id).state is MessageState.DELIVERED
+        assert service.message_states()[message.message_id] is MessageState.DELIVERED
         assert len(started) == 1 and started[0].message_id == message.message_id
 
     def test_two_messages_fire_in_created_at_order(self, service):
@@ -128,7 +128,7 @@ class TestPushContext:
         service.submit(message)
         events, _ = service.push_context(sample())
         assert events == []
-        assert service.message(message.message_id).state is MessageState.EXPIRED
+        assert service.message_states()[message.message_id] is MessageState.EXPIRED
 
 
 class TestReactionFlow:
@@ -145,8 +145,9 @@ class TestReactionFlow:
         assert len(session.frames) == 2  # delivery sample + one later sample
         record, started = service.consent(message.message_id, True, at("09:00:10"))
         assert record is not None
-        assert service.message(message.message_id).state is MessageState.REACTED
-        assert service.has_pending_notification("s1")
+        assert service.message_states()[message.message_id] is MessageState.REACTED
+        (view,) = service.sender_view("s1")
+        assert view.reaction == record
 
     def test_consent_no_declines_and_erases(self, service):
         message, session = self.deliver_one(service)
@@ -154,7 +155,7 @@ class TestReactionFlow:
         record, _ = service.consent(message.message_id, False, at("09:00:10"))
         assert record is None
         assert session.frames == [] and session.utterances == []
-        assert service.message(message.message_id).state is MessageState.REACTION_DECLINED
+        assert service.message_states()[message.message_id] is MessageState.REACTION_DECLINED
 
     def test_second_delivery_queues_until_consent(self, service):
         first = make_message(seed=1, created="08:50:00")
@@ -170,6 +171,28 @@ class TestReactionFlow:
         _, started_next = service.consent(first.message_id, True, at("09:00:10"))
         assert [s.message_id for s in started_next] == [second.message_id]
         assert started_next[0].started_at == at("09:00:10")
+
+    def test_utterance_out_of_order_is_an_error(self, service):
+        message, _ = self.deliver_one(service)
+        answers = []
+        for t in ("08:59:00", "09:00:05", "09:00:04"):  # before the start, in order, out of order
+            (response,) = service.handle_frame(protocol.make_frame(
+                protocol.REACTION_FRAME,
+                {"message_id": message.message_id, "t": f"2021-06-05T{t}Z", "transcript": "x"},
+                sender="r1",
+            ))
+            answers.append(response["payload"].get("code", response["kind"]))
+        assert answers == ["OutOfOrderSample", "ACK", "OutOfOrderSample"]
+
+    def test_sample_before_next_capture_start_is_not_recorded(self, service):
+        first = make_message(seed=1, created="08:50:00")
+        second = make_message(seed=2, created="08:51:00")
+        service.submit(first)
+        service.submit(second)
+        service.push_context(sample("09:00:00"))
+        _, (queued,) = service.consent(first.message_id, True, at("10:00:00"))
+        service.push_context(sample("09:00:30"))
+        assert queued.frames == []
 
     def test_notify_reaction_guards(self, service):
         message = make_message()
@@ -210,7 +233,6 @@ class TestSenderView:
         assert records[declined.message_id].state is MessageState.REACTION_DECLINED
         assert records[declined.message_id].reaction is None
         assert records[pending.message_id].state is MessageState.PENDING
-        assert not service.has_pending_notification("s1")  # cleared by the view
 
     def test_serialized_record_has_no_location_shaped_fields(self, service):
         message = make_message()
@@ -236,8 +258,10 @@ class TestDurability:
         first.submit(message)
         # no close(): simulate a crash right after the submit ack
         reborn = DeliveryService(FileStore(tmp_path))
-        assert [m.message_id for m in reborn.pending_for("r1")] == [message.message_id]
-        assert reborn.is_registered("s1") and reborn.is_registered("r1")
+        assert reborn.message_states() == {message.message_id: MessageState.PENDING}
+        # both principals are still registered: each can be submitted to
+        reborn.submit(make_message(seed=2))
+        reborn.submit(compose("r1", "s1", "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:56:00")))
 
     def test_snapshot_then_restart_preserves_states(self, tmp_path):
         first = DeliveryService(FileStore(tmp_path))
@@ -253,8 +277,10 @@ class TestDurability:
         assert not (tmp_path / "queues" / "r1.log").exists()  # folded into snapshot
 
         reborn = DeliveryService(FileStore(tmp_path))
-        assert reborn.message(delivered.message_id).state is MessageState.REACTED
-        assert reborn.message(parked.message_id).state is MessageState.DELIVERED
+        assert reborn.message_states() == {
+            delivered.message_id: MessageState.REACTED,
+            parked.message_id: MessageState.DELIVERED,
+        }
         view = {r.message_id: r for r in reborn.sender_view("s1")}
         assert view[delivered.message_id].reaction is not None
 
@@ -268,8 +294,10 @@ class TestDurability:
         service.submit(fenced)
         service.push_context(sample("09:00:00"))  # direct delivers, capture open
         service.end_of_run(at("09:30:00"))
-        assert service.message(direct.message_id).state is MessageState.REACTION_DECLINED
-        assert service.message(fenced.message_id).state is MessageState.EXPIRED
+        assert service.message_states() == {
+            direct.message_id: MessageState.REACTION_DECLINED,
+            fenced.message_id: MessageState.EXPIRED,
+        }
 
 
 class TestFrameDispatch:

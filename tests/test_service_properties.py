@@ -1,0 +1,173 @@
+"""Property tests at the service's frame boundary and across restarts."""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from datetime import timedelta
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+
+from wandrelay import protocol
+from wandrelay.engine import ContextSample, sample_to_dict
+from wandrelay.ids import IdFactory
+from wandrelay.model import MarkerCondition, TriggerSchedule, VoiceNote, compose, message_to_dict
+from wandrelay.service import DeliveryService
+from wandrelay.storage import FileStore
+from wandrelay.timeutil import parse_rfc3339
+
+from conftest import at
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+json_objects = st.dictionaries(st.text(max_size=12), json_values, max_size=5)
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with some parts, at any depth, dropped or replaced by arbitrary JSON."""
+    if isinstance(value, (dict, list)) and value:
+        out = dict(value) if isinstance(value, dict) else list(value)
+        keys = sorted(out) if isinstance(out, dict) else list(range(len(out)))
+        for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+            action = draw(st.sampled_from(["drop", "replace", "recurse"]))
+            if action == "drop" and isinstance(out, dict):
+                del out[key]
+            elif action == "recurse":
+                out[key] = draw(mutated(out[key]))
+            else:
+                out[key] = draw(json_values)
+        return out
+    return draw(json_values) if draw(st.booleans()) else value
+
+
+def message(seed, sender="s1", marker=False, created=at("08:55:00")):
+    schedule = TriggerSchedule(marker=MarkerCondition("mk-desk")) if marker else None
+    return compose(
+        sender, "r1", "dog", 1.0, VoiceNote(2.0, "hey"), schedule,
+        now=created, id_factory=IdFactory(seed),
+    )
+
+
+def sample(t, markers=()):
+    return ContextSample("r1", t, 40.0, -100.0, wearing=True, visible_markers=frozenset(markers))
+
+
+def service_with_open_capture():
+    """Two direct messages delivered to r1: one capture running, one queued."""
+    service = DeliveryService(declared_markers={"mk-desk"})
+    service.open_session("r1")
+    service.register_principal("s1")
+    first, second = message(1), message(2)
+    service.submit(first)
+    service.submit(second)
+    service.push_context(sample(at("09:00:00")))
+    return service, first.message_id
+
+
+def valid_payloads(message_id):
+    return {
+        protocol.HELLO: {"role": "recipient", "principal": "r1"},
+        protocol.SUBMIT: {"message": message_to_dict(message(3))},
+        protocol.CONTEXT: {"sample": sample_to_dict(sample(at("09:00:05"), ["mk-desk"]))},
+        protocol.REACTION_FRAME: {"message_id": message_id, "t": "2021-06-05T09:00:03Z", "transcript": "wow"},
+        protocol.CONSENT: {"message_id": message_id, "answer": "yes", "t": "2021-06-05T09:00:10Z"},
+        protocol.SENDER_VIEW_REQ: {"sender_id": "s1"},
+    }
+
+
+REQUEST_KINDS = sorted(valid_payloads("x"))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(REQUEST_KINDS), data=st.data())
+def test_any_payload_gets_exactly_one_answer(kind, data):
+    service, message_id = service_with_open_capture()
+    valid = valid_payloads(message_id)[kind]
+    payload = data.draw(st.one_of(json_objects, mutated(valid)).filter(lambda p: isinstance(p, dict)))
+    kinds = [r["kind"] for r in service.handle_frame(protocol.make_frame(kind, payload, sender="r1"))]
+    if kind == protocol.CONTEXT:  # a one-way stream: an ERROR only when rejected
+        assert protocol.ERROR not in kinds or kinds == [protocol.ERROR]
+    elif kind == protocol.SENDER_VIEW_REQ:
+        assert kinds in ([protocol.SENDER_VIEW_RESP], [protocol.ERROR])
+    else:
+        assert kinds[0] in (protocol.ACK, protocol.ERROR)
+        assert kinds.count(protocol.ACK) + kinds.count(protocol.ERROR) == 1
+
+
+class LiveEqualsReplay(RuleBasedStateMachine):
+    """Whatever a crash or a clean restart interrupts, the state read back is the same."""
+
+    def __init__(self):
+        super().__init__()
+        self.data_dir = tempfile.mkdtemp(prefix="wandrelay-live-replay-")
+        self.clock = at("09:00:00")
+        self.seeds = 0
+        self.captures: dict[str, str] = {}  # open capture -> its deadline
+        self.open()
+
+    def open(self):
+        self.service = DeliveryService(FileStore(self.data_dir), declared_markers={"mk-desk"})
+        self.captures.clear()
+        self.request(protocol.HELLO, {"role": "recipient", "principal": "r1"}, "r1")
+
+    def request(self, kind, payload, sender):
+        responses = self.service.handle_frame(protocol.make_frame(kind, payload, sender=sender))
+        assert protocol.ERROR not in [r["kind"] for r in responses], responses
+        for response in responses:
+            if response["kind"] == protocol.REACTION_START:
+                self.captures[response["payload"]["message_id"]] = response["payload"]["deadline"]
+        return responses
+
+    def observed(self):
+        views = {s: [r.to_dict() for r in self.service.sender_view(s)] for s in ("s1", "s2")}
+        return self.service.message_states(), views
+
+    @rule(sender=st.sampled_from(["s1", "s2"]), marker=st.booleans())
+    def submit(self, sender, marker):
+        self.request(protocol.HELLO, {"role": "sender", "principal": sender}, sender)
+        self.seeds += 1
+        doc = message_to_dict(message(self.seeds, sender, marker, created=self.clock))
+        self.request(protocol.SUBMIT, {"message": doc}, sender)
+
+    @rule(seconds=st.integers(1, 15), show_marker=st.booleans())
+    def context(self, seconds, show_marker):
+        self.clock += timedelta(seconds=seconds)
+        doc = sample_to_dict(sample(self.clock, ["mk-desk"] if show_marker else []))
+        self.request(protocol.CONTEXT, {"sample": doc}, "r1")
+
+    @precondition(lambda self: self.captures)
+    @rule(answer=st.sampled_from(["yes", "no"]))
+    def consent(self, answer):
+        message_id, deadline = self.captures.popitem()
+        self.clock = max(self.clock, parse_rfc3339(deadline))
+        t = self.clock.strftime("%Y-%m-%dT%H:%M:%SZ")
+        self.request(protocol.CONSENT, {"message_id": message_id, "answer": answer, "t": t}, "r1")
+
+    @rule()
+    def crash(self):
+        before = self.observed()
+        self.open()  # the old service is dropped without close()
+        assert self.observed() == before
+
+    @rule()
+    def restart(self):
+        before = self.observed()
+        self.service.close()
+        self.open()
+        assert self.observed() == before
+
+    def teardown(self):
+        shutil.rmtree(self.data_dir, ignore_errors=True)
+
+
+LiveEqualsReplay.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_live_equals_replay = LiveEqualsReplay.TestCase

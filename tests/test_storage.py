@@ -1,0 +1,203 @@
+"""FileStore on disk: the v1 format, torn appends, corruption and snapshot order."""
+
+from __future__ import annotations
+
+import os
+import stat
+from pathlib import Path
+
+import pytest
+
+from wandrelay.errors import ParseError
+from wandrelay.ids import IdFactory
+from wandrelay.model import MessageState, VoiceNote, compose
+from wandrelay.service import DeliveryService
+from wandrelay.storage import FileStore
+
+from conftest import at
+from test_service import make_message, sample
+
+A, B, C, D = (
+    "01F7DNTQP04TFF59TDWH9EDD1R",
+    "01F7DNWJ901HEAD8X4A1JH69RE",
+    "01F7DNYCW0H4QX4FR84G98PBSK",
+    "01F7DP07F0JMRNV7E9Z0C1HT0H",
+)
+
+
+def enqueued(message_id, content, scale, note, schedule, created):
+    return (
+        '{"ev":"enqueued","message":{"v":1,"message_id":"%s","sender_id":"s1","recipient_id":"r1",'
+        '"content_id":"%s","scale":%s,"voice_note":%s,"schedule":%s,"created_at":"2021-06-05T%sZ",'
+        '"state":"Pending"}}' % (message_id, content, scale, note, schedule, created)
+    )
+
+
+# Four messages: A delivered and reacted, B delivered and declined (both in the
+# snapshot a clean shutdown wrote), then, in the log a crash left, D expired and
+# C delivered.
+V1_SNAPSHOT = (
+    '{"v":1,"events":['
+    + enqueued(A, "dog", "1.0", '{"duration":2.0,"transcript":"hey"}', "null", "08:50:00") + ","
+    + enqueued(B, "bee", "1.5", '{"duration":1.0,"transcript":"hi"}', "null", "08:51:00") + ","
+    + enqueued(C, "dog", "1.0", '{"duration":2.0,"transcript":"desk"}',
+               '{"marker":{"marker_id":"mk-desk"}}', "08:52:00") + ","
+    + enqueued(D, "dog", "1.0", '{"duration":2.0,"transcript":"soon"}',
+               '{"window":{"start":"2021-06-05T09:01:00Z","end":"2021-06-05T09:01:30Z"}}',
+               "08:53:00") + ","
+    + '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"},' % A
+    + '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"},' % B
+    + '{"ev":"reacted","message_id":"%s","reaction":{"message_id":"%s",' % (A, A)
+    + '"started_at":"2021-06-05T09:00:00Z","tracks":{"scene":[{"t":"2021-06-05T09:00:00Z"}],'
+    + '"recipient_audio":[{"t":"2021-06-05T09:00:03Z","transcript":"wow"}],'
+    + '"sender_voice_note":{"duration":2.0,"transcript":"hey"}},"consent":"Yes"}},'
+    + '{"ev":"declined","message_id":"%s","at":"2021-06-05T09:00:20Z"}' % B
+    + "]}"
+)
+V1_LOG = (
+    '{"ev":"expired","message_id":"%s","at":"2021-06-05T09:02:00Z"}\n' % D
+    + '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:02:00Z"}\n' % C
+)
+
+
+def test_v1_data_dir_recovers(tmp_path):
+    (tmp_path / "queues").mkdir()
+    (tmp_path / "principals.log").write_text('{"principal":"s1"}\n{"principal":"r1"}\n')
+    (tmp_path / "queues" / "r1.snap.json").write_text(V1_SNAPSHOT)
+    (tmp_path / "queues" / "r1.log").write_text(V1_LOG)
+
+    service = DeliveryService(FileStore(tmp_path))
+    assert service.message_states() == {
+        A: MessageState.REACTED,
+        B: MessageState.REACTION_DECLINED,
+        C: MessageState.DELIVERED,
+        D: MessageState.EXPIRED,
+    }
+    assert [r.to_dict() for r in service.sender_view("s1")] == [
+        {
+            "message_id": A, "state": "Reacted", "delivered_at": "2021-06-05T09:00:00Z",
+            "reaction": {
+                "message_id": A,
+                "started_at": "2021-06-05T09:00:00Z",
+                "tracks": {
+                    "scene": [{"t": "2021-06-05T09:00:00Z"}],
+                    "recipient_audio": [{"t": "2021-06-05T09:00:03Z", "transcript": "wow"}],
+                    "sender_voice_note": {"duration": 2.0, "transcript": "hey"},
+                },
+                "consent": "Yes",
+            },
+        },
+        {"message_id": B, "state": "ReactionDeclined", "delivered_at": "2021-06-05T09:00:00Z"},
+        {"message_id": C, "state": "Delivered", "delivered_at": "2021-06-05T09:02:00Z"},
+        {"message_id": D, "state": "Expired"},
+    ]
+    # A clean shutdown folds the log into the same snapshot format.
+    service.close()
+    assert not (tmp_path / "queues" / "r1.log").exists()
+    assert (tmp_path / "queues" / "r1.snap.json").read_text() == V1_SNAPSHOT[:-2] + "," + ",".join(
+        V1_LOG.strip().split("\n")
+    ) + "]}"
+
+
+def started(tmp_path):
+    service = DeliveryService(FileStore(tmp_path))
+    service.register_principal("s1")
+    service.open_session("r1")
+    return service
+
+
+def test_torn_last_line_is_dropped_and_cut_off(tmp_path):
+    first = started(tmp_path)
+    one = make_message(seed=1)
+    first.submit(one)
+    # a crash mid-append leaves each file's last line unterminated
+    for path, torn in ((tmp_path / "queues" / "r1.log", '{"ev":"enqueued","mess'),
+                       (tmp_path / "principals.log", '{"princ')):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(torn)
+
+    reborn = DeliveryService(FileStore(tmp_path))
+    assert reborn.message_states() == {one.message_id: MessageState.PENDING}
+    two = make_message(seed=2)
+    reborn.submit(two)
+    reborn.register_principal("s2")
+
+    principals, journal = FileStore(tmp_path).recover()
+    assert principals == {"s1", "r1", "s2"}
+    assert [e["message"]["message_id"] for e in journal["r1"]] == [one.message_id, two.message_id]
+
+
+@pytest.mark.parametrize("name", ["queues/r1.log", "principals.log"])
+@pytest.mark.parametrize("lines", [['{"bad', '{"principal":"s1"}'], ['{"principal":"s1"}', '{"bad']],
+                         ids=["mid-file", "terminated-last-line"])
+def test_bad_line_elsewhere_is_an_error(tmp_path, name, lines):
+    store = FileStore(tmp_path)
+    (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ParseError, match=Path(name).name):
+        store.recover()
+
+
+def to(recipient, seed):
+    return compose("s1", recipient, "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:55:00"),
+                   id_factory=IdFactory(seed))
+
+
+def test_snapshot_is_durable_before_any_log_goes(tmp_path, monkeypatch):
+    first = started(tmp_path)
+    first.open_session("r3")
+    first.submit(to("r3", 3))
+    first.close()  # r3 now has a snapshot and no log
+    service = started(tmp_path)
+    for seed, recipient in enumerate(("r1", "r2")):
+        service.open_session(recipient)
+        service.submit(to(recipient, seed))
+
+    calls = []
+    real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+    def fsync(fd):
+        calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    def unlink(path, missing_ok=False):
+        calls.append(("unlink", path.name))
+        real_unlink(path, missing_ok)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    service.close()
+    assert calls == [
+        ("fsync", "file"), ("replace", "r1.snap.json"),
+        ("fsync", "file"), ("replace", "r2.snap.json"),
+        ("fsync", "dir"),
+        ("unlink", "r1.log"), ("unlink", "r2.log"),
+    ]
+
+
+def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
+    first = started(tmp_path)
+    delivered, parked = make_message(seed=1), make_message(seed=2)
+    first.submit(delivered)
+    first.submit(parked)
+    first.push_context(sample("09:00:00"))
+    first.consent(delivered.message_id, True, at("09:00:10"))
+    before = first.message_states(), [r.to_dict() for r in first.sender_view("s1")]
+
+    def crash(path, missing_ok=False):
+        raise OSError("killed before the log was removed")
+
+    monkeypatch.setattr(Path, "unlink", crash)
+    with pytest.raises(OSError):
+        first.close()
+    monkeypatch.undo()
+    log = tmp_path / "queues" / "r1.log"
+    assert log.exists() and (tmp_path / "queues" / "r1.snap.json").exists()
+
+    reborn = DeliveryService(FileStore(tmp_path))
+    assert (reborn.message_states(), [r.to_dict() for r in reborn.sender_view("s1")]) == before
+    assert not log.exists()

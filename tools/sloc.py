@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Count source lines of Python modules.
+
+A source line is a physical line that holds part of a statement. Blank
+lines, comment-only lines and the lines of module, class and function
+docstrings are left out. Standard library only.
+
+Usage: python tools/sloc.py PATH [PATH ...]   (files or directories)
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NON_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def sloc(source: str) -> int:
+    """Number of source lines in one module's text."""
+    code: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NON_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstring_lines(ast.parse(source)))
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    files: list[Path] = []
+    for arg in argv:
+        path = Path(arg)
+        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    total = 0
+    for path in files:
+        count = sloc(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
