@@ -73,14 +73,6 @@ class UnknownMessage(WandRelayError):
     code = "UnknownMessage"
 
 
-class NotDelivered(WandRelayError):
-    code = "NotDelivered"
-
-
-class AlreadyReacted(WandRelayError):
-    code = "AlreadyReacted"
-
-
 class IllegalTransition(WandRelayError):
     code = "IllegalTransition"
 

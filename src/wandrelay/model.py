@@ -225,6 +225,18 @@ def validate_schedule(schedule: TriggerSchedule, declared_markers: Collection[st
             raise UnknownMarker(schedule.marker.marker_id)
 
 
+def validate_parties_and_scale(sender_id: str, recipient_id: str, scale: float) -> None:
+    """Distinct principals and a scale in range, checked for every new message.
+
+    Not a construction invariant of ``ArMessage``, so messages already stored
+    keep loading.
+    """
+    if sender_id == recipient_id:
+        raise ParseError("sender and recipient must be distinct principals")
+    if not (MIN_SCALE <= scale <= MAX_SCALE):
+        raise ScaleOutOfRange(f"scale {scale} outside [{MIN_SCALE}, {MAX_SCALE}]")
+
+
 _default_ids = IdFactory()
 
 
@@ -241,11 +253,8 @@ def compose(
     id_factory: Callable[[datetime], str] | None = None,
 ) -> ArMessage:
     """Build a new Pending message, validating every field."""
-    if sender_id == recipient_id:
-        raise ValueError("sender and recipient must be distinct principals")
     catalog_item(content_id)  # raises UnknownContent
-    if not (MIN_SCALE <= scale <= MAX_SCALE):
-        raise ScaleOutOfRange(f"scale {scale} outside [{MIN_SCALE}, {MAX_SCALE}]")
+    validate_parties_and_scale(sender_id, recipient_id, scale)
     if schedule is not None:
         validate_schedule(schedule, declared_markers)
     created_at = now if now is not None else datetime.now(UTC)

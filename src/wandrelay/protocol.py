@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
-from .errors import ParseError
+from .errors import ParseError, WandRelayError
 
 PROTOCOL_VERSION = 1
 
@@ -56,6 +56,11 @@ def make_frame(
     return frame
 
 
+def error_frame(exc: WandRelayError, to: str | None = None) -> dict[str, Any]:
+    """The ERROR frame that reports ``exc`` by its code."""
+    return make_frame(ERROR, {"code": exc.code, "detail": exc.detail}, to=to)
+
+
 def dumps_canonical(obj: Any) -> str:
     """Compact, key-order-preserving JSON; the one encoder used everywhere."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
@@ -67,9 +72,17 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
 
 def decode_frame(line: str | bytes) -> dict[str, Any]:
     try:
-        frame = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+        text = line.decode("utf-8") if isinstance(line, bytes) else line
+        frame = json.loads(text)
     except ValueError as exc:  # not JSON, or bytes that are not UTF-8
         raise ParseError(f"bad frame: {exc}") from None
+    # Only a \u escape can spell an unpaired surrogate, which no UTF-8 file or
+    # socket can carry; frames without one skip the check.
+    if "\\u" in text:
+        try:
+            dumps_canonical(frame).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("frame holds an unpaired surrogate") from None
     if not isinstance(frame, dict):
         raise ParseError("frame must be a JSON object")
     if frame.get("v") != PROTOCOL_VERSION:

@@ -35,16 +35,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 try:
                     frame = protocol.decode_frame(line)
                 except ParseError as exc:
-                    self._send(protocol.make_frame(protocol.ERROR, {"code": exc.code, "detail": exc.detail}))
+                    self._send(protocol.error_frame(exc))
                     continue
                 if principal is None:
                     if frame["kind"] != protocol.HELLO:
-                        self._send(
-                            protocol.make_frame(
-                                protocol.ERROR,
-                                {"code": "ParseError", "detail": "first frame must be HELLO"},
-                            )
-                        )
+                        self._send(protocol.error_frame(ParseError("first frame must be HELLO")))
                         continue
                     principal = frame["payload"].get("principal")
                     role = frame["payload"].get("role")

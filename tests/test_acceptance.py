@@ -25,6 +25,7 @@ from wandrelay.model import (
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
+from client import ids_of, push, submit
 from conftest import FIXTURE_PATHS, at
 from genrandom import random_messages, random_scenario_dict, random_schedule, random_stream
 from oracles import brute_force_deliveries, recount_pairs
@@ -368,14 +369,14 @@ def test_criterion_6_determinism_and_durability(tmp_path):
     service.register_principal("s1")
     service.open_session("r1")
     message = compose("s1", "r1", "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:55:00"))
-    service.submit(message)
+    submit(service, message)
     del service  # crash: no close(), no snapshot
 
     reborn = DeliveryService(FileStore(data_dir))
     assert reborn.message_states() == {message.message_id: MessageState.PENDING}
     reborn.open_session("r1")
-    events, _ = reborn.push_context(ContextSample("r1", at("09:00:00"), 0.0, 0.0, wearing=True))
-    assert [e.message_id for e in events] == [message.message_id]
+    frames = push(reborn, ContextSample("r1", at("09:00:00"), 0.0, 0.0, wearing=True))
+    assert ids_of(frames, protocol.PLAYBACK) == [message.message_id]
     ok(
         "criterion 6 — byte-identical logs on repeated runs; a pending message "
         "survives an unclean restart between submit and delivery"

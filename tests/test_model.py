@@ -123,7 +123,7 @@ class TestCompose:
             compose("s1", "r1", "unicorn", 1.0, note())
 
     def test_same_principal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             compose("s1", "s1", "dog", 1.0, note())
 
     @pytest.mark.parametrize("scale", [0.05, 11.0, -1.0])

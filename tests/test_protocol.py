@@ -16,6 +16,9 @@ from conftest import at
 from genrandom import lat_off, lon_off
 
 
+LONE_SURROGATE = b'{"v":1,"kind":"SENDER_VIEW_REQ","payload":{"sender_id":"\\ud800"}}\n'
+
+
 class TestFrames:
     def test_encode_decode_round_trip(self):
         frame = protocol.make_frame(protocol.ACK, {"of": "SUBMIT", "message_id": "X"}, to="s1")
@@ -36,6 +39,8 @@ class TestFrames:
             protocol.decode_frame("not json at all")
         with pytest.raises(ParseError):
             protocol.decode_frame(b'{"v": 1, "kind": "\xff"}\n')
+        with pytest.raises(ParseError):  # an unpaired surrogate cannot be written out again
+            protocol.decode_frame(LONE_SURROGATE)
 
     def test_reaction_frames_logged_without_transcript(self):
         frame = protocol.make_frame(
@@ -157,6 +162,9 @@ class TestWireServer:
             bad = sender.request(protocol.make_frame(protocol.SUBMIT, {"message": 5}, sender="s1"))
             assert bad["kind"] == protocol.ERROR
             assert bad["payload"]["code"] == "ParseError"
+            sender._file.write(LONE_SURROGATE)
+            sender._file.flush()
+            assert sender.read_frame()["payload"]["code"] == "ParseError"
             ack = sender.request(frame)
             assert ack["kind"] == protocol.ACK
             assert ack["payload"]["message_id"] == message.message_id

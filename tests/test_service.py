@@ -6,29 +6,21 @@ import pytest
 
 from wandrelay import protocol
 from wandrelay.engine import ContextSample
-from wandrelay.errors import (
-    AlreadyReacted,
-    DuplicateMessageId,
-    NoSession,
-    NotDelivered,
-    OutOfOrderSample,
-    UnknownRecipient,
-)
 from wandrelay.ids import IdFactory
 from wandrelay.model import (
     Geofence,
     MarkerCondition,
     MessageState,
-    Specificity,
     TimeWindow,
     TriggerSchedule,
     VoiceNote,
     compose,
+    message_to_dict,
 )
-from wandrelay.reaction import ReactionRecord, Utterance
-from wandrelay.service import DeliveryService, SenderVisibleRecord
+from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
+from client import consent, error_code, ids_of, push, submit, utter, view_of
 from conftest import at
 from genrandom import lat_off, lon_off
 
@@ -60,101 +52,103 @@ def sample(t="09:00:00", wearing=True, markers=(), east=0.0, north=0.0):
 class TestSubmit:
     def test_ack_and_queue_growth(self, service):
         message = make_message()
-        ack = service.submit(message)
-        assert ack["message_id"] == message.message_id
+        (ack,) = submit(service, message)
+        assert ack["kind"] == protocol.ACK
+        assert ack["payload"]["message_id"] == message.message_id
         assert service.message_states() == {message.message_id: MessageState.PENDING}
 
     def test_duplicate_id_rejected(self, service):
         message = make_message()
-        service.submit(message)
-        with pytest.raises(DuplicateMessageId):
-            service.submit(message)
+        submit(service, message)
+        assert error_code(submit(service, message)) == "DuplicateMessageId"
 
     def test_unknown_recipient(self, service):
         message = compose("s1", "nobody", "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:55:00"))
-        with pytest.raises(UnknownRecipient):
-            service.submit(message)
+        assert error_code(submit(service, message)) == "UnknownRecipient"
 
 
 class TestPushContext:
     def test_requires_open_session(self, service):
         service.close_session("r1")
-        with pytest.raises(NoSession):
-            service.push_context(sample())
+        assert error_code(push(service, sample())) == "NoSession"
 
     def test_superseded_connection_cannot_close_live_session(self, service):
         first = service.open_session("r1")
         second = service.open_session("r1")
         service.close_session("r1", first)  # stale token: no-op
-        service.push_context(sample())
+        assert error_code(push(service, sample())) is None
         service.close_session("r1", second)
-        with pytest.raises(NoSession):
-            service.push_context(sample("09:00:01"))
+        assert error_code(push(service, sample("09:00:01"))) == "NoSession"
 
     def test_out_of_order_rejected(self, service):
-        service.push_context(sample("09:00:00"))
-        with pytest.raises(OutOfOrderSample):
-            service.push_context(sample("09:00:00"))
+        push(service, sample("09:00:00"))
+        assert error_code(push(service, sample("09:00:00"))) == "OutOfOrderSample"
 
     def test_not_wearing_changes_nothing(self, service):
         for seed in (1, 2, 3):
-            service.submit(make_message(seed=seed))
-        events, started = service.push_context(sample(wearing=False))
-        assert events == [] and started == []
+            submit(service, make_message(seed=seed))
+        assert push(service, sample(wearing=False)) == []
         assert list(service.message_states().values()) == [MessageState.PENDING] * 3
 
     def test_direct_delivery_emits_flash_then_render(self, service):
         message = make_message()
-        service.submit(message)
-        events, started = service.push_context(sample())
-        assert len(events) == 1
-        payload = events[0].to_payload()
+        submit(service, message)
+        playback, start = push(service, sample())
+        assert playback["kind"] == protocol.PLAYBACK
+        payload = playback["payload"]
         assert [e["kind"] for e in payload["events"]] == ["flash", "render"]
         assert payload["events"][0]["duration"] == 0.5
         assert service.message_states()[message.message_id] is MessageState.DELIVERED
-        assert len(started) == 1 and started[0].message_id == message.message_id
+        assert ids_of([start], protocol.REACTION_START) == [message.message_id]
 
     def test_two_messages_fire_in_created_at_order(self, service):
         older = make_message(seed=1, created="08:50:00")
         newer = make_message(seed=2, created="08:52:00")
-        service.submit(newer)
-        service.submit(older)
-        events, _ = service.push_context(sample())
-        assert [e.message_id for e in events] == [older.message_id, newer.message_id]
+        submit(service, newer)
+        submit(service, older)
+        frames = push(service, sample())
+        assert ids_of(frames, protocol.PLAYBACK) == [older.message_id, newer.message_id]
 
     def test_expired_messages_marked(self, service):
         schedule = TriggerSchedule(window=TimeWindow(start=at("08:00:00"), end=at("08:30:00")))
         message = make_message(schedule)
-        service.submit(message)
-        events, _ = service.push_context(sample())
-        assert events == []
+        submit(service, message)
+        assert push(service, sample()) == []
         assert service.message_states()[message.message_id] is MessageState.EXPIRED
+
+
+def capture(service, message_id):
+    """The capture session buffering a message's reaction; no frame shows its buffers."""
+    return service._captures.get(message_id)
 
 
 class TestReactionFlow:
     def deliver_one(self, service):
         message = make_message()
-        service.submit(message)
-        _, started = service.push_context(sample("09:00:00"))
-        return message, started[0]
+        submit(service, message)
+        push(service, sample("09:00:00"))
+        return message, capture(service, message.message_id)
 
     def test_capture_collects_scene_and_voice(self, service):
         message, session = self.deliver_one(service)
-        service.push_context(sample("09:00:03"))
-        service.append_reaction_item(message.message_id, Utterance(at("09:00:04"), "wow"))
+        push(service, sample("09:00:03"))
+        assert error_code(utter(service, message.message_id, at("09:00:04"), "wow")) is None
         assert len(session.frames) == 2  # delivery sample + one later sample
-        record, started = service.consent(message.message_id, True, at("09:00:10"))
-        assert record is not None
+        ack, notify = consent(service, message.message_id, "yes", at("09:00:10"))
+        assert (ack["kind"], notify["kind"]) == (protocol.ACK, protocol.REACTION_NOTIFY)
         assert service.message_states()[message.message_id] is MessageState.REACTED
-        (view,) = service.sender_view("s1")
-        assert view.reaction == record
+        (view,) = view_of(service, "s1")
+        assert view["reaction"] == notify["payload"]["reaction"]
 
     def test_consent_no_declines_and_erases(self, service):
         message, session = self.deliver_one(service)
-        service.append_reaction_item(message.message_id, Utterance(at("09:00:02"), "nope"))
-        record, _ = service.consent(message.message_id, False, at("09:00:10"))
-        assert record is None
+        utter(service, message.message_id, at("09:00:02"), "nope")
+        (ack,) = consent(service, message.message_id, "no", at("09:00:10"))
+        assert ack["kind"] == protocol.ACK
         assert session.frames == [] and session.utterances == []
+        assert service.message_states()[message.message_id] is MessageState.REACTION_DECLINED
+        # a second answer changes nothing: the capture is already finalized
+        assert error_code(consent(service, message.message_id, "yes", at("09:00:11"))) == "NotAwaitingConsent"
         assert service.message_states()[message.message_id] is MessageState.REACTION_DECLINED
 
     def test_second_delivery_queues_until_consent(self, service):
@@ -162,15 +156,18 @@ class TestReactionFlow:
         second = make_message(
             TriggerSchedule(marker=MarkerCondition("mk-desk")), seed=2, created="08:51:00"
         )
-        service.submit(first)
-        service.submit(second)
-        events, started = service.push_context(sample("09:00:00", markers=("mk-desk",)))
-        assert len(events) == 2
-        assert [s.message_id for s in started] == [first.message_id]
+        submit(service, first)
+        submit(service, second)
+        frames = push(service, sample("09:00:00", markers=("mk-desk",)))
+        assert len(ids_of(frames, protocol.PLAYBACK)) == 2
+        assert ids_of(frames, protocol.REACTION_START) == [first.message_id]
+        # a queued capture has not started, so it cannot be answered yet
+        assert error_code(consent(service, second.message_id, "no", at("09:00:10"))) == "UnknownMessage"
         # queued capture starts when the first one finalizes
-        _, started_next = service.consent(first.message_id, True, at("09:00:10"))
-        assert [s.message_id for s in started_next] == [second.message_id]
-        assert started_next[0].started_at == at("09:00:10")
+        (start,) = [f for f in consent(service, first.message_id, "yes", at("09:00:10"))
+                    if f["kind"] == protocol.REACTION_START]
+        assert start["payload"]["message_id"] == second.message_id
+        assert start["payload"]["started_at"] == "2021-06-05T09:00:10Z"
 
     def test_utterance_out_of_order_is_an_error(self, service):
         message, _ = self.deliver_one(service)
@@ -187,29 +184,13 @@ class TestReactionFlow:
     def test_sample_before_next_capture_start_is_not_recorded(self, service):
         first = make_message(seed=1, created="08:50:00")
         second = make_message(seed=2, created="08:51:00")
-        service.submit(first)
-        service.submit(second)
-        service.push_context(sample("09:00:00"))
-        _, (queued,) = service.consent(first.message_id, True, at("10:00:00"))
-        service.push_context(sample("09:00:30"))
-        assert queued.frames == []
-
-    def test_notify_reaction_guards(self, service):
-        message = make_message()
-        service.submit(message)
-        record = ReactionRecord(
-            message_id=message.message_id,
-            started_at=at("09:00:00"),
-            scene=(),
-            recipient_audio=(),
-            sender_voice_note=message.voice_note,
-        )
-        with pytest.raises(NotDelivered):
-            service.notify_reaction(record)
-        service.push_context(sample("09:00:00"))
-        service.consent(message.message_id, True, at("09:00:10"))
-        with pytest.raises(AlreadyReacted):
-            service.notify_reaction(record)
+        submit(service, first)
+        submit(service, second)
+        push(service, sample("09:00:00"))
+        frames = consent(service, first.message_id, "yes", at("10:00:00"))
+        assert ids_of(frames, protocol.REACTION_START) == [second.message_id]
+        push(service, sample("09:00:30"))
+        assert capture(service, second.message_id).frames == []
 
 
 class TestSenderView:
@@ -220,27 +201,26 @@ class TestSenderView:
             TriggerSchedule(marker=MarkerCondition("mk-door")), seed=3, created="08:52:00"
         )
         for m in (reacted, declined, pending):
-            service.submit(m)
-        service.push_context(sample("09:00:00"))
-        service.consent(reacted.message_id, True, at("09:00:10"))
+            submit(service, m)
+        push(service, sample("09:00:00"))
+        consent(service, reacted.message_id, "yes", at("09:00:10"))
         # the second message's capture was queued behind the first and
         # started at 09:00:10; answer it with "no"
-        service.consent(declined.message_id, False, at("09:00:20"))
+        consent(service, declined.message_id, "no", at("09:00:20"))
 
-        records = {r.message_id: r for r in service.sender_view("s1")}
-        assert records[reacted.message_id].state is MessageState.REACTED
-        assert records[reacted.message_id].reaction is not None
-        assert records[declined.message_id].state is MessageState.REACTION_DECLINED
-        assert records[declined.message_id].reaction is None
-        assert records[pending.message_id].state is MessageState.PENDING
+        records = {r["message_id"]: r for r in view_of(service, "s1")}
+        assert records[reacted.message_id]["state"] == MessageState.REACTED.value
+        assert "reaction" in records[reacted.message_id]
+        assert records[declined.message_id]["state"] == MessageState.REACTION_DECLINED.value
+        assert "reaction" not in records[declined.message_id]
+        assert records[pending.message_id]["state"] == MessageState.PENDING.value
 
     def test_serialized_record_has_no_location_shaped_fields(self, service):
         message = make_message()
-        service.submit(message)
-        service.push_context(sample("09:00:00"))
-        service.consent(message.message_id, True, at("09:00:10"))
-        (record,) = service.sender_view("s1")
-        doc = record.to_dict()
+        submit(service, message)
+        push(service, sample("09:00:00"))
+        consent(service, message.message_id, "yes", at("09:00:10"))
+        (doc,) = view_of(service, "s1")
         text = json.dumps(doc)
         assert set(doc) <= {"message_id", "state", "delivered_at", "reaction"}
         for needle in ("lat", "lon", "position", "marker", "geofence_hit", "window_hit"):
@@ -249,30 +229,34 @@ class TestSenderView:
             assert set(frame) == {"t"}
 
 
+def durable(tmp_path):
+    service = DeliveryService(FileStore(tmp_path))
+    service.register_principal("s1")
+    service.open_session("r1")
+    return service
+
+
 class TestDurability:
     def test_pending_survives_unclean_restart(self, tmp_path):
-        first = DeliveryService(FileStore(tmp_path))
-        first.register_principal("s1")
-        first.open_session("r1")
+        first = durable(tmp_path)
         message = make_message()
-        first.submit(message)
+        submit(first, message)
         # no close(): simulate a crash right after the submit ack
         reborn = DeliveryService(FileStore(tmp_path))
         assert reborn.message_states() == {message.message_id: MessageState.PENDING}
         # both principals are still registered: each can be submitted to
-        reborn.submit(make_message(seed=2))
-        reborn.submit(compose("r1", "s1", "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:56:00")))
+        assert error_code(submit(reborn, make_message(seed=2))) is None
+        back = compose("r1", "s1", "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:56:00"))
+        assert error_code(submit(reborn, back)) is None
 
     def test_snapshot_then_restart_preserves_states(self, tmp_path):
-        first = DeliveryService(FileStore(tmp_path))
-        first.register_principal("s1")
-        first.open_session("r1")
+        first = durable(tmp_path)
         delivered = make_message(seed=1, created="08:50:00")
         parked = make_message(seed=2, created="08:51:00")
-        first.submit(delivered)
-        first.submit(parked)
-        first.push_context(sample("09:00:00"))  # delivers both; captures queue
-        first.consent(delivered.message_id, True, at("09:00:10"))
+        submit(first, delivered)
+        submit(first, parked)
+        push(first, sample("09:00:00"))  # delivers both; captures queue
+        consent(first, delivered.message_id, "yes", at("09:00:10"))
         first.close()
         assert not (tmp_path / "queues" / "r1.log").exists()  # folded into snapshot
 
@@ -281,8 +265,45 @@ class TestDurability:
             delivered.message_id: MessageState.REACTED,
             parked.message_id: MessageState.DELIVERED,
         }
-        view = {r.message_id: r for r in reborn.sender_view("s1")}
-        assert view[delivered.message_id].reaction is not None
+        view = {r["message_id"]: r for r in view_of(reborn, "s1")}
+        assert "reaction" in view[delivered.message_id]
+
+    def lost_captures(self, tmp_path):
+        """Two messages Delivered (one capture running, one queued), then a restart."""
+        first = durable(tmp_path)
+        running = make_message(seed=1, created="08:50:00")
+        queued = make_message(seed=2, created="08:51:00")
+        submit(first, running)
+        submit(first, queued)
+        push(first, sample("09:00:00"))
+        first.close()
+        reborn = DeliveryService(FileStore(tmp_path))
+        # recovery itself declines nothing
+        assert set(reborn.message_states().values()) == {MessageState.DELIVERED}
+        return reborn, running.message_id, queued.message_id
+
+    def test_consent_after_restart_declines_a_lost_capture(self, tmp_path):
+        reborn, running, queued = self.lost_captures(tmp_path)
+        reborn.open_session("r1")
+        assert error_code(utter(reborn, running, at("09:00:05"), "wow")) == "UnknownMessage"
+        for message_id, answer in ((running, "yes"), (queued, "no")):
+            (ack,) = consent(reborn, message_id, answer, at("09:00:10"))
+            assert ack["kind"] == protocol.ACK
+            assert ack["payload"] == {"of": protocol.CONSENT, "message_id": message_id, "answer": answer}
+        assert reborn.message_states() == {
+            running: MessageState.REACTION_DECLINED,
+            queued: MessageState.REACTION_DECLINED,
+        }
+        assert error_code(consent(reborn, running, "yes", at("09:00:20"))) == "UnknownMessage"
+        assert [r["state"] for r in view_of(reborn, "s1")] == ["ReactionDeclined"] * 2
+
+    def test_end_of_run_after_restart_declines_lost_captures(self, tmp_path):
+        reborn, running, queued = self.lost_captures(tmp_path)
+        reborn.end_of_run(at("09:30:00"))
+        settled = {running: MessageState.REACTION_DECLINED, queued: MessageState.REACTION_DECLINED}
+        assert reborn.message_states() == settled
+        reborn.close()
+        assert DeliveryService(FileStore(tmp_path)).message_states() == settled
 
     def test_end_of_run_settles_everything(self, service):
         direct = make_message(seed=1, created="08:50:00")
@@ -290,9 +311,9 @@ class TestDurability:
             TriggerSchedule(geofence=Geofence(lat=lat_off(5000), lon=lon_off(0), radius=10.0)),
             seed=2, created="08:51:00",
         )
-        service.submit(direct)
-        service.submit(fenced)
-        service.push_context(sample("09:00:00"))  # direct delivers, capture open
+        submit(service, direct)
+        submit(service, fenced)
+        push(service, sample("09:00:00"))  # direct delivers, capture open
         service.end_of_run(at("09:30:00"))
         assert service.message_states() == {
             direct.message_id: MessageState.REACTION_DECLINED,
@@ -303,19 +324,20 @@ class TestDurability:
 class TestFrameDispatch:
     def test_error_frames_carry_verbatim_codes(self, service):
         message = make_message()
-        frame = protocol.make_frame(
-            protocol.SUBMIT,
-            {"message": {"v": 1}},
-            sender="s1",
-        )
-        (response,) = service.handle_frame(frame)
-        assert response["kind"] == protocol.ERROR
-        assert response["payload"]["code"] == "ParseError"
+        doc = message_to_dict(message)
+        bad_documents = [
+            ({"v": 1}, "ParseError"),
+            ({**doc, "scale": 1000.0}, "ScaleOutOfRange"),
+            ({**doc, "sender_id": "r1"}, "ParseError"),  # sender is the recipient
+        ]
+        for bad, code in bad_documents:
+            (response,) = service.handle_frame(
+                protocol.make_frame(protocol.SUBMIT, {"message": bad}, sender="s1")
+            )
+            assert response["kind"] == protocol.ERROR
+            assert response["payload"]["code"] == code
 
-        from wandrelay.model import message_to_dict
-        good = protocol.make_frame(
-            protocol.SUBMIT, {"message": message_to_dict(message)}, sender="s1"
-        )
+        good = protocol.make_frame(protocol.SUBMIT, {"message": doc}, sender="s1")
         (ack,) = service.handle_frame(good)
         assert ack["kind"] == protocol.ACK
         (dup,) = service.handle_frame(good)

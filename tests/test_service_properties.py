@@ -18,6 +18,7 @@ from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 from wandrelay.timeutil import parse_rfc3339
 
+from client import push, submit, view_of
 from conftest import at
 
 json_values = st.recursive(
@@ -64,9 +65,9 @@ def service_with_open_capture():
     service.open_session("r1")
     service.register_principal("s1")
     first, second = message(1), message(2)
-    service.submit(first)
-    service.submit(second)
-    service.push_context(sample(at("09:00:00")))
+    submit(service, first)
+    submit(service, second)
+    push(service, sample(at("09:00:00")))
     return service, first.message_id
 
 
@@ -125,7 +126,7 @@ class LiveEqualsReplay(RuleBasedStateMachine):
         return responses
 
     def observed(self):
-        views = {s: [r.to_dict() for r in self.service.sender_view(s)] for s in ("s1", "s2")}
+        views = {s: view_of(self.service, s) for s in ("s1", "s2")}
         return self.service.message_states(), views
 
     @rule(sender=st.sampled_from(["s1", "s2"]), marker=st.booleans())

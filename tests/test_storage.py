@@ -14,8 +14,9 @@ from wandrelay.model import MessageState, VoiceNote, compose
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
+from client import consent, push, submit, view_of
 from conftest import at
-from test_service import make_message, sample
+from test_service import durable, make_message, sample
 
 A, B, C, D = (
     "01F7DNTQP04TFF59TDWH9EDD1R",
@@ -73,7 +74,7 @@ def test_v1_data_dir_recovers(tmp_path):
         C: MessageState.DELIVERED,
         D: MessageState.EXPIRED,
     }
-    assert [r.to_dict() for r in service.sender_view("s1")] == [
+    assert view_of(service, "s1") == [
         {
             "message_id": A, "state": "Reacted", "delivered_at": "2021-06-05T09:00:00Z",
             "reaction": {
@@ -99,17 +100,10 @@ def test_v1_data_dir_recovers(tmp_path):
     ) + "]}"
 
 
-def started(tmp_path):
-    service = DeliveryService(FileStore(tmp_path))
-    service.register_principal("s1")
-    service.open_session("r1")
-    return service
-
-
 def test_torn_last_line_is_dropped_and_cut_off(tmp_path):
-    first = started(tmp_path)
+    first = durable(tmp_path)
     one = make_message(seed=1)
-    first.submit(one)
+    submit(first, one)
     # a crash mid-append leaves each file's last line unterminated
     for path, torn in ((tmp_path / "queues" / "r1.log", '{"ev":"enqueued","mess'),
                        (tmp_path / "principals.log", '{"princ')):
@@ -119,7 +113,7 @@ def test_torn_last_line_is_dropped_and_cut_off(tmp_path):
     reborn = DeliveryService(FileStore(tmp_path))
     assert reborn.message_states() == {one.message_id: MessageState.PENDING}
     two = make_message(seed=2)
-    reborn.submit(two)
+    submit(reborn, two)
     reborn.register_principal("s2")
 
     principals, journal = FileStore(tmp_path).recover()
@@ -143,14 +137,14 @@ def to(recipient, seed):
 
 
 def test_snapshot_is_durable_before_any_log_goes(tmp_path, monkeypatch):
-    first = started(tmp_path)
+    first = durable(tmp_path)
     first.open_session("r3")
-    first.submit(to("r3", 3))
+    submit(first, to("r3", 3))
     first.close()  # r3 now has a snapshot and no log
-    service = started(tmp_path)
+    service = durable(tmp_path)
     for seed, recipient in enumerate(("r1", "r2")):
         service.open_session(recipient)
-        service.submit(to(recipient, seed))
+        submit(service, to(recipient, seed))
 
     calls = []
     real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
@@ -180,13 +174,13 @@ def test_snapshot_is_durable_before_any_log_goes(tmp_path, monkeypatch):
 
 
 def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
-    first = started(tmp_path)
+    first = durable(tmp_path)
     delivered, parked = make_message(seed=1), make_message(seed=2)
-    first.submit(delivered)
-    first.submit(parked)
-    first.push_context(sample("09:00:00"))
-    first.consent(delivered.message_id, True, at("09:00:10"))
-    before = first.message_states(), [r.to_dict() for r in first.sender_view("s1")]
+    submit(first, delivered)
+    submit(first, parked)
+    push(first, sample("09:00:00"))
+    consent(first, delivered.message_id, "yes", at("09:00:10"))
+    before = first.message_states(), view_of(first, "s1")
 
     def crash(path, missing_ok=False):
         raise OSError("killed before the log was removed")
@@ -199,5 +193,5 @@ def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
     assert log.exists() and (tmp_path / "queues" / "r1.snap.json").exists()
 
     reborn = DeliveryService(FileStore(tmp_path))
-    assert (reborn.message_states(), [r.to_dict() for r in reborn.sender_view("s1")]) == before
+    assert (reborn.message_states(), view_of(reborn, "s1")) == before
     assert not log.exists()
