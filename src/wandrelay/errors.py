@@ -79,10 +79,6 @@ class IllegalTransition(WandRelayError):
 
 # -- reaction capture ---------------------------------------------------------
 
-class DuplicateSession(WandRelayError):
-    code = "DuplicateSession"
-
-
 class SessionClosed(WandRelayError):
     code = "SessionClosed"
 

@@ -16,23 +16,19 @@ carry no coordinates, marker ids, or trigger-evaluation details.
 
 from __future__ import annotations
 
-from collections import deque
 from datetime import datetime
 from threading import RLock
 from typing import Any
 
 from . import protocol
-from .engine import (
-    ContextSample,
-    evaluate_sample,
-    expire_messages,
-    sample_from_dict,
-)
+from .engine import evaluate_sample, expire_messages, sample_from_dict
 from .errors import (
     DuplicateMessageId,
     NoSession,
+    NotAwaitingConsent,
     OutOfOrderSample,
     ParseError,
+    SessionClosed,
     UnknownMessage,
     UnknownRecipient,
     WandRelayError,
@@ -50,15 +46,13 @@ from .model import (
 from .reaction import (
     CaptureManager,
     CaptureSession,
-    CaptureState,
     ReactionRecord,
-    SceneFrame,
     Utterance,
     finalize,
     reaction_from_dict,
     reaction_to_dict,
 )
-from .storage import MemoryStore
+from .storage import MemoryStore, check_principal
 from .timeutil import format_rfc3339, parse_rfc3339
 
 FLASH_SECONDS = 0.5
@@ -78,10 +72,6 @@ def _field(payload: dict[str, Any], name: str, kind: type) -> Any:
     if not isinstance(value, kind):
         raise ParseError(f"payload field {name!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
-
-
-def _scene_frame(sample: ContextSample) -> SceneFrame:
-    return SceneFrame(t=sample.t, lat=sample.lat, lon=sample.lon, visible_markers=sample.visible_markers)
 
 
 def _playback(message: ArMessage, delivered_at: datetime) -> dict[str, Any]:
@@ -141,8 +131,6 @@ class DeliveryService:
         self._sessions: dict[str, int] = {}  # principal -> live session generation
         self._journal: dict[str, list[dict[str, Any]]] = {}
         self._captures = CaptureManager()
-        self._active_capture: dict[str, CaptureSession] = {}
-        self._capture_queue: dict[str, deque[str]] = {}  # message ids awaiting a capture
 
         self._recover()
 
@@ -243,14 +231,11 @@ class DeliveryService:
                 for message in list(queue):
                     self._record(recipient_id, {"ev": "expired", "message_id": message.message_id, "at": stamp})
                     expired_ids.append(message.message_id)
-            for recipient_id, session in self._active_capture.items():
-                session.state = CaptureState.AWAITING_CONSENT
+            for recipient_id, session, line in self._captures.drain():
+                session.awaiting = True
                 finalize(session, False)
-                self._record(recipient_id, {"ev": "declined", "message_id": session.message_id, "at": stamp})
-            self._active_capture.clear()
-            for recipient_id, queue in self._capture_queue.items():
-                while queue:
-                    self._record(recipient_id, {"ev": "declined", "message_id": queue.popleft(), "at": stamp})
+                for message_id in line:
+                    self._record(recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
             for message in list(self._messages.values()):
                 if message.state is MessageState.DELIVERED:
                     self._record(
@@ -294,6 +279,7 @@ class DeliveryService:
         principal = payload.get("principal")
         if role not in ("sender", "recipient") or not principal or not isinstance(principal, str):
             raise ParseError("HELLO requires role in {sender, recipient} and a principal")
+        check_principal(principal)
         if role == "recipient":
             self.open_session(principal)
         else:
@@ -318,12 +304,6 @@ class DeliveryService:
         ack = {"message_id": message.message_id, "state": message.state.value, "of": protocol.SUBMIT}
         return [protocol.make_frame(protocol.ACK, ack, to=message.sender_id)]
 
-    def _activate_capture(self, message_id: str, at: datetime) -> CaptureSession:
-        message = self._messages[message_id]
-        session = self._captures.begin_capture(message_id, started_at=at, voice_note=message.voice_note)
-        self._active_capture[message.recipient_id] = session
-        return session
-
     def _context(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
         """Ingest one sample: PLAYBACK per delivery, then REACTION_START per new capture."""
         sample = sample_from_dict(_field(payload, "sample", dict))
@@ -339,13 +319,11 @@ class DeliveryService:
                 {"ev": "expired", "message_id": message.message_id, "at": format_rfc3339(sample.t)},
             )
 
-        # The active capture keeps recording the point of view until its
-        # deadline; at or past the deadline it flips to awaiting-consent.
-        active = self._active_capture.get(recipient_id)
-        if active is not None and active.state == CaptureState.RECORDING:
-            if active.started_at <= sample.t <= active.deadline:
-                active.append_frame(_scene_frame(sample))
-            active.mark_awaiting(sample.t)
+        # The head of the capture line keeps recording the point of view
+        # until its deadline; at or past the deadline it awaits the answer.
+        head = self._captures.head(recipient_id)
+        if head is not None:
+            head.see(sample.t)
 
         playbacks: list[dict[str, Any]] = []
         starts: list[dict[str, Any]] = []
@@ -355,23 +333,38 @@ class DeliveryService:
                 recipient_id,
                 {"ev": "delivered", "message_id": message_id, "at": format_rfc3339(delivery.delivered_at)},
             )
-            playbacks.append(_playback(self._messages[message_id], delivery.delivered_at))
-            if recipient_id not in self._active_capture:
-                session = self._activate_capture(message_id, delivery.delivered_at)
-                session.append_frame(_scene_frame(sample))
+            message = self._messages[message_id]
+            playbacks.append(_playback(message, delivery.delivered_at))
+            # Behind a running capture, this one starts once that one finalizes.
+            if self._captures.join(recipient_id, message_id):
+                session = self._captures.begin_capture(recipient_id, delivery.delivered_at, message.voice_note)
+                session.see(sample.t)
                 starts.append(_reaction_start(session, recipient_id))
-            else:
-                # A capture is already running for this recipient; this
-                # delivery's capture starts once that one finalizes.
-                self._capture_queue.setdefault(recipient_id, deque()).append(message_id)
         return playbacks + starts
+
+    def _capture(
+        self, message_id: str, closed: type[WandRelayError]
+    ) -> tuple[ArMessage, CaptureSession | None]:
+        """The Delivered message a capture request names, and its live session.
+
+        The session is None when a restart lost it. A message already
+        answered raises ``closed``; one not Delivered, or waiting in line
+        behind another capture, raises UnknownMessage.
+        """
+        message = self._messages.get(message_id)
+        state = message.state if message is not None else None
+        if state in (MessageState.REACTED, MessageState.REACTION_DECLINED):
+            raise closed(f"session for {message_id} is {state.value}")
+        if state is not MessageState.DELIVERED or self._captures.queued(message.recipient_id, message_id):
+            raise UnknownMessage(f"no capture session for {message_id}")
+        return message, self._captures.get(message_id)
 
     def _reaction_frame(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
         """Add a recipient utterance to the message's capture session."""
         message_id = _field(payload, "message_id", str)
         t = parse_rfc3339(_field(payload, "t", str))
         utterance = Utterance(t, _field(payload, "transcript", str))
-        session = self._captures.get(message_id)
+        _, session = self._capture(message_id, SessionClosed)
         if session is None:
             raise UnknownMessage(f"no capture session for {message_id}")
         try:
@@ -388,14 +381,7 @@ class DeliveryService:
         if answer not in ("yes", "no"):
             raise ParseError(f"consent answer must be yes or no, got {payload['answer']!r}")
         at = parse_rfc3339(_field(payload, "t", str))
-        session = self._captures.get(message_id)
-        message = self._messages.get(message_id)
-        if session is None and (
-            message is None
-            or message.state is not MessageState.DELIVERED
-            or message_id in self._capture_queue.get(message.recipient_id, ())
-        ):
-            raise UnknownMessage(f"no capture session for {message_id}")
+        message, session = self._capture(message_id, NotAwaitingConsent)
         recipient_id = message.recipient_id
         ack = {"of": protocol.CONSENT, "message_id": message_id, "answer": answer}
         frames = [protocol.make_frame(protocol.ACK, ack, to=recipient_id)]
@@ -420,12 +406,10 @@ class DeliveryService:
                     to=message.sender_id,
                 )
             )
-        if self._active_capture.get(recipient_id) is session:
-            queue = self._capture_queue.get(recipient_id)
-            if queue:
-                frames.append(_reaction_start(self._activate_capture(queue.popleft(), at), recipient_id))
-            else:
-                del self._active_capture[recipient_id]
+        next_id = self._captures.finish(recipient_id)
+        if next_id is not None:
+            session = self._captures.begin_capture(recipient_id, at, self._messages[next_id].voice_note)
+            frames.append(_reaction_start(session, recipient_id))
         return frames
 
     def _sender_record(self, message_id: str) -> dict[str, Any]:

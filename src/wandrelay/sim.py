@@ -31,11 +31,12 @@ from .model import (
     compose,
     message_to_dict,
     schedule_from_dict,
+    validate_parties_and_scale,
     validate_schedule,
     voice_note_from_dict,
 )
 from .service import DeliveryService
-from .storage import MemoryStore
+from .storage import MemoryStore, check_principal
 from .timeutil import format_rfc3339, parse_rfc3339
 
 SCENARIO_VERSION = 1
@@ -165,6 +166,10 @@ def scenario_from_dict(doc: Mapping[str, Any], *, source: str = "<scenario>") ->
     for i, r in enumerate(_require(doc, "recipients", source)):
         where = f"{source}: recipients[{i}]"
         principal = str(_require(r, "principal", where))
+        try:
+            check_principal(principal)  # as the service's HELLO will
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc.detail}") from None
         if principal in recipient_ids:
             raise ParseError(f"{where}: duplicate principal {principal!r}")
         recipient_ids.add(principal)
@@ -217,15 +222,18 @@ def scenario_from_dict(doc: Mapping[str, Any], *, source: str = "<scenario>") ->
         recipient_id = str(_require(a, "recipient_id", where))
         if recipient_id not in recipient_ids:
             raise ParseError(f"{where}: recipient {recipient_id!r} is not declared")
-        if sender_id == recipient_id:
-            raise ParseError(f"{where}: sender and recipient must differ")
         content_id = str(_require(a, "content_id", where))
         try:
             catalog_item(content_id)
         except WandRelayError:
             raise ParseError(f"{where}: unknown content {content_id!r}") from None
-        scale = float(a.get("scale", 1.0))
         try:
+            scale = float(a.get("scale", 1.0))
+        except (TypeError, ValueError):
+            raise ParseError(f"{where}: scale must be a number, got {a.get('scale')!r}") from None
+        try:
+            check_principal(sender_id)
+            validate_parties_and_scale(sender_id, recipient_id, scale)
             voice_note = voice_note_from_dict(_require(a, "voice_note", where))
             schedule = None
             if a.get("schedule") is not None:

@@ -1,12 +1,14 @@
 """Durable state for the delivery service.
 
 Each recipient queue is an event journal kept in two files under
-``queues/``, both canonical JSON: an append-only log and a snapshot. Every
-event is appended as one line, flushed and fsynced, so a process killed right
-after acknowledging a submit loses nothing. ``snapshot()`` (called on
-graceful shutdown) writes each logged queue's whole journal to its snapshot
-file as ``{"v": 1, "events": [...]}`` and removes the log only once the
-snapshot is durable; recovery is the snapshot's events, then the log's.
+``queues/``, both canonical JSON: an append-only log and a snapshot. Both
+are named by the percent-encoded recipient id, so no id names a path
+outside ``queues/``. Every event is appended as one line, flushed and
+fsynced, so a process killed right after acknowledging a submit loses
+nothing. ``snapshot()`` (called on graceful shutdown) writes each logged
+queue's whole journal to its snapshot file as ``{"v": 1, "events": [...]}``
+and removes the log only once the snapshot is durable; recovery is the
+snapshot's events, then the log's.
 
 Recovery also repairs what a crash can leave behind. An unterminated last
 line is an append cut short, never acknowledged: it is dropped and cut off
@@ -24,8 +26,19 @@ import json
 import os
 from pathlib import Path
 from typing import Any
+from urllib.parse import quote, unquote
 
 from .errors import DataDirUnwritable, ParseError
+
+
+_SNAP = ".snap.json"
+_MAX_STEM = 255 - len(_SNAP)  # 255 bytes: the common file-name limit
+
+
+def check_principal(principal: str) -> None:
+    """Refuse an id that cannot name its queue files: empty, or too long once percent-encoded."""
+    if not 0 < len(quote(principal, safe="")) <= _MAX_STEM:
+        raise ParseError(f"principal id must be 1 to {_MAX_STEM} bytes once percent-encoded")
 
 
 class MemoryStore:
@@ -66,10 +79,10 @@ class FileStore:
         return self.root / "principals.log"
 
     def _log_path(self, recipient_id: str) -> Path:
-        return self.root / "queues" / f"{recipient_id}.log"
+        return self.root / "queues" / f"{quote(recipient_id, safe='')}.log"
 
     def _snap_path(self, recipient_id: str) -> Path:
-        return self.root / "queues" / f"{recipient_id}.snap.json"
+        return self.root / "queues" / f"{quote(recipient_id, safe='')}{_SNAP}"
 
     # -- writes --
 
@@ -146,12 +159,11 @@ class FileStore:
         principals = {entry["principal"] for entry in self._read_lines(self._principals_path())}
         states: dict[str, list[dict[str, Any]]] = {}
         queues_dir = self.root / "queues"
-        for snap in sorted(queues_dir.glob("*.snap.json")):
-            recipient_id = snap.name[: -len(".snap.json")]
-            states[recipient_id] = json.loads(snap.read_text())["events"]
+        for snap in sorted(queues_dir.glob(f"*{_SNAP}")):
+            states[unquote(snap.name[: -len(_SNAP)])] = json.loads(snap.read_text())["events"]
         for log in sorted(queues_dir.glob("*.log")):
             events = self._read_lines(log)
-            journal = states.setdefault(log.stem, [])
+            journal = states.setdefault(unquote(log.stem), [])
             if events and journal[-len(events):] == events:
                 log.unlink()  # already folded into the snapshot
             else:

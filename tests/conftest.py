@@ -20,13 +20,11 @@ def at(hhmmss: str) -> datetime:
     return datetime(2021, 6, 5, hh, mm, ss, tzinfo=UTC)
 
 
-@pytest.fixture(scope="session")
-def fixture_runs(tmp_path_factory):
-    """Run all twelve bundled scenarios once, with durable stores and log files."""
+def run_fixtures(root: Path) -> list[dict]:
+    """Run all twelve bundled scenarios under ``root``, with durable stores and log files."""
     from wandrelay import sim
     from wandrelay.storage import FileStore
 
-    root = tmp_path_factory.mktemp("fixture-runs")
     runs = []
     for path in FIXTURE_PATHS:
         scenario = sim.load_scenario(path)
@@ -42,3 +40,8 @@ def fixture_runs(tmp_path_factory):
             }
         )
     return runs
+
+
+@pytest.fixture(scope="session")
+def fixture_runs(tmp_path_factory):
+    return run_fixtures(tmp_path_factory.mktemp("fixture-runs"))

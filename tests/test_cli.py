@@ -18,7 +18,7 @@ from wandrelay.server import WireClient
 from conftest import FIXTURE_PATHS
 
 
-def mini_scenario_file(tmp_path: Path) -> Path:
+def mini_scenario_file(tmp_path: Path, scale=1.0) -> Path:
     doc = {
         "v": 1, "name": "cli-mini", "seed": 2, "tick": 1.0,
         "end": "2021-06-05T09:01:00Z",
@@ -33,14 +33,24 @@ def mini_scenario_file(tmp_path: Path) -> Path:
         }],
         "sender_script": [{
             "at": "2021-06-05T08:59:00Z", "label": "d0", "sender_id": "s1", "recipient_id": "r1",
-            "content_id": "dog", "scale": 1.0,
+            "content_id": "dog", "scale": scale,
             "voice_note": {"duration": 1.0, "transcript": "x"}, "schedule": None,
         }],
         "consent_policy": {"default": "yes"},
     }
-    path = tmp_path / "mini.json"
+    path = tmp_path / f"mini-{scale}.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+BAD_SCALES = (1000, "big", None)  # simulate refuses each of them, so validate must too
+
+
+def assert_bad_scale_refused(command, tmp_path, capsys):
+    for scale in BAD_SCALES:
+        path = mini_scenario_file(tmp_path, scale)
+        assert main([command, "--scenario", str(path)]) == 1, scale
+        assert f"error: ParseError: {path}: sender_script[0]: " in capsys.readouterr().err
 
 
 class TestValidate:
@@ -53,6 +63,7 @@ class TestValidate:
         bad.write_text("{not json")
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert "error: ParseError:" in capsys.readouterr().err
+        assert_bad_scale_refused("validate", tmp_path, capsys)
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--scenario", "nope.json"]) == 1
@@ -86,6 +97,7 @@ class TestSimulate:
         bad.write_text(json.dumps({"v": 1, "seed": 1, "end": "2021-06-05T09:00:00Z", "recipients": []}))
         assert main(["simulate", "--scenario", str(bad)]) == 1
         assert "error: ParseError:" in capsys.readouterr().err
+        assert_bad_scale_refused("simulate", tmp_path, capsys)
 
 
 class TestReport:

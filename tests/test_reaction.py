@@ -2,17 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from wandrelay.errors import (
-    DuplicateSession,
-    NotAwaitingConsent,
-    PastDeadline,
-    SessionClosed,
-)
+from wandrelay.errors import NotAwaitingConsent, PastDeadline
 from wandrelay.model import VoiceNote
 from wandrelay.reaction import (
     CaptureManager,
-    CaptureState,
-    SceneFrame,
     Utterance,
     finalize,
     reaction_from_dict,
@@ -26,20 +19,46 @@ NOTE = VoiceNote(duration=4.0, transcript="look at this")
 
 def fresh_session(manager=None):
     manager = manager or CaptureManager()
-    return manager.begin_capture("msg-1", started_at=at("09:00:00"), voice_note=NOTE)
+    assert manager.join("r1", "msg-1")
+    return manager.begin_capture("r1", started_at=at("09:00:00"), voice_note=NOTE)
 
 
 class TestBeginCapture:
     def test_fresh_session_records_with_10s_deadline(self):
         session = fresh_session()
-        assert session.state == CaptureState.RECORDING
+        assert session.message_id == "msg-1"
+        assert not session.awaiting
         assert session.deadline == at("09:00:10")
 
-    def test_duplicate_session_rejected(self):
+
+class TestCaptureLine:
+    def test_only_the_head_has_a_session(self):
         manager = CaptureManager()
-        manager.begin_capture("msg-1", started_at=at("09:00:00"), voice_note=NOTE)
-        with pytest.raises(DuplicateSession):
-            manager.begin_capture("msg-1", started_at=at("09:00:05"), voice_note=NOTE)
+        head = fresh_session(manager)
+        assert not manager.join("r1", "msg-2")
+        assert manager.join("r2", "msg-3")  # another recipient's line
+        assert manager.head("r1") is head and manager.get("msg-1") is head
+        assert manager.get("msg-2") is None and manager.queued("r1", "msg-2")
+        assert not manager.queued("r1", "msg-1")
+
+    def test_finish_drops_the_head_and_names_the_next(self):
+        manager = CaptureManager()
+        fresh_session(manager)
+        manager.join("r1", "msg-2")
+        assert manager.finish("r1") == "msg-2"
+        assert manager.get("msg-1") is None and manager.head("r1") is None
+        nxt = manager.begin_capture("r1", started_at=at("09:00:10"), voice_note=NOTE)
+        assert nxt.message_id == "msg-2" and manager.head("r1") is nxt
+        assert manager.finish("r1") is None
+        assert manager.drain() == []
+
+    def test_drain_empties_every_line_in_delivery_order(self):
+        manager = CaptureManager()
+        head = fresh_session(manager)
+        manager.join("r1", "msg-2")
+        manager.join("r1", "msg-3")
+        assert manager.drain() == [("r1", head, ["msg-1", "msg-2", "msg-3"])]
+        assert manager.head("r1") is None and manager.drain() == []
 
 
 class TestAppend:
@@ -55,15 +74,16 @@ class TestAppend:
 
     def test_frame_at_deadline_exactly_is_kept(self):
         session = fresh_session()
-        session.append_frame(SceneFrame(t=at("09:00:10")))
-        assert len(session.frames) == 1
+        session.see(at("09:00:10"))
+        assert session.frames == [at("09:00:10")]
+        assert session.awaiting
 
-    def test_closed_session_rejects_items(self):
+    def test_frames_outside_the_window_are_not_kept(self):
         session = fresh_session()
-        session.mark_awaiting(at("09:00:10"))
-        finalize(session, consent_yes=False)
-        with pytest.raises(SessionClosed):
-            session.append_utterance(Utterance(t=at("09:00:05"), transcript="too late"))
+        session.see(at("08:59:59"))
+        assert session.frames == [] and not session.awaiting
+        session.see(at("09:00:11"))
+        assert session.frames == [] and session.awaiting
 
     def test_items_must_be_time_ordered(self):
         session = fresh_session()
@@ -75,8 +95,8 @@ class TestAppend:
 class TestConsent:
     def recorded_session(self):
         session = fresh_session()
-        session.append_frame(SceneFrame(t=at("09:00:00"), lat=1.0, lon=2.0))
-        session.append_frame(SceneFrame(t=at("09:00:05"), lat=1.0, lon=2.0))
+        session.see(at("09:00:00"))
+        session.see(at("09:00:05"))
         session.append_utterance(Utterance(t=at("09:00:02"), transcript="wow so cute"))
         session.mark_awaiting(at("09:00:10"))
         return session
@@ -87,9 +107,7 @@ class TestConsent:
             finalize(session, consent_yes=True)
 
     def test_yes_composes_three_tracks(self):
-        session = self.recorded_session()
-        record = finalize(session, consent_yes=True)
-        assert session.state == CaptureState.FORWARDED
+        record = finalize(self.recorded_session(), consent_yes=True)
         assert record.scene == (at("09:00:00"), at("09:00:05"))
         assert [u.transcript for u in record.recipient_audio] == ["wow so cute"]
         assert record.sender_voice_note == NOTE
@@ -104,14 +122,7 @@ class TestConsent:
         session = self.recorded_session()
         result = finalize(session, consent_yes=False)
         assert result is None
-        assert session.state == CaptureState.DISCARDED
         assert session.frames == [] and session.utterances == []
-
-    def test_single_terminal_state(self):
-        session = self.recorded_session()
-        finalize(session, consent_yes=True)
-        with pytest.raises(NotAwaitingConsent):
-            finalize(session, consent_yes=False)
 
     def test_forwarded_scene_track_has_no_positions(self):
         record = finalize(self.recorded_session(), consent_yes=True)

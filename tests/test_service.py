@@ -294,7 +294,7 @@ class TestDurability:
             running: MessageState.REACTION_DECLINED,
             queued: MessageState.REACTION_DECLINED,
         }
-        assert error_code(consent(reborn, running, "yes", at("09:00:20"))) == "UnknownMessage"
+        assert error_code(consent(reborn, running, "yes", at("09:00:20"))) == "NotAwaitingConsent"
         assert [r["state"] for r in view_of(reborn, "s1")] == ["ReactionDeclined"] * 2
 
     def test_end_of_run_after_restart_declines_lost_captures(self, tmp_path):
@@ -319,6 +319,39 @@ class TestDurability:
             direct.message_id: MessageState.REACTION_DECLINED,
             fenced.message_id: MessageState.EXPIRED,
         }
+
+
+def answered(tmp_path, how):
+    """A durable service and a message settled by an answer, by end_of_run or after a restart."""
+    service = durable(tmp_path)
+    first = make_message(seed=1, created="08:50:00")
+    queued = make_message(seed=2, created="08:51:00")
+    submit(service, first)
+    submit(service, queued)
+    push(service, sample("09:00:00"))  # first's capture runs, queued's waits
+    if how in ("no", "yes"):
+        consent(service, first.message_id, how, at("09:00:10"))
+        return service, first.message_id
+    if how == "queue":
+        service.end_of_run(at("09:30:00"))
+        return service, queued.message_id
+    service.close()
+    service = DeliveryService(FileStore(tmp_path))
+    service.open_session("r1")
+    consent(service, first.message_id, "yes", at("09:00:10"))  # lost with the old process
+    return service, first.message_id
+
+
+@pytest.mark.parametrize("how", ["no", "yes", "queue", "restart"])
+def test_answered_message_refuses_capture_requests(tmp_path, how):
+    """Reacted or ReactionDeclined, however reached: no session, one terminal state."""
+    service, message_id = answered(tmp_path, how)
+    state = service.message_states()[message_id]
+    assert state is (MessageState.REACTED if how == "yes" else MessageState.REACTION_DECLINED)
+    assert capture(service, message_id) is None
+    assert error_code(utter(service, message_id, at("09:00:05"), "late")) == "SessionClosed"
+    assert error_code(consent(service, message_id, "yes", at("09:00:20"))) == "NotAwaitingConsent"
+    assert service.message_states()[message_id] is state
 
 
 class TestFrameDispatch:

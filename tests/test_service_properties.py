@@ -8,7 +8,7 @@ from datetime import timedelta
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from wandrelay import protocol
 from wandrelay.engine import ContextSample, sample_to_dict
@@ -149,6 +149,11 @@ class LiveEqualsReplay(RuleBasedStateMachine):
         self.clock = max(self.clock, parse_rfc3339(deadline))
         t = self.clock.strftime("%Y-%m-%dT%H:%M:%SZ")
         self.request(protocol.CONSENT, {"message_id": message_id, "answer": answer, "t": t}, "r1")
+
+    @invariant()
+    def sessions_are_the_unanswered_starts(self):
+        """A live capture session exists exactly for each REACTION_START not yet answered."""
+        assert set(self.service._captures._sessions) == set(self.captures)
 
     @rule()
     def crash(self):

@@ -108,6 +108,17 @@ class TestLoadScenario:
         with pytest.raises(ParseError, match="unknown label"):
             sim.scenario_from_dict(doc)
 
+    def test_principal_ids_the_service_refuses_are_rejected(self):
+        for bad in ("", "r" * 300):  # HELLO refuses both
+            doc = minimal_scenario()
+            doc["recipients"][0]["principal"] = bad
+            with pytest.raises(ParseError, match=r"recipients\[0\]: principal id must be"):
+                sim.scenario_from_dict(doc)
+            doc = minimal_scenario()
+            doc["sender_script"][0]["sender_id"] = bad
+            with pytest.raises(ParseError, match=r"sender_script\[0\]: ParseError: principal id must be"):
+                sim.scenario_from_dict(doc)
+
     def test_overlapping_wear_sessions_rejected(self):
         doc = minimal_scenario()
         doc["recipients"][0]["wear_sessions"] = [

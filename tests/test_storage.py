@@ -1,4 +1,4 @@
-"""FileStore on disk: the v1 format, torn appends, corruption and snapshot order."""
+"""FileStore on disk: the v1 format, torn appends, corruption, snapshot order and file names."""
 
 from __future__ import annotations
 
@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from wandrelay import protocol
 from wandrelay.errors import ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import MessageState, VoiceNote, compose
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
-from client import consent, push, submit, view_of
+from client import consent, error_code, push, request, submit, view_of
 from conftest import at
 from test_service import durable, make_message, sample
 
@@ -195,3 +196,35 @@ def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
     reborn = DeliveryService(FileStore(tmp_path))
     assert (reborn.message_states(), view_of(reborn, "s1")) == before
     assert not log.exists()
+
+
+def hello(service, role, principal):
+    return request(service, protocol.HELLO, {"role": role, "principal": principal}, principal)
+
+
+def test_principal_id_cannot_escape_the_queue_dir(tmp_path):
+    data = tmp_path / "data"
+    service = DeliveryService(FileStore(data))
+    hello(service, "recipient", "../escape")
+    hello(service, "sender", "s1")
+    message = to("../escape", 1)
+    assert error_code(submit(service, message)) is None
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert files == ["data/principals.log", "data/queues/..%2Fescape.log"]
+    # no close(): a crash right after the ACK loses nothing
+    reborn = DeliveryService(FileStore(data))
+    assert reborn.message_states() == {message.message_id: MessageState.PENDING}
+    reborn.close()
+    assert DeliveryService(FileStore(data)).message_states() == {message.message_id: MessageState.PENDING}
+
+
+def test_hello_refuses_a_principal_too_long_for_a_file_name(tmp_path):
+    service = DeliveryService(FileStore(tmp_path))
+    for principal in ("r" * 300, "\u00e9" * 100):  # 600 bytes once percent-encoded
+        assert error_code(hello(service, "recipient", principal)) == "ParseError"
+    longest = "r" * (255 - len(".snap.json"))
+    assert error_code(hello(service, "recipient", longest)) is None
+    hello(service, "sender", "s1")
+    assert error_code(submit(service, to(longest, 1))) is None
+    service.close()
+    assert (tmp_path / "queues" / f"{longest}.snap.json").exists()
