@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import signal
 import sys
@@ -51,11 +50,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if data_dir is None:
         raise DataDirUnwritable("serve requires --data-dir or WANDRELAY_DATA_DIR")
     host, port = _parse_listen(args.listen)
-    store = FileStore(data_dir)
     markers = None
     if args.markers:
-        doc = json.loads(Path(args.markers).read_text())
-        markers = {str(m["marker_id"]) for m in doc["markers"]}
+        doc = sim.load_json_object(args.markers)
+        try:
+            markers = {str(m["marker_id"]) for m in doc["markers"]}
+        except (KeyError, TypeError):
+            raise ParseError(f"{args.markers}: expected a markers list of {{marker_id}} objects") from None
+    store = FileStore(data_dir)
     recorder = protocol.FrameRecorder(data_dir / "frames.ndjson", append=True)
     service = DeliveryService(store, declared_markers=markers, recorder=recorder)
     server = WandRelayServer(host, port, service)
@@ -142,7 +144,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             1 for state in result.final_states.values() if state.value != "Expired"
         )
         print(
-            f"{scenario.name}: {len(result.message_ids)} submitted, "
+            f"{scenario.name}: {len(scenario.sender_script)} submitted, "
             f"{delivered} delivered, log {out}",
             file=sys.stderr,
         )

@@ -168,11 +168,6 @@ class ArMessage:
     created_at: datetime
     state: MessageState = MessageState.PENDING
 
-    @property
-    def is_direct(self) -> bool:
-        """True when the message has no schedule (immediate delivery)."""
-        return self.schedule is None
-
     def with_state(self, new_state: MessageState) -> "ArMessage":
         """Return a copy in ``new_state``, enforcing the lifecycle graph."""
         if new_state not in ALLOWED_TRANSITIONS[self.state]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import errno
 import socket
 import socketserver
-import threading
 from typing import Any
 
 from . import protocol
@@ -37,19 +36,24 @@ class _Handler(socketserver.StreamRequestHandler):
                 except ParseError as exc:
                     self._send(protocol.error_frame(exc))
                     continue
+                claimed = principal
                 if principal is None:
                     if frame["kind"] != protocol.HELLO:
                         self._send(protocol.error_frame(ParseError("first frame must be HELLO")))
                         continue
-                    principal = frame["payload"].get("principal")
-                    role = frame["payload"].get("role")
-                frame.setdefault("from", principal)
-                for response in service.handle_frame(frame):
+                    claimed = frame["payload"].get("principal")
+                frame.setdefault("from", claimed)
+                responses = service.handle_frame(frame)
+                for response in responses:
                     # Only direct responses travel on this connection.
-                    if response.get("to") in (None, principal):
+                    if response.get("to") in (None, claimed):
                         self._send(response)
-                if frame["kind"] == protocol.HELLO and role == "recipient":
-                    session_generation = service.session_generation(principal)
+                if frame["kind"] == protocol.HELLO and responses[0]["kind"] == protocol.ACK:
+                    # Only an acknowledged HELLO introduces the connection.
+                    if principal is None:
+                        principal, role = claimed, frame["payload"]["role"]
+                    if role == "recipient":
+                        session_generation = service.session_generation(principal)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -73,11 +77,6 @@ class WandRelayServer(socketserver.ThreadingTCPServer):
             if exc.errno == errno.EADDRINUSE:
                 raise AddressInUse(f"{host}:{port}") from None
             raise
-
-    def serve_in_thread(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
 
 class WireClient:

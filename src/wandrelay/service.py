@@ -158,8 +158,12 @@ class DeliveryService:
             if message.state is MessageState.PENDING:
                 queue = self._pending[recipient_id]
                 self._pending[recipient_id] = [m for m in queue if m.message_id != message_id]
+            if kind in ("delivered", "expired"):
+                # A sample caused this event, so no later sample may be older, restart or not.
+                at = parse_rfc3339(event["at"])
+                self._last_t[recipient_id] = at
             if kind == "delivered":
-                self._delivered_at[message_id] = parse_rfc3339(event["at"])
+                self._delivered_at[message_id] = at
             elif kind == "reacted":
                 self._reactions[message_id] = reaction_from_dict(event["reaction"])
         else:

@@ -2,8 +2,8 @@
 
 A scenario file describes recipients (wear sessions + GPS trajectory),
 markers, a scripted sender, and a consent policy. ``run`` boots an in-process
-delivery service, replays everything in global timestamp order through the
-wire-frame dispatcher, and returns the complete frame log. Two runs of the
+delivery service, sends it every request frame in global timestamp order as
+a scripted client would, and returns the complete frame log. Two runs of the
 same scenario produce byte-identical logs: ids derive from the scenario seed
 and time never comes from the wall clock.
 """
@@ -15,6 +15,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import count
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -36,7 +38,7 @@ from .model import (
     voice_note_from_dict,
 )
 from .service import DeliveryService
-from .storage import MemoryStore, check_principal
+from .storage import check_principal
 from .timeutil import format_rfc3339, parse_rfc3339
 
 SCENARIO_VERSION = 1
@@ -114,7 +116,6 @@ class RunResult:
     """Output of one simulation: the ordered frame log plus bookkeeping."""
 
     frames: list[dict[str, Any]]
-    message_ids: dict[str, str]  # scenario label -> message_id
     final_states: dict[str, MessageState]  # message_id -> terminal state
 
 
@@ -279,19 +280,22 @@ def scenario_from_dict(doc: Mapping[str, Any], *, source: str = "<scenario>") ->
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_json_object(path: str | Path) -> dict[str, Any]:
+    """Read a file holding one JSON object; any failure is a ParseError naming the file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: scenario must be a JSON object")
-    return scenario_from_dict(doc, source=str(path))
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(load_json_object(path), source=str(path))
 
 
 # -- context stream -------------------------------------------------------------------
@@ -338,10 +342,8 @@ def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[Cont
 
 # -- the run loop ------------------------------------------------------------------------
 
-_PRIO_SUBMIT = 0
-_PRIO_CONTEXT = 1
-_PRIO_REACTION_FRAME = 2
-_PRIO_CONSENT = 3
+# Frames due at the same instant go in this order: submissions, samples, utterances, answers.
+_PRIORITY = {protocol.SUBMIT: 0, protocol.CONTEXT: 1, protocol.REACTION_FRAME: 2, protocol.CONSENT: 3}
 
 
 def run(
@@ -350,155 +352,78 @@ def run(
     store=None,
     log_path: str | Path | None = None,
 ) -> RunResult:
-    """Execute a scenario end to end and return the complete frame log."""
-    recorder = protocol.FrameRecorder(log_path)
-    service = DeliveryService(
-        store if store is not None else MemoryStore(),
-        declared_markers=scenario.marker_ids,
-        recorder=recorder,
-    )
-    ids = IdFactory(scenario.seed)
-    label_of: dict[str, str] = {}  # message_id -> label
-    message_ids: dict[str, str] = {}  # label -> message_id
+    """Execute a scenario end to end and return the complete frame log.
 
-    for principal in sorted(
-        set(scenario.sender_ids) | {r.principal for r in scenario.recipients}
-    ):
+    The simulator is a scripted client: it queues every request frame by the
+    time it is due and sends them in order, adding the recipient's utterance
+    and answer whenever a response starts a reaction capture.
+    """
+    recorder = protocol.FrameRecorder(log_path)
+    service = DeliveryService(store, declared_markers=scenario.marker_ids, recorder=recorder)
+    for principal in sorted(set(scenario.sender_ids) | {r.principal for r in scenario.recipients}):
         service.register_principal(principal)
 
-    heap: list[tuple[datetime, int, int, str, Any]] = []
-    seq = 0
-
-    def push(t: datetime, prio: int, kind: str, data: Any) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, prio, seq, kind, data))
-        seq += 1
-
-    def dispatch(frame: dict[str, Any], *, context: str) -> list[dict[str, Any]]:
-        responses = service.handle_frame(frame)
+    def send(kind: str, payload: dict[str, Any], sender: str) -> list[dict[str, Any]]:
+        responses = service.handle_frame(protocol.make_frame(kind, payload, sender=sender))
         for response in responses:
             if response["kind"] == protocol.ERROR:
-                payload = response["payload"]
+                error = response["payload"]
                 raise RuntimeError(
-                    f"scenario {scenario.name}: {context} rejected: "
-                    f"{payload['code']}: {payload['detail']}"
+                    f"scenario {scenario.name}: {kind} from {sender} rejected: "
+                    f"{error['code']}: {error['detail']}"
                 )
         return responses
 
-    def schedule_reaction(responses: list[dict[str, Any]]) -> None:
-        """React to REACTION_START frames: plan the utterance and the consent."""
-        for response in responses:
-            if response["kind"] != protocol.REACTION_START:
-                continue
-            payload = response["payload"]
-            message_id = payload["message_id"]
-            started_at = parse_rfc3339(payload["started_at"])
-            deadline = parse_rfc3339(payload["deadline"])
-            recipient_id = response["to"]
-            utter_at = started_at + timedelta(seconds=UTTERANCE_DELAY_S)
-            if utter_at <= deadline:
-                push(
-                    utter_at,
-                    _PRIO_REACTION_FRAME,
-                    "utterance",
-                    {"message_id": message_id, "recipient_id": recipient_id},
-                )
-            answer = scenario.consent_policy.answer_for(label_of[message_id])
-            push(
-                deadline,
-                _PRIO_CONSENT,
-                "consent",
-                {"message_id": message_id, "recipient_id": recipient_id, "answer": answer},
-            )
+    heap: list[tuple[datetime, int, int, str, dict[str, Any], str]] = []
+    seq = count()
 
-    for recipient in scenario.recipients:
-        dispatch(
-            protocol.make_frame(
-                protocol.HELLO,
-                {"role": "recipient", "principal": recipient.principal},
-                sender=recipient.principal,
-            ),
-            context=f"HELLO {recipient.principal}",
+    def push(t: datetime, kind: str, payload: dict[str, Any], sender: str) -> None:
+        heapq.heappush(heap, (t, _PRIORITY[kind], next(seq), kind, payload, sender))
+
+    ids = IdFactory(scenario.seed)
+    answers: dict[str, str] = {}  # message_id -> the recipient's consent answer
+    for action in sorted(scenario.sender_script, key=attrgetter("at")):
+        message = compose(
+            action.sender_id,
+            action.recipient_id,
+            action.content_id,
+            action.scale,
+            action.voice_note,
+            action.schedule,
+            declared_markers=scenario.marker_ids,
+            now=action.at,
+            id_factory=ids,
         )
-
-    for action in scenario.sender_script:
-        push(action.at, _PRIO_SUBMIT, "submit", action)
+        answers[message.message_id] = "yes" if scenario.consent_policy.answer_for(action.label) else "no"
+        push(action.at, protocol.SUBMIT, {"message": message_to_dict(message)}, action.sender_id)
     for recipient in scenario.recipients:
+        send(protocol.HELLO, {"role": "recipient", "principal": recipient.principal}, recipient.principal)
         for sample in sample_stream(scenario, recipient):
-            push(sample.t, _PRIO_CONTEXT, "context", sample)
+            push(sample.t, protocol.CONTEXT, {"sample": sample_to_dict(sample)}, recipient.principal)
 
     while heap:
-        t, _prio, _seq, kind, data = heapq.heappop(heap)
+        t, _priority, _seq, kind, payload, sender = heapq.heappop(heap)
         if t > scenario.end:
             break
-        if kind == "submit":
-            action: SenderAction = data
-            message = compose(
-                action.sender_id,
-                action.recipient_id,
-                action.content_id,
-                action.scale,
-                action.voice_note,
-                action.schedule,
-                declared_markers=scenario.marker_ids,
-                now=action.at,
-                id_factory=ids,
-            )
-            dispatch(
-                protocol.make_frame(
-                    protocol.SUBMIT, {"message": message_to_dict(message)}, sender=action.sender_id
-                ),
-                context=f"submit {action.label!r}",
-            )
-            label_of[message.message_id] = action.label
-            message_ids[action.label] = message.message_id
-        elif kind == "context":
-            responses = dispatch(
-                protocol.make_frame(
-                    protocol.CONTEXT, {"sample": sample_to_dict(data)}, sender=data.recipient_id
-                ),
-                context=f"context at {format_rfc3339(data.t)}",
-            )
-            schedule_reaction(responses)
-        elif kind == "utterance":
-            dispatch(
-                protocol.make_frame(
-                    protocol.REACTION_FRAME,
-                    {
-                        "message_id": data["message_id"],
-                        "t": format_rfc3339(t),
-                        "transcript": f"utt::{data['message_id']}",
-                    },
-                    sender=data["recipient_id"],
-                ),
-                context=f"utterance for {data['message_id']}",
-            )
-        elif kind == "consent":
-            responses = dispatch(
-                protocol.make_frame(
-                    protocol.CONSENT,
-                    {
-                        "message_id": data["message_id"],
-                        "answer": "yes" if data["answer"] else "no",
-                        "t": format_rfc3339(t),
-                    },
-                    sender=data["recipient_id"],
-                ),
-                context=f"consent for {data['message_id']}",
-            )
-            schedule_reaction(responses)
+        for response in send(kind, payload, sender):
+            if response["kind"] != protocol.REACTION_START:
+                continue
+            start, recipient_id = response["payload"], response["to"]
+            message_id, deadline = start["message_id"], parse_rfc3339(start["deadline"])
+            utter_at = parse_rfc3339(start["started_at"]) + timedelta(seconds=UTTERANCE_DELAY_S)
+            if utter_at <= deadline:
+                utterance = {
+                    "message_id": message_id,
+                    "t": format_rfc3339(utter_at),
+                    "transcript": f"utt::{message_id}",
+                }
+                push(utter_at, protocol.REACTION_FRAME, utterance, recipient_id)
+            consent = {"message_id": message_id, "answer": answers[message_id], "t": start["deadline"]}
+            push(deadline, protocol.CONSENT, consent, recipient_id)
 
     service.end_of_run(scenario.end)
     for sender_id in sorted(scenario.sender_ids):
-        dispatch(
-            protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": sender_id}, sender=sender_id),
-            context=f"sender view {sender_id}",
-        )
-
+        send(protocol.SENDER_VIEW_REQ, {"sender_id": sender_id}, sender_id)
     service.close()
     recorder.close()
-    return RunResult(
-        frames=recorder.frames,
-        message_ids=message_ids,
-        final_states=service.message_states(),
-    )
+    return RunResult(frames=recorder.frames, final_states=service.message_states())

@@ -204,6 +204,20 @@ class TestServe:
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=10)
 
+    @pytest.mark.parametrize(
+        "content", [None, b"{not json", b"\xff", b"[]", b"{}", b'{"markers": 5}', b'{"markers": [{}]}']
+    )
+    def test_bad_markers_file_exits_1(self, tmp_path, capsys, content):
+        markers = tmp_path / "markers.json"
+        if content is not None:
+            markers.write_bytes(content)
+        rc = main([
+            "serve", "--listen", "127.0.0.1:0", "--data-dir", str(tmp_path / "data"),
+            "--markers", str(markers),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: ParseError: {markers}")
+
     def test_send_rejects_bad_schedule_locally(self, capsys):
         rc = main([
             "send", "--connect", "127.0.0.1:1", "--sender", "s1", "--recipient", "r1",

@@ -105,7 +105,7 @@ class TestCompose:
     def test_minimal_direct_message(self):
         message = compose("s1", "r1", "dog", 1.0, note(3.0), None, now=at("09:00:00"))
         assert message.state is MessageState.PENDING
-        assert message.is_direct
+        assert message.schedule is None
         assert message.message_id
         assert message.created_at == at("09:00:00")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import socket
+import threading
 
 import pytest
 
@@ -77,7 +78,7 @@ class TestFrames:
 def running_server(tmp_path):
     service = DeliveryService()
     server = WandRelayServer("127.0.0.1", 0, service)
-    server.serve_in_thread()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address
     yield host, port, service
     server.shutdown()
@@ -176,6 +177,19 @@ class TestWireServer:
                 protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": "s1"})
             )
             assert response["kind"] == protocol.ERROR
+
+    def test_refused_hello_introduces_nobody(self, running_server):
+        host, port, _ = running_server
+        view_request = protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}, sender="s1")
+        with WireClient(host, port) as client:
+            refused = client.hello("bogus", "s1")
+            assert refused["kind"] == protocol.ERROR
+            assert refused["payload"]["code"] == "ParseError"
+            response = client.request(view_request)
+            assert response["kind"] == protocol.ERROR
+            assert response["payload"]["detail"] == "first frame must be HELLO"
+            assert client.hello("sender", "s1")["kind"] == protocol.ACK
+            assert client.request(view_request)["kind"] == protocol.SENDER_VIEW_RESP
 
     def test_address_in_use(self, running_server):
         host, port, _ = running_server

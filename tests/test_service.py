@@ -305,6 +305,23 @@ class TestDurability:
         reborn.close()
         assert DeliveryService(FileStore(tmp_path)).message_states() == settled
 
+    @pytest.mark.parametrize("event", ["delivered", "expired"])
+    def test_out_of_order_guard_survives_restart(self, tmp_path, event):
+        first = durable(tmp_path)
+        window = TriggerSchedule(window=TimeWindow(start=at("08:58:00"), end=at("08:59:00")))
+        earlier = make_message(None if event == "delivered" else window, seed=1)
+        submit(first, earlier)
+        push(first, sample("09:00:30"))
+        assert first.message_states()[earlier.message_id] is MessageState(event.capitalize())
+        # crash: the 09:00:30 sample is known to the store only by the event it caused
+        reborn = DeliveryService(FileStore(tmp_path))
+        reborn.open_session("r1")
+        later = make_message(seed=2, created="08:56:00")
+        submit(reborn, later)
+        assert error_code(push(reborn, sample("09:00:05"))) == "OutOfOrderSample"
+        assert reborn.message_states()[later.message_id] is MessageState.PENDING
+        assert ids_of(push(reborn, sample("09:00:31")), protocol.PLAYBACK) == [later.message_id]
+
     def test_end_of_run_settles_everything(self, service):
         direct = make_message(seed=1, created="08:50:00")
         fenced = make_message(
