@@ -1,9 +1,17 @@
 """Trigger evaluation core.
 
-Pure functions over immutable inputs: given one context sample and the
+Pure functions over immutable inputs: given one context sample and a
 recipient's pending messages, decide what fires and what has become
 undeliverable. The caller owns per-recipient sample ordering and passes the
 last processed timestamp for the out-of-order guard.
+
+``TriggerIndex`` keeps one recipient's pending messages by the conditions
+that can fire them, so the caller hands ``expire_messages`` and
+``evaluate_sample`` only the candidates, in enqueue order, instead of every
+pending message. Both functions return the same deliveries and expiries for
+the candidates as for the full set, because no other message can fire or
+lapse at that sample. Geofences sit in a grid of ``GRID_CELL_M`` cells over
+Earth-centred x/y/z, which has no edge at the poles or the antimeridian.
 """
 
 from __future__ import annotations
@@ -11,13 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Any, Mapping, Sequence
+from heapq import heappop, heappush
+from itertools import count, product
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import OutOfOrderSample, ParseError
 from .model import ArMessage, Geofence, MessageState, Specificity, TimeWindow, TriggerSchedule
 from .timeutil import format_rfc3339, parse_rfc3339
 
 EARTH_RADIUS_M = 6_371_000.0
+# At least the largest geofence radius (14 m) and the simulator's marker
+# range (5 m): two points that close differ by under one cell on each axis
+# (a chord is no longer than its arc), so a point's 27 neighbouring cells
+# hold all of them. The 2 m over 14 m absorbs rounding.
+GRID_CELL_M = 16.0
+_NEIGHBOURS = tuple(product((-1, 0, 1), repeat=3))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +83,23 @@ def geofence_contains(fence: Geofence, lat: float, lon: float) -> bool:
     return haversine_distance(fence.lat, fence.lon, lat, lon) <= fence.radius
 
 
+def grid_cell(lat: float, lon: float) -> tuple[int, int, int]:
+    """The grid cell holding a point, by its Earth-centred x/y/z on the haversine sphere."""
+    phi, lam = math.radians(lat), math.radians(lon)
+    scale = EARTH_RADIUS_M / GRID_CELL_M
+    return (
+        math.floor(scale * math.cos(phi) * math.cos(lam)),
+        math.floor(scale * math.cos(phi) * math.sin(lam)),
+        math.floor(scale * math.sin(phi)),
+    )
+
+
+def grid_neighbours(lat: float, lon: float) -> list[tuple[int, int, int]]:
+    """The 27 cells that hold every point within ``GRID_CELL_M`` of this one."""
+    x, y, z = grid_cell(lat, lon)
+    return [(x + dx, y + dy, z + dz) for dx, dy, dz in _NEIGHBOURS]
+
+
 def window_contains(window: TimeWindow, t: datetime) -> bool:
     """Closed interval: both boundaries count."""
     return window.start <= t <= window.end
@@ -87,6 +120,12 @@ def evaluate_schedule(schedule: TriggerSchedule, sample: ContextSample) -> tuple
     return fires, result
 
 
+def check_order(t: datetime, last_t: datetime | None) -> None:
+    """The out-of-order guard: a sample must come after the last one processed."""
+    if last_t is not None and t <= last_t:
+        raise OutOfOrderSample(f"sample at {format_rfc3339(t)} not after {format_rfc3339(last_t)}")
+
+
 def evaluate_sample(
     sample: ContextSample,
     pending: Sequence[ArMessage],
@@ -99,10 +138,7 @@ def evaluate_sample(
     with every condition tested against this same sample. Deliveries come out
     ordered by (created_at, message_id) and leave the pending set for good.
     """
-    if last_t is not None and sample.t <= last_t:
-        raise OutOfOrderSample(
-            f"sample at {format_rfc3339(sample.t)} not after {format_rfc3339(last_t)}"
-        )
+    check_order(sample.t, last_t)
     for message in pending:
         if message.state is not MessageState.PENDING:
             raise ValueError(f"{message.message_id} is {message.state.value}, not Pending")
@@ -165,6 +201,102 @@ def expire_messages(
         else:
             still_pending.append(message)
     return expired, still_pending
+
+
+class TriggerIndex:
+    """One recipient's pending messages, by id in enqueue order, indexed by what can fire them.
+
+    A direct message is a candidate at every sample. An OR message is
+    indexed under each of its conditions; an AND message under one (its
+    marker, else its geofence, else its window) and checked in full by
+    ``evaluate_sample``. Markers and geofence cells share one bucket map
+    (marker ids are strings, cells tuples). Windows open from a start-ordered
+    heap and close from an end-ordered one, and AND schedules with a window,
+    the only ones ``schedule_unsatisfiable`` retires, wait in an end-ordered
+    expiry heap. The heaps are consumed as sample time advances, so
+    ``candidates`` and ``lapsed`` must see non-decreasing times; entries of
+    removed messages are dropped when popped.
+    """
+
+    def __init__(self) -> None:
+        self.messages: dict[str, ArMessage] = {}
+        self._seq: dict[str, int] = {}
+        self._counter = count()
+        self._direct: set[str] = set()
+        self._buckets: dict[str | tuple[int, int, int], set[str]] = {}
+        self._starts: list[tuple[datetime, int, str]] = []
+        self._ends: list[tuple[datetime, int, str]] = []
+        self._open: set[str] = set()
+        self._expiry: list[tuple[datetime, int, str]] = []
+
+    @staticmethod
+    def _indexed(schedule: TriggerSchedule) -> list[Any]:
+        conditions = [c for c in (schedule.marker, schedule.geofence, schedule.window) if c is not None]
+        return conditions if schedule.specificity is Specificity.FLEXIBLE else conditions[:1]
+
+    @staticmethod
+    def _key(condition: Any) -> str | tuple[int, int, int]:
+        """A marker's id, or a geofence centre's grid cell."""
+        if isinstance(condition, Geofence):
+            return grid_cell(condition.lat, condition.lon)
+        return condition.marker_id
+
+    def add(self, message: ArMessage) -> None:
+        message_id, schedule = message.message_id, message.schedule
+        seq = self._seq[message_id] = next(self._counter)
+        self.messages[message_id] = message
+        if schedule is None:
+            self._direct.add(message_id)
+            return
+        for condition in self._indexed(schedule):
+            if isinstance(condition, TimeWindow):
+                heappush(self._starts, (condition.start, seq, message_id))
+            else:
+                self._buckets.setdefault(self._key(condition), set()).add(message_id)
+        if schedule.window is not None and schedule.specificity is Specificity.SPECIFIC:
+            heappush(self._expiry, (schedule.window.end, seq, message_id))
+
+    def remove(self, message_id: str) -> None:
+        schedule = self.messages.pop(message_id).schedule
+        del self._seq[message_id]
+        self._direct.discard(message_id)
+        self._open.discard(message_id)
+        for condition in self._indexed(schedule) if schedule is not None else ():
+            if not isinstance(condition, TimeWindow):
+                key = self._key(condition)
+                self._buckets[key].discard(message_id)
+                if not self._buckets[key]:
+                    del self._buckets[key]
+
+    def _in_order(self, ids: Iterable[str]) -> list[ArMessage]:
+        return [self.messages[i] for i in sorted(ids, key=self._seq.__getitem__)]
+
+    def lapsed(self, t: datetime) -> list[ArMessage]:
+        """The messages whose window ended before ``t``: what ``expire_messages`` retires now."""
+        ids = []
+        while self._expiry and self._expiry[0][0] < t:
+            message_id = heappop(self._expiry)[2]
+            if message_id in self.messages:
+                ids.append(message_id)
+        return self._in_order(ids)
+
+    def candidates(self, sample: ContextSample) -> list[ArMessage]:
+        """Every pending message that may fire at this sample, and few others."""
+        t = sample.t
+        while self._starts and self._starts[0][0] <= t:
+            _, seq, message_id = heappop(self._starts)
+            if message_id in self.messages:
+                self._open.add(message_id)
+                heappush(self._ends, (self.messages[message_id].schedule.window.end, seq, message_id))
+        while self._ends and self._ends[0][0] < t:
+            self._open.discard(heappop(self._ends)[2])
+        ids = self._direct | self._open
+        buckets = self._buckets
+        for key in (*sample.visible_markers, *grid_neighbours(sample.lat, sample.lon)):
+            bucket = buckets.get(key)
+            if bucket:
+                ids |= bucket
+        return self._in_order(ids)
 
 
 # -- canonical encoding -----------------------------------------------------------

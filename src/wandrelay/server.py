@@ -6,6 +6,11 @@ earlier one); sender connections are plain request/response. Frames the
 service addresses to other principals (for example REACTION_NOTIFY for a
 sessionless sender) are recorded in the frame log and not transmitted here;
 senders pick them up by polling their view.
+
+A connection speaks for the principal its acknowledged HELLO named: a later
+HELLO naming another principal is refused, while one repeating its own is
+answered as usual. A frame line longer than ``MAX_LINE_BYTES`` is refused and
+closes the connection, so no client can make a handler buffer without bound.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from . import protocol
 from .errors import AddressInUse, ParseError
 from .service import DeliveryService
 
+MAX_LINE_BYTES = 1 << 20  # newline included
+
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
@@ -27,7 +34,10 @@ class _Handler(socketserver.StreamRequestHandler):
         role: str | None = None
         session_generation: int | None = None
         try:
-            for raw in self.rfile:
+            while raw := self.rfile.readline(MAX_LINE_BYTES):
+                if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                    self._send(protocol.error_frame(ParseError(f"frame line over {MAX_LINE_BYTES} bytes")))
+                    break
                 line = raw.strip()
                 if not line:
                     continue
@@ -37,11 +47,14 @@ class _Handler(socketserver.StreamRequestHandler):
                     self._send(protocol.error_frame(exc))
                     continue
                 claimed = principal
-                if principal is None:
-                    if frame["kind"] != protocol.HELLO:
-                        self._send(protocol.error_frame(ParseError("first frame must be HELLO")))
-                        continue
+                if frame["kind"] == protocol.HELLO:
                     claimed = frame["payload"].get("principal")
+                    if principal not in (None, claimed):
+                        self._send(protocol.error_frame(ParseError(f"connection is introduced as {principal}")))
+                        continue
+                elif principal is None:
+                    self._send(protocol.error_frame(ParseError("first frame must be HELLO")))
+                    continue
                 frame.setdefault("from", claimed)
                 responses = service.handle_frame(frame)
                 for response in responses:

@@ -8,6 +8,12 @@ satisfies the per-recipient serialization contract at this scale; time comes
 exclusively from the frames themselves, so the service is a deterministic
 function of its input frame sequence.
 
+Each recipient's pending messages live in a ``TriggerIndex``, which only
+``_apply`` changes, so recovery rebuilds it from the journal by the same
+path a live operation takes. A CONTEXT sample hands the engine only the
+index's candidates, in enqueue order: what can lapse or fire at that
+sample, not everything pending.
+
 Privacy boundary: the only payloads ever addressed to a sender are ACK/ERROR,
 REACTION_NOTIFY, and SENDER_VIEW_RESP, and those are built by
 ``_sender_record`` and from consented reaction records, which by construction
@@ -16,12 +22,13 @@ carry no coordinates, marker ids, or trigger-evaluation details.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from datetime import datetime
 from threading import RLock
 from typing import Any
 
 from . import protocol
-from .engine import evaluate_sample, expire_messages, sample_from_dict
+from .engine import TriggerIndex, check_order, evaluate_sample, expire_messages, sample_from_dict
 from .errors import (
     DuplicateMessageId,
     NoSession,
@@ -126,7 +133,7 @@ class DeliveryService:
         self._delivered_at: dict[str, datetime] = {}
         self._reactions: dict[str, ReactionRecord] = {}
         self._by_sender: dict[str, list[str]] = {}
-        self._pending: dict[str, list[ArMessage]] = {}
+        self._pending: defaultdict[str, TriggerIndex] = defaultdict(TriggerIndex)
         self._last_t: dict[str, datetime] = {}
         self._sessions: dict[str, int] = {}  # principal -> live session generation
         self._journal: dict[str, list[dict[str, Any]]] = {}
@@ -148,7 +155,7 @@ class DeliveryService:
             message = message_from_dict(event["message"])
             self._messages[message.message_id] = message
             self._by_sender.setdefault(message.sender_id, []).append(message.message_id)
-            self._pending.setdefault(recipient_id, []).append(message)
+            self._pending[recipient_id].add(message)
         elif kind in _TRANSITIONS:
             message_id = event["message_id"]
             message = self._messages.get(message_id)
@@ -156,8 +163,7 @@ class DeliveryService:
                 raise UnknownMessage(message_id)
             self._messages[message_id] = message.with_state(_TRANSITIONS[kind])
             if message.state is MessageState.PENDING:
-                queue = self._pending[recipient_id]
-                self._pending[recipient_id] = [m for m in queue if m.message_id != message_id]
+                self._pending[recipient_id].remove(message_id)
             if kind in ("delivered", "expired"):
                 # A sample caused this event, so no later sample may be older, restart or not.
                 at = parse_rfc3339(event["at"])
@@ -231,8 +237,8 @@ class DeliveryService:
         with self._lock:
             stamp = format_rfc3339(at)
             expired_ids: list[str] = []
-            for recipient_id, queue in list(self._pending.items()):
-                for message in list(queue):
+            for recipient_id, index in list(self._pending.items()):
+                for message in list(index.messages.values()):
                     self._record(recipient_id, {"ev": "expired", "message_id": message.message_id, "at": stamp})
                     expired_ids.append(message.message_id)
             for recipient_id, session, line in self._captures.drain():
@@ -314,14 +320,17 @@ class DeliveryService:
         recipient_id = sample.recipient_id
         if recipient_id not in self._sessions:
             raise NoSession(recipient_id)
-        expired, pending = expire_messages(sample.t, self._pending.get(recipient_id, []))
-        deliveries, _ = evaluate_sample(sample, pending, self._last_t.get(recipient_id))
-        self._last_t[recipient_id] = sample.t
+        last_t = self._last_t.get(recipient_id)
+        check_order(sample.t, last_t)  # before the index moves
+        index = self._pending[recipient_id]
+        expired, _ = expire_messages(sample.t, index.lapsed(sample.t))
         for message in expired:
             self._record(
                 recipient_id,
                 {"ev": "expired", "message_id": message.message_id, "at": format_rfc3339(sample.t)},
             )
+        deliveries, _ = evaluate_sample(sample, index.candidates(sample) if sample.wearing else [], last_t)
+        self._last_t[recipient_id] = sample.t
 
         # The head of the capture line keeps recording the point of view
         # until its deadline; at or past the deadline it awaits the answer.

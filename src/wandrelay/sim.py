@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from . import protocol
-from .engine import ContextSample, haversine_distance, sample_to_dict
+from .engine import ContextSample, grid_cell, grid_neighbours, haversine_distance, sample_to_dict
 from .errors import ParseError, WandRelayError
 from .ids import IdFactory
 from .model import (
@@ -317,6 +317,9 @@ def interpolate_position(trajectory: tuple[Waypoint, ...], t: datetime) -> tuple
 def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[ContextSample]:
     """One sample per tick from the trajectory start to the scenario end."""
     start = recipient.trajectory[0].t
+    markers: dict[tuple[int, int, int], list[MarkerSpec]] = {}
+    for m in scenario.markers:
+        markers.setdefault(grid_cell(m.lat, m.lon), []).append(m)
     k = 0
     while True:
         t = start + timedelta(seconds=k * scenario.tick)
@@ -326,7 +329,8 @@ def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[Cont
         wearing = any(w.start <= t <= w.end for w in recipient.wear_sessions)
         visible = frozenset(
             m.marker_id
-            for m in scenario.markers
+            for cell in grid_neighbours(lat, lon)
+            for m in markers.get(cell, ())
             if haversine_distance(m.lat, m.lon, lat, lon) <= MARKER_VISIBILITY_M
         )
         yield ContextSample(

@@ -1,0 +1,62 @@
+"""tools/bench_report.py on synthetic result files."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_report", Path(__file__).resolve().parent.parent / "tools" / "bench_report.py"
+)
+bench_report = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_report)
+
+
+def write_result(directory: Path, workload: str, seed: int, sha: str, values: dict[str, float], trace: int = 0):
+    units = {"context_samples_per_s": "1/s", "restart_s": "s"}
+    doc = {
+        "result": {
+            "correct": True,
+            "attempted": 10,
+            "failed": 0,
+            "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()},
+        },
+        "meta": {"workload": workload, "seed": seed, "seconds": 30.0, "trace": trace,
+                 "git_sha": sha, "src_sha256": sha * 2, "nproc": 2, "python": "3.11.7"},
+    }
+    directory.mkdir(exist_ok=True)
+    (directory / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(doc))
+
+
+def test_medians_units_wins_and_identity(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (before, after) in enumerate([(90.0, 7000.0), (95.0, 7500.0), (80.0, 70.0)], start=1):
+        write_result(parent, "deep_queue", seed, "aaa", {"context_samples_per_s": before, "restart_s": 0.3})
+        write_result(change, "deep_queue", seed, "bbb", {"context_samples_per_s": after, "restart_s": 0.3 - seed / 100})
+    write_result(parent, "deep_queue", 1, "aaa", {"context_samples_per_s": 1.0}, trace=1)  # traced: ignored
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 0
+
+    summary = json.loads(out.read_text())
+    assert summary["parent"]["git_sha"] == "aaa" and summary["change"]["git_sha"] == "bbb"
+    assert summary["change"]["src_sha256"] == "bbbbbb"
+    assert summary["parent"]["seeds"] == summary["change"]["seeds"] == [1, 2, 3]
+    assert summary["nproc"] == 2 and summary["python"] == "3.11.7"
+    assert list(summary["workloads"]) == ["deep_queue"]
+    rate = summary["workloads"]["deep_queue"]["context_samples_per_s"]
+    assert rate["unit"] == "1/s" and rate["better"] == "higher"
+    assert rate["parent"]["median"] == 90.0 and rate["change"]["median"] == 7000.0
+    assert rate["pairs"] == 3 and rate["change_wins"] == 2
+    restart = summary["workloads"]["deep_queue"]["restart_s"]
+    assert restart["unit"] == "s" and restart["change_wins"] == 3  # lower is better
+
+
+def test_directory_without_results_is_an_error(tmp_path):
+    (tmp_path / "empty").mkdir()
+    write_result(tmp_path / "change", "pairs12", 1, "bbb", {"restart_s": 0.2})
+    with pytest.raises(SystemExit, match="no result"):
+        bench_report.main([str(tmp_path / "empty"), str(tmp_path / "change"), "--out", str(tmp_path / "o.json")])

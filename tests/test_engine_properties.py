@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wandrelay.engine import evaluate_sample, expire_messages
-from wandrelay.model import Specificity
+from wandrelay.engine import (
+    EARTH_RADIUS_M,
+    evaluate_sample,
+    expire_messages,
+    grid_cell,
+    grid_neighbours,
+    haversine_distance,
+)
+from wandrelay.model import MAX_GEOFENCE_RADIUS_M, Specificity
 
 from genrandom import random_messages, random_stream
 from oracles import brute_force_deliveries, oracle_condition_flags, oracle_haversine
@@ -160,3 +168,22 @@ def test_conservation_after_expiry_accounting():
             + [m.message_id for m in pending]
         )
         assert sorted(ids) == sorted(m.message_id for m in messages)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-90.0, 90.0) | st.sampled_from([90.0, -90.0, 89.99999, -89.99999]),
+    st.floats(-180.0, 180.0) | st.sampled_from([180.0, -180.0, 179.99999, -179.99999]),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, MAX_GEOFENCE_RADIUS_M),
+)
+def test_grid_neighbours_hold_every_point_within_a_fence_radius(lat, lon, bearing, meters):
+    """Poles and the antimeridian included: the grid has no edge there."""
+    phi, lam, delta = math.radians(lat), math.radians(lon), meters / EARTH_RADIUS_M
+    phi2 = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing))
+    lam2 = lam + math.atan2(
+        math.sin(bearing) * math.sin(delta) * math.cos(phi), math.cos(delta) - math.sin(phi) * math.sin(phi2)
+    )
+    lat2, lon2 = math.degrees(phi2), (math.degrees(lam2) + 180.0) % 360.0 - 180.0
+    if haversine_distance(lat, lon, lat2, lon2) <= MAX_GEOFENCE_RADIUS_M:
+        assert grid_cell(lat2, lon2) in grid_neighbours(lat, lon)

@@ -9,7 +9,7 @@ from wandrelay import protocol
 from wandrelay.errors import AddressInUse, ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import VoiceNote, compose, message_to_dict
-from wandrelay.server import WandRelayServer, WireClient
+from wandrelay.server import MAX_LINE_BYTES, WandRelayServer, WireClient
 from wandrelay.service import DeliveryService
 from wandrelay.engine import sample_to_dict, ContextSample
 
@@ -190,6 +190,31 @@ class TestWireServer:
             assert response["payload"]["detail"] == "first frame must be HELLO"
             assert client.hello("sender", "s1")["kind"] == protocol.ACK
             assert client.request(view_request)["kind"] == protocol.SENDER_VIEW_RESP
+
+    def test_second_hello_naming_another_principal_is_refused(self, running_server):
+        host, port, _ = running_server
+        with WireClient(host, port, timeout=2.0) as client:
+            assert client.hello("sender", "s1")["kind"] == protocol.ACK
+            refused = client.hello("sender", "s2")
+            assert refused["kind"] == protocol.ERROR
+            assert refused["payload"]["code"] == "ParseError"
+            assert client.hello("sender", "s1")["kind"] == protocol.ACK  # a repeat HELLO as oneself
+            _, to_s2 = submit_frame(sender="s1", recipient="s2")
+            assert client.request(to_s2)["payload"]["code"] == "UnknownRecipient"
+
+    def test_over_long_line_is_refused_and_closes_the_connection(self, running_server):
+        host, port, _ = running_server
+        with WireClient(host, port, timeout=5.0) as client:
+            assert client.hello("sender", "s1")["kind"] == protocol.ACK
+            client._file.write(b"x" * MAX_LINE_BYTES + b"\n")
+            client._file.flush()
+            refused = client.read_frame()
+            assert refused["kind"] == protocol.ERROR
+            assert refused["payload"]["code"] == "ParseError"
+            with pytest.raises(ConnectionError):  # closed: end of stream or a reset
+                client.read_frame()
+        with WireClient(host, port, timeout=5.0) as fresh:
+            assert fresh.hello("sender", "s1")["kind"] == protocol.ACK
 
     def test_address_in_use(self, running_server):
         host, port, _ = running_server

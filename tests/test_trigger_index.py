@@ -1,0 +1,217 @@
+"""The service's trigger index against a full scan of the pending set.
+
+A random run submits direct, single-condition, AND and OR messages and
+sends monotone samples, worn and not, near ordinary places, the poles and
+the antimeridian, some exactly on a fence's radius, with windows that open
+and lapse while the run goes on. After every sample the service must
+deliver and expire exactly what ``expire_messages`` and ``evaluate_sample``
+give over every pending message. Crash restarts and refused out-of-order
+samples are mixed in.
+"""
+
+from __future__ import annotations
+
+import math
+import shutil
+import tempfile
+from datetime import timedelta
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wandrelay import protocol
+from wandrelay.engine import (
+    EARTH_RADIUS_M,
+    ContextSample,
+    TriggerIndex,
+    evaluate_sample,
+    expire_messages,
+    haversine_distance,
+)
+from wandrelay.ids import IdFactory
+from wandrelay.model import (
+    MAX_GEOFENCE_RADIUS_M,
+    MIN_GEOFENCE_RADIUS_M,
+    Geofence,
+    MarkerCondition,
+    Specificity,
+    TimeWindow,
+    TriggerSchedule,
+    VoiceNote,
+    compose,
+)
+from wandrelay.service import DeliveryService
+from wandrelay.storage import FileStore
+
+from client import error_code, ids_of, push, request, submit
+from conftest import at
+
+M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+PLACES = (
+    (40.0, -100.0),
+    (89.95, 30.0),
+    (90.0, 0.0),
+    (-89.9, -120.0),
+    (0.0, 179.99995),
+    (-33.0, -179.99995),
+)
+MARKERS = ("m1", "m2", "m3")
+offsets = st.floats(-25.0, 25.0)
+
+
+def near(lat0: float, lon0: float, north: float, east: float) -> tuple[float, float]:
+    """A point about (north, east) meters from (lat0, lon0), clamped at the poles, lon wrapped."""
+    lat = min(90.0, max(-90.0, lat0 + north / M_PER_DEG))
+    lon = lon0 + east / (M_PER_DEG * max(math.cos(math.radians(lat0)), 1e-3))
+    return lat, (lon + 180.0) % 360.0 - 180.0
+
+
+positions = st.builds(lambda place, n, e: near(*place, n, e), st.sampled_from(PLACES), offsets, offsets)
+
+
+class JournalSpy(FileStore):
+    """A FileStore that also lists every event it makes durable."""
+
+    def __init__(self, root, events):
+        super().__init__(root)
+        self.events = events
+
+    def record_event(self, recipient_id, event):
+        super().record_event(recipient_id, event)
+        self.events.append((event["ev"], event.get("message_id")))
+
+
+def draw_fence(data, spots):
+    """A geofence; half of them get a radius that puts a point of ``spots`` exactly on it."""
+    lat, lon = data.draw(positions)
+    spots.append((lat, lon))
+    radius = data.draw(st.floats(MIN_GEOFENCE_RADIUS_M, MAX_GEOFENCE_RADIUS_M))
+    if data.draw(st.booleans()):
+        bearing = data.draw(st.floats(0.0, 2 * math.pi))
+        edge = near(lat, lon, 10.0 * math.cos(bearing), 10.0 * math.sin(bearing))
+        distance = haversine_distance(lat, lon, *edge)
+        if MIN_GEOFENCE_RADIUS_M <= distance <= MAX_GEOFENCE_RADIUS_M:
+            radius = distance
+            spots.append(edge)
+    return Geofence(lat=lat, lon=lon, radius=radius)
+
+
+def draw_position(data, spots):
+    """Anywhere near a place, or on or near a fence's centre or edge."""
+    if spots and data.draw(st.booleans()):
+        spot = data.draw(st.sampled_from(spots))
+        return spot if data.draw(st.booleans()) else near(*spot, data.draw(offsets), data.draw(offsets))
+    return data.draw(positions)
+
+
+def draw_message(data, ids, clock, spots):
+    kind = data.draw(st.sampled_from(["direct", "single", "and", "or"]))
+    schedule = None
+    if kind != "direct":
+        size = 1 if kind == "single" else data.draw(st.integers(2, 3))
+        names = data.draw(st.permutations(["geofence", "window", "marker"]))[:size]
+        window = None
+        if "window" in names:
+            start = clock + timedelta(seconds=data.draw(st.integers(-10, 30)))
+            window = TimeWindow(start, start + timedelta(seconds=data.draw(st.integers(1, 30))))
+        schedule = TriggerSchedule(
+            geofence=draw_fence(data, spots) if "geofence" in names else None,
+            window=window,
+            marker=MarkerCondition(data.draw(st.sampled_from(MARKERS))) if "marker" in names else None,
+            specificity=Specificity.FLEXIBLE if kind == "or" else Specificity.SPECIFIC,
+        )
+    created = clock - timedelta(seconds=data.draw(st.integers(0, 300)))
+    return compose("s1", "r1", "dog", 1.0, VoiceNote(1.0, "hi"), schedule, now=created, id_factory=ids)
+
+
+def open_service(data_dir, events):
+    service = DeliveryService(JournalSpy(data_dir, events))
+    request(service, protocol.HELLO, {"role": "recipient", "principal": "r1"}, "r1")
+    return service
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_index_delivers_and_expires_what_a_full_scan_does(data):
+    data_dir = tempfile.mkdtemp(prefix="wandrelay-index-")
+    try:
+        events: list[tuple[str, str]] = []
+        service = open_service(data_dir, events)
+        ids, spots = IdFactory(7), []
+        pending = []  # the full pending set, in enqueue order
+        clock = at("09:00:00")
+        last_t = None  # the last sample sent
+        durable_t = None  # the last sample that stored an event: what a restart keeps of the guard
+        guard_t = None  # the service's out-of-order guard
+        kinds = st.sampled_from(["submit", "submit", "sample", "sample", "sample", "crash", "stale"])
+        steps = data.draw(st.lists(kinds, min_size=20, max_size=60))
+        for step in steps:
+            if step == "submit":
+                message = draw_message(data, ids, clock, spots)
+                assert error_code(submit(service, message)) is None
+                pending.append(message)
+            elif step == "sample":
+                clock += timedelta(seconds=data.draw(st.integers(1, 5)))
+                lat, lon = draw_position(data, spots)
+                markers = data.draw(st.frozensets(st.sampled_from(MARKERS)))
+                sample = ContextSample("r1", clock, lat, lon, data.draw(st.booleans()), markers)
+                expired, pending = expire_messages(clock, pending)
+                delivered, pending = evaluate_sample(sample, pending, last_t)
+                before = len(events)
+                frames = push(service, sample)
+                want = [d.message_id for d in delivered]
+                assert ids_of(frames, protocol.PLAYBACK) == want
+                assert events[before:] == [("expired", m.message_id) for m in expired] + [
+                    ("delivered", i) for i in want
+                ]
+                last_t = guard_t = clock
+                if expired or delivered:
+                    durable_t = clock
+            elif step == "crash":
+                service = open_service(data_dir, events)  # the old one is dropped without close()
+                guard_t = durable_t
+            elif guard_t is not None:  # stale: refused, and nothing moves
+                t = guard_t - timedelta(seconds=data.draw(st.integers(0, 5)))
+                lat, lon = draw_position(data, spots)
+                before = len(events)
+                stale = ContextSample("r1", t, lat, lon, True, frozenset(MARKERS))
+                assert error_code(push(service, stale)) == "OutOfOrderSample"
+                assert len(events) == before
+        # Scenario end retires the rest, in enqueue order.
+        before = len(events)
+        service.end_of_run(clock + timedelta(seconds=1))
+        assert [i for ev, i in events[before:] if ev == "expired"] == [m.message_id for m in pending]
+    finally:
+        shutil.rmtree(data_dir, ignore_errors=True)
+
+
+def windowed(seed, start, end, marker=None):
+    schedule = TriggerSchedule(window=TimeWindow(at(start), at(end)), marker=marker)
+    return compose("s1", "r1", "dog", 1.0, VoiceNote(1.0, "hi"), schedule, now=at("08:00:00"), id_factory=IdFactory(seed))
+
+
+def test_a_window_is_a_candidate_from_its_start_to_its_end_inclusive():
+    message = windowed(1, "09:00:00", "09:00:10")
+    index = TriggerIndex()
+    index.add(message)
+    seen = [
+        index.candidates(ContextSample("r1", at(t), 0.0, 0.0, True))
+        for t in ("08:59:59", "09:00:00", "09:00:10", "09:00:11")
+    ]
+    assert seen == [[], [message], [message], []]
+
+
+def test_lapsed_messages_come_out_in_enqueue_order():
+    first = windowed(1, "09:00:00", "09:00:20", MarkerCondition("m1"))
+    second = windowed(2, "09:00:00", "09:00:10")
+    index = TriggerIndex()
+    index.add(first)
+    index.add(second)
+    assert index.lapsed(at("09:00:20")) == [second]
+    index.remove(second.message_id)
+    assert index.lapsed(at("09:00:21")) == [first]
+
+    index = TriggerIndex()
+    index.add(first)
+    index.add(second)
+    assert index.lapsed(at("09:00:21")) == [first, second]

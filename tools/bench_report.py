@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Compare two sets of benchmark results and write a BENCH_<n>.json summary.
+
+Each directory holds the ``result-<workload>-seed<N>-trace0.json`` files that
+``bench/run.py`` writes to ``bench/out/``, one set from the parent commit and
+one from the change, run with the same seeds. For every workload and
+end-to-end metric of ``BENCHMARK.json`` the summary gives each side's median
+and quartiles with the unit, and how many same-seed pairs the change won. It
+also records the seeds, ``nproc``, the Python version, and both sides' git
+sha and ``src_sha256`` (bench/run.py's digest of ``src/wandrelay``).
+Traced runs (``trace1``) are left out: their per-layer figures are not
+end-to-end metrics. Standard library only.
+
+Usage: python tools/bench_report.py PARENT_DIR CHANGE_DIR --out BENCH_6.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+from typing import Any
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_runs(directory: Path) -> list[dict[str, Any]]:
+    """Every untraced result file in ``directory``, as written by bench/run.py."""
+    runs = [json.loads(path.read_text()) for path in sorted(directory.glob("result-*-trace0.json"))]
+    if not runs:
+        raise SystemExit(f"error: no result-*-trace0.json files in {directory}")
+    return runs
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def one_of(runs: list[dict[str, Any]], key: str) -> Any:
+    """A metadata value every run shares; a sorted list when they differ."""
+    values = sorted({run["meta"][key] for run in runs}, key=str)
+    return values[0] if len(values) == 1 else values
+
+
+def side(runs: list[dict[str, Any]]) -> dict[str, Any]:
+    return {
+        "git_sha": one_of(runs, "git_sha"),
+        "src_sha256": one_of(runs, "src_sha256"),
+        "seeds": sorted({run["meta"]["seed"] for run in runs}),
+        "runs": len(runs),
+        "incorrect_runs": sum(not run["result"]["correct"] for run in runs),
+        "failed_ops": sum(run["result"]["failed"] for run in runs),
+        "attempted_ops": sum(run["result"]["attempted"] for run in runs),
+    }
+
+
+def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark: dict[str, Any]) -> dict[str, Any]:
+    def by_seed(runs: list[dict[str, Any]], workload: str) -> dict[int, dict[str, Any]]:
+        return {run["meta"]["seed"]: run["result"]["metrics"] for run in runs if run["meta"]["workload"] == workload}
+
+    workloads: dict[str, Any] = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        before, after = by_seed(parent, workload), by_seed(change, workload)
+        if not before or not after:
+            continue
+        metrics = {}
+        for metric in benchmark["end_to_end"]:
+            name, higher = metric["name"], metric["better"] == "higher"
+            pairs = [
+                (before[s][name]["value"], after[s][name]["value"])
+                for s in sorted(before.keys() & after.keys())
+                if name in before[s] and name in after[s]
+            ]
+            if not pairs:
+                continue
+            metrics[name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "bound": metric["bound"],
+                "parent": spread([p for p, _ in pairs]),
+                "change": spread([c for _, c in pairs]),
+                "pairs": len(pairs),
+                "change_wins": sum((c > p) if higher else (c < p) for p, c in pairs),
+            }
+        workloads[workload] = metrics
+    everything = parent + change
+    return {
+        "parent": side(parent),
+        "change": side(change),
+        "nproc": one_of(everything, "nproc"),
+        "python": one_of(everything, "python"),
+        "seconds": one_of(everything, "seconds"),
+        "workloads": workloads,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    summary = report(load_runs(args.parent), load_runs(args.change), benchmark)
+    args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    for workload, metrics in summary["workloads"].items():
+        for name, m in metrics.items():
+            print(f"{workload:14s} {name:22s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g} "
+                  f"{m['unit']:4s} change won {m['change_wins']}/{m['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
