@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count, product
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -34,6 +34,8 @@ EARTH_RADIUS_M = 6_371_000.0
 # hold all of them. The 2 m over 14 m absorbs rounding.
 GRID_CELL_M = 16.0
 _NEIGHBOURS = tuple(product((-1, 0, 1), repeat=3))
+# No TriggerIndex heap holds more than this many entries per pending message.
+HEAP_BOUND = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,8 +216,9 @@ class TriggerIndex:
     heap and close from an end-ordered one, and AND schedules with a window,
     the only ones ``schedule_unsatisfiable`` retires, wait in an end-ordered
     expiry heap. The heaps are consumed as sample time advances, so
-    ``candidates`` and ``lapsed`` must see non-decreasing times; entries of
-    removed messages are dropped when popped.
+    ``candidates`` and ``lapsed`` must see non-decreasing times. Entries of
+    removed messages are dropped when popped, or all at once when a heap
+    grows past ``HEAP_BOUND`` entries per pending message.
     """
 
     def __init__(self) -> None:
@@ -267,6 +270,18 @@ class TriggerIndex:
                 self._buckets[key].discard(message_id)
                 if not self._buckets[key]:
                     del self._buckets[key]
+        self._compact()
+
+    def _compact(self) -> None:
+        """Drop the stale entries of any heap past ``HEAP_BOUND`` per pending message.
+
+        A heap holds at most one live entry per pending message, so past the
+        bound over half its entries are stale, and each is dropped once.
+        """
+        for heap in (self._starts, self._ends, self._expiry):
+            if len(heap) > HEAP_BOUND * len(self.messages):
+                heap[:] = [entry for entry in heap if entry[2] in self.messages]
+                heapify(heap)
 
     def _in_order(self, ids: Iterable[str]) -> list[ArMessage]:
         return [self.messages[i] for i in sorted(ids, key=self._seq.__getitem__)]
@@ -288,6 +303,7 @@ class TriggerIndex:
             if message_id in self.messages:
                 self._open.add(message_id)
                 heappush(self._ends, (self.messages[message_id].schedule.window.end, seq, message_id))
+        self._compact()
         while self._ends and self._ends[0][0] < t:
             self._open.discard(heappop(self._ends)[2])
         ids = self._direct | self._open

@@ -77,6 +77,12 @@ class IllegalTransition(WandRelayError):
     code = "IllegalTransition"
 
 
+class PrincipalMismatch(WandRelayError):
+    """A request names ids of a principal other than the one that sent it."""
+
+    code = "PrincipalMismatch"
+
+
 # -- reaction capture ---------------------------------------------------------
 
 class SessionClosed(WandRelayError):

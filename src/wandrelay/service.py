@@ -35,6 +35,7 @@ from .errors import (
     NotAwaitingConsent,
     OutOfOrderSample,
     ParseError,
+    PrincipalMismatch,
     SessionClosed,
     UnknownMessage,
     UnknownRecipient,
@@ -79,6 +80,16 @@ def _field(payload: dict[str, Any], name: str, kind: type) -> Any:
     if not isinstance(value, kind):
         raise ParseError(f"payload field {name!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _check_origin(origin: str | None, principal: str) -> None:
+    """Refuse a request that acts for a principal other than the one that sent it.
+
+    The detail names only the sender, so a refusal tells nobody whose ids
+    they guessed.
+    """
+    if origin != principal:
+        raise PrincipalMismatch(f"{origin} may act only for itself")
 
 
 def _playback(message: ArMessage, delivered_at: datetime) -> dict[str, Any]:
@@ -300,6 +311,7 @@ class DeliveryService:
     def _submit(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
         """Enqueue a valid Pending message; durable once acknowledged."""
         message = message_from_dict(_field(payload, "message", dict))
+        _check_origin(origin, message.sender_id)
         if message.recipient_id not in self._principals:
             raise UnknownRecipient(message.recipient_id)
         if message.message_id in self._messages:
@@ -318,6 +330,7 @@ class DeliveryService:
         """Ingest one sample: PLAYBACK per delivery, then REACTION_START per new capture."""
         sample = sample_from_dict(_field(payload, "sample", dict))
         recipient_id = sample.recipient_id
+        _check_origin(origin, recipient_id)
         if recipient_id not in self._sessions:
             raise NoSession(recipient_id)
         last_t = self._last_t.get(recipient_id)
@@ -356,15 +369,18 @@ class DeliveryService:
         return playbacks + starts
 
     def _capture(
-        self, message_id: str, closed: type[WandRelayError]
+        self, message_id: str, origin: str | None, closed: type[WandRelayError]
     ) -> tuple[ArMessage, CaptureSession | None]:
         """The Delivered message a capture request names, and its live session.
 
-        The session is None when a restart lost it. A message already
-        answered raises ``closed``; one not Delivered, or waiting in line
-        behind another capture, raises UnknownMessage.
+        The session is None when a restart lost it. A message of another
+        recipient raises PrincipalMismatch; one already answered raises
+        ``closed``; one not Delivered, or waiting in line behind another
+        capture, raises UnknownMessage.
         """
         message = self._messages.get(message_id)
+        if message is not None:
+            _check_origin(origin, message.recipient_id)
         state = message.state if message is not None else None
         if state in (MessageState.REACTED, MessageState.REACTION_DECLINED):
             raise closed(f"session for {message_id} is {state.value}")
@@ -377,7 +393,7 @@ class DeliveryService:
         message_id = _field(payload, "message_id", str)
         t = parse_rfc3339(_field(payload, "t", str))
         utterance = Utterance(t, _field(payload, "transcript", str))
-        _, session = self._capture(message_id, SessionClosed)
+        _, session = self._capture(message_id, origin, SessionClosed)
         if session is None:
             raise UnknownMessage(f"no capture session for {message_id}")
         try:
@@ -394,7 +410,7 @@ class DeliveryService:
         if answer not in ("yes", "no"):
             raise ParseError(f"consent answer must be yes or no, got {payload['answer']!r}")
         at = parse_rfc3339(_field(payload, "t", str))
-        message, session = self._capture(message_id, NotAwaitingConsent)
+        message, session = self._capture(message_id, origin, NotAwaitingConsent)
         recipient_id = message.recipient_id
         ack = {"of": protocol.CONSENT, "message_id": message_id, "answer": answer}
         frames = [protocol.make_frame(protocol.ACK, ack, to=recipient_id)]
@@ -437,6 +453,7 @@ class DeliveryService:
     def _view_request(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
         """One record per message this sender submitted, oldest first."""
         sender_id = _field(payload, "sender_id", str)
+        _check_origin(origin, sender_id)
         message_ids = sorted(
             self._by_sender.get(sender_id, []), key=lambda mid: (self._messages[mid].created_at, mid)
         )

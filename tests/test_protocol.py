@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import socket
+import statistics
 import threading
+import time
+from datetime import timedelta
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,10 +13,12 @@ from wandrelay import protocol
 from wandrelay.errors import AddressInUse, ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import VoiceNote, compose, message_to_dict
-from wandrelay.server import MAX_LINE_BYTES, WandRelayServer, WireClient
+from wandrelay.server import MAX_LINE_BYTES, WandRelayServer, WireClient, _Handler
 from wandrelay.service import DeliveryService
 from wandrelay.engine import sample_to_dict, ContextSample
+from wandrelay.timeutil import format_rfc3339
 
+from client import submit
 from conftest import at
 from genrandom import lat_off, lon_off
 
@@ -93,6 +99,16 @@ def submit_frame(sender="s1", recipient="r1", seed=1):
     return message, protocol.make_frame(
         protocol.SUBMIT, {"message": message_to_dict(message)}, sender=sender
     )
+
+
+def context_frame(recipient, t, sender=None):
+    sample = ContextSample(recipient_id=recipient, t=t, lat=lat_off(0), lon=lon_off(0), wearing=True)
+    return protocol.make_frame(protocol.CONTEXT, {"sample": sample_to_dict(sample)}, sender=sender or recipient)
+
+
+def consent_frame(message_id, answer, t, sender):
+    payload = {"message_id": message_id, "answer": answer, "t": t}
+    return protocol.make_frame(protocol.CONSENT, payload, sender=sender)
 
 
 class TestWireServer:
@@ -216,7 +232,127 @@ class TestWireServer:
         with WireClient(host, port, timeout=5.0) as fresh:
             assert fresh.hello("sender", "s1")["kind"] == protocol.ACK
 
+    def test_a_connection_cannot_act_for_another_recipient(self, running_server):
+        host, port, service = running_server
+        with WireClient(host, port, timeout=2.0) as r1, WireClient(host, port, timeout=2.0) as r2:
+            assert r1.hello("recipient", "r1")["kind"] == protocol.ACK
+            assert r2.hello("recipient", "r2")["kind"] == protocol.ACK
+            message, frame = submit_frame(recipient="r2")
+            with WireClient(host, port) as sender:
+                sender.hello("sender", "s1")
+                assert sender.request(frame)["kind"] == protocol.ACK
+            # r1 sends r2's sample: refused, nothing delivered.
+            refused = r1.request(context_frame("r2", at("09:00:00"), sender="r1"))
+            assert refused["kind"] == protocol.ERROR
+            assert refused["payload"]["code"] == "PrincipalMismatch"
+            r2.send(context_frame("r2", at("09:00:01")))
+            assert r2.read_frame()["kind"] == protocol.PLAYBACK
+            start = r2.read_frame()
+            assert start["kind"] == protocol.REACTION_START
+            # r1 answers r2's consent gate: refused, the capture stays r2's.
+            refused = r1.request(consent_frame(message.message_id, "yes", start["payload"]["deadline"], "r1"))
+            assert refused["payload"]["code"] == "PrincipalMismatch"
+            assert service.message_states()[message.message_id].value == "Delivered"
+            with WireClient(host, port) as sender:
+                sender.hello("sender", "s1")
+                view = sender.request(protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}))
+                assert [r["state"] for r in view["payload"]["records"]] == ["Delivered"]
+                # Nor can a sender read another's view.
+                refused = sender.request(protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": "s2"}))
+                assert refused["payload"]["code"] == "PrincipalMismatch"
+            answered = r2.request(consent_frame(message.message_id, "yes", start["payload"]["deadline"], "r2"))
+            assert answered["kind"] == protocol.ACK
+
+    def test_repeated_recipient_hello_closes_its_session_at_disconnect(self, running_server):
+        host, port, service = running_server
+        with WireClient(host, port) as client:
+            assert client.hello("sender", "x1")["kind"] == protocol.ACK
+            assert client.hello("recipient", "x1")["kind"] == protocol.ACK
+            assert service.session_generation("x1") is not None
+        deadline = time.monotonic() + 2.0
+        while service.session_generation("x1") is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert service.session_generation("x1") is None
+        with WireClient(host, port) as client:
+            assert client.hello("sender", "x1")["kind"] == protocol.ACK
+            refused = client.request(context_frame("x1", at("09:00:00")))
+            assert refused["payload"]["code"] == "NoSession"
+
+    def test_reaction_round_trip_does_not_wait_on_delayed_acks(self, running_server):
+        """A client with the kernel's default socket options sees no 40 ms stall per reaction."""
+        host, port, _ = running_server
+        round_trips = []
+        with WireClient(host, port) as recipient, WireClient(host, port) as sender:
+            recipient.hello("recipient", "r1")
+            sender.hello("sender", "s1")
+            for k in range(20):
+                t = at("09:00:00") + timedelta(seconds=20 * k)
+                message, frame = submit_frame(seed=k + 1)
+                assert sender.request(frame)["kind"] == protocol.ACK
+                recipient.send(context_frame("r1", t))
+                assert recipient.read_frame()["kind"] == protocol.PLAYBACK
+                utterance = {"message_id": message.message_id, "t": format_rfc3339(t + timedelta(seconds=2)),
+                             "transcript": "wow"}
+                t0 = time.perf_counter()
+                recipient.send(protocol.make_frame(protocol.REACTION_FRAME, utterance, sender="r1"))
+                start, ack = recipient.read_frame(), recipient.read_frame()
+                round_trips.append(time.perf_counter() - t0)
+                assert (start["kind"], ack["kind"]) == (protocol.REACTION_START, protocol.ACK)
+                answer = recipient.request(consent_frame(message.message_id, "no", start["payload"]["deadline"], "r1"))
+                assert answer["kind"] == protocol.ACK
+        assert statistics.median(round_trips) < 0.020, round_trips
+
     def test_address_in_use(self, running_server):
         host, port, _ = running_server
         with pytest.raises(AddressInUse):
             WandRelayServer(host, port, DeliveryService())
+
+
+class CountingSocket:
+    """One end of a socket pair that lists every write made on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes: list[bytes] = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        self._sock.sendall(data)
+
+    def makefile(self, *args, **kwargs):
+        return self._sock.makefile(*args, **kwargs)
+
+
+def two_deliverable_messages():
+    service = DeliveryService()
+    service.register_principal("r1")
+    first, _ = submit_frame(seed=1)
+    second, _ = submit_frame(seed=2)
+    submit(service, first)
+    submit(service, second)
+    return service, first
+
+
+def test_each_request_is_answered_in_one_write():
+    """PLAYBACKs with REACTION_START, and a CONSENT's ACK with the next start, each leave in one write."""
+    service, first = two_deliverable_messages()
+    twin, _ = two_deliverable_messages()
+    frames = [
+        protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"}),
+        context_frame("r1", at("09:00:00")),
+        consent_frame(first.message_id, "yes", "2021-06-05T09:00:10Z", "r1"),
+    ]
+    direct = [[r for r in twin.handle_frame({**f, "from": "r1"}) if r.get("to") in (None, "r1")] for f in frames]
+    expected = [b"".join(map(protocol.encode_frame, responses)) for responses in direct]
+    assert [e.count(b"\n") for e in expected] == [1, 3, 2]  # the CONSENT's REACTION_NOTIFY goes to s1
+
+    client, end = socket.socketpair()
+    with client, end:
+        client.sendall(b"".join(protocol.encode_frame(f) for f in frames))
+        client.shutdown(socket.SHUT_WR)
+        counting = CountingSocket(end)
+        _Handler(counting, ("local", 0), SimpleNamespace(service=service))
+        end.shutdown(socket.SHUT_WR)
+        received = client.makefile("rb").read()
+    assert counting.writes == expected
+    assert received == b"".join(expected)

@@ -376,13 +376,14 @@ class TestFrameDispatch:
         message = make_message()
         doc = message_to_dict(message)
         bad_documents = [
-            ({"v": 1}, "ParseError"),
-            ({**doc, "scale": 1000.0}, "ScaleOutOfRange"),
-            ({**doc, "sender_id": "r1"}, "ParseError"),  # sender is the recipient
+            ({"v": 1}, "s1", "ParseError"),
+            ({**doc, "scale": 1000.0}, "s1", "ScaleOutOfRange"),
+            ({**doc, "sender_id": "r1"}, "r1", "ParseError"),  # sender is the recipient
+            (doc, "r1", "PrincipalMismatch"),  # r1 submits as s1
         ]
-        for bad, code in bad_documents:
+        for bad, sender, code in bad_documents:
             (response,) = service.handle_frame(
-                protocol.make_frame(protocol.SUBMIT, {"message": bad}, sender="s1")
+                protocol.make_frame(protocol.SUBMIT, {"message": bad}, sender=sender)
             )
             assert response["kind"] == protocol.ERROR
             assert response["payload"]["code"] == code

@@ -5,6 +5,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from datetime import timedelta
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 from wandrelay.timeutil import parse_rfc3339
 
-from client import push, submit, view_of
+from client import consent, error_code, push, request, submit, view_of
 from conftest import at
 
 json_values = st.recursive(
@@ -91,7 +92,8 @@ def test_any_payload_gets_exactly_one_answer(kind, data):
     service, message_id = service_with_open_capture()
     valid = valid_payloads(message_id)[kind]
     payload = data.draw(st.one_of(json_objects, mutated(valid)).filter(lambda p: isinstance(p, dict)))
-    kinds = [r["kind"] for r in service.handle_frame(protocol.make_frame(kind, payload, sender="r1"))]
+    sender = "s1" if kind in (protocol.SUBMIT, protocol.SENDER_VIEW_REQ) else "r1"
+    kinds = [r["kind"] for r in service.handle_frame(protocol.make_frame(kind, payload, sender=sender))]
     if kind == protocol.CONTEXT:  # a one-way stream: an ERROR only when rejected
         assert protocol.ERROR not in kinds or kinds == [protocol.ERROR]
     elif kind == protocol.SENDER_VIEW_REQ:
@@ -99,6 +101,77 @@ def test_any_payload_gets_exactly_one_answer(kind, data):
     else:
         assert kinds[0] in (protocol.ACK, protocol.ERROR)
         assert kinds.count(protocol.ACK) + kinds.count(protocol.ERROR) == 1
+
+
+PRINCIPALS = ("p", "q")
+
+
+def two_principal_service(data_dir):
+    """p and q send to each other; each holds one Reacted, a running and a queued capture, one Pending."""
+    service = DeliveryService(FileStore(data_dir), declared_markers={"mk-desk"})
+    for principal in PRINCIPALS:
+        request(service, protocol.HELLO, {"role": "recipient", "principal": principal}, principal)
+    received = {}
+    for seed, (me, other) in enumerate([PRINCIPALS, PRINCIPALS[::-1]]):
+        messages = [
+            compose(other, me, "dog", 1.0, VoiceNote(2.0, "hey"), schedule, now=at("08:55:00"),
+                    id_factory=IdFactory(10 * seed + k))
+            for k, schedule in enumerate([None, None, None, TriggerSchedule(marker=MarkerCondition("mk-desk"))])
+        ]
+        for m in messages:
+            assert error_code(submit(service, m)) is None
+        push(service, ContextSample(me, at("09:00:00"), 40.0, -100.0, wearing=True))
+        assert error_code(consent(service, messages[0].message_id, "yes", at("09:00:10"), recipient=me)) is None
+        received[me] = [m.message_id for m in messages]
+    return service, received
+
+
+@st.composite
+def foreign_request(draw, received):
+    """A request from one principal that carries the other's ids."""
+    me = draw(st.sampled_from(PRINCIPALS))
+    other = PRINCIPALS[1 - PRINCIPALS.index(me)]
+    kind = draw(st.sampled_from(
+        [protocol.SUBMIT, protocol.CONTEXT, protocol.REACTION_FRAME, protocol.CONSENT, protocol.SENDER_VIEW_REQ]
+    ))
+    t = at("09:00:00") + timedelta(seconds=draw(st.integers(0, 60)))
+    stamp = t.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if kind == protocol.SUBMIT:
+        doc = message_to_dict(compose(other, me, "dog", 1.0, VoiceNote(1.0, "hi"), None, now=t,
+                                      id_factory=IdFactory(100 + draw(st.integers(0, 50)))))
+        payload = {"message": doc}
+    elif kind == protocol.CONTEXT:
+        markers = draw(st.sampled_from([(), ("mk-desk",)]))
+        sample_ = ContextSample(other, t, 40.0, -100.0, wearing=True, visible_markers=frozenset(markers))
+        payload = {"sample": sample_to_dict(sample_)}
+    elif kind == protocol.SENDER_VIEW_REQ:
+        payload = {"sender_id": other}
+    else:
+        message_id = draw(st.sampled_from(received[other]))
+        if kind == protocol.REACTION_FRAME:
+            payload = {"message_id": message_id, "t": stamp, "transcript": draw(st.text(max_size=8))}
+        else:
+            payload = {"message_id": message_id, "answer": draw(st.sampled_from(["yes", "no"])), "t": stamp}
+    return kind, payload, me
+
+
+def stored_bytes(data_dir):
+    return {p: p.read_bytes() for p in sorted(Path(data_dir).rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_requests_carrying_another_principals_ids_are_refused(data):
+    data_dir = tempfile.mkdtemp(prefix="wandrelay-principals-")
+    try:
+        service, received = two_principal_service(data_dir)
+        before = (service.message_states(), {p: view_of(service, p) for p in PRINCIPALS}, stored_bytes(data_dir))
+        for kind, payload, sender in data.draw(st.lists(foreign_request(received), min_size=1, max_size=8)):
+            assert error_code(request(service, kind, payload, sender)) == "PrincipalMismatch"
+        after = (service.message_states(), {p: view_of(service, p) for p in PRINCIPALS}, stored_bytes(data_dir))
+        assert after == before
+    finally:
+        shutil.rmtree(data_dir, ignore_errors=True)
 
 
 class LiveEqualsReplay(RuleBasedStateMachine):

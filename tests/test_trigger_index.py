@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from wandrelay import protocol
 from wandrelay.engine import (
     EARTH_RADIUS_M,
+    HEAP_BOUND,
     ContextSample,
     TriggerIndex,
     evaluate_sample,
@@ -124,6 +125,12 @@ def draw_message(data, ids, clock, spots):
     return compose("s1", "r1", "dog", 1.0, VoiceNote(1.0, "hi"), schedule, now=created, id_factory=ids)
 
 
+def assert_heaps_bounded(service, recipient_id="r1"):
+    index = service._pending[recipient_id]
+    for heap in (index._starts, index._ends, index._expiry):
+        assert len(heap) <= HEAP_BOUND * len(index.messages)
+
+
 def open_service(data_dir, events):
     service = DeliveryService(JournalSpy(data_dir, events))
     request(service, protocol.HELLO, {"role": "recipient", "principal": "r1"}, "r1")
@@ -177,6 +184,7 @@ def test_index_delivers_and_expires_what_a_full_scan_does(data):
                 stale = ContextSample("r1", t, lat, lon, True, frozenset(MARKERS))
                 assert error_code(push(service, stale)) == "OutOfOrderSample"
                 assert len(events) == before
+            assert_heaps_bounded(service)
         # Scenario end retires the rest, in enqueue order.
         before = len(events)
         service.end_of_run(clock + timedelta(seconds=1))
@@ -215,3 +223,32 @@ def test_lapsed_messages_come_out_in_enqueue_order():
     index.add(first)
     index.add(second)
     assert index.lapsed(at("09:00:21")) == [first, second]
+
+
+def test_delivered_messages_leave_no_heap_behind():
+    """Messages fired long before their windows open or close do not keep their heap entries."""
+    service = DeliveryService()
+    request(service, protocol.HELLO, {"role": "recipient", "principal": "r1"}, "r1")
+    ids = IdFactory(3)
+    now = at("09:00:00")
+    month = TimeWindow(now + timedelta(days=30), now + timedelta(days=31))
+    this_month = TimeWindow(now - timedelta(seconds=1), now + timedelta(days=30))
+    schedules = [
+        # OR: the marker fires it, its window opens 30 days out (start heap).
+        TriggerSchedule(window=month, marker=MarkerCondition("m1"), specificity=Specificity.FLEXIBLE),
+        # AND: fires inside its window, which ends 30 days out (expiry heap).
+        TriggerSchedule(window=this_month, marker=MarkerCondition("m1"), specificity=Specificity.SPECIFIC),
+        # OR, window open: moves to the end heap at the sample, which fires it.
+        TriggerSchedule(window=this_month, marker=MarkerCondition("m2"), specificity=Specificity.FLEXIBLE),
+    ]
+    kept = compose("s1", "r1", "dog", 1.0, VoiceNote(1.0, "hi"), TriggerSchedule(window=month), now=now, id_factory=ids)
+    assert error_code(submit(service, kept)) is None
+    for k in range(1000):
+        message = compose("s1", "r1", "dog", 1.0, VoiceNote(1.0, "hi"), schedules[k % 3], now=now, id_factory=ids)
+        assert error_code(submit(service, message)) is None
+    index = service._pending["r1"]
+    assert len(index._starts) == 1 + 334 + 333  # the kept message and both OR kinds
+    frames = push(service, ContextSample("r1", now, 0.0, 0.0, True, frozenset({"m1"})))
+    assert len(ids_of(frames, protocol.PLAYBACK)) == 1000
+    assert list(index.messages) == [kept.message_id]
+    assert_heaps_bounded(service)
