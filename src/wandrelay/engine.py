@@ -11,7 +11,11 @@ that can fire them, so the caller hands ``expire_messages`` and
 pending message. Both functions return the same deliveries and expiries for
 the candidates as for the full set, because no other message can fire or
 lapse at that sample. Geofences sit in a grid of ``GRID_CELL_M`` cells over
-Earth-centred x/y/z, which has no edge at the poles or the antimeridian.
+Earth-centred x/y/z, which has no edge at the poles or the antimeridian. A
+cell is twice the longest reach, so every point within that reach of a
+sample lies in one of the sample's 8 ``grid_neighbours``: on each axis it is
+at most half a cell away, so in the cell half a cell below the sample or the
+one half a cell above.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from .model import ArMessage, Geofence, MessageState, Specificity, TimeWindow, T
 from .timeutil import format_rfc3339, parse_rfc3339
 
 EARTH_RADIUS_M = 6_371_000.0
-# At least the largest geofence radius (14 m) and the simulator's marker
-# range (5 m): two points that close differ by under one cell on each axis
-# (a chord is no longer than its arc), so a point's 27 neighbouring cells
-# hold all of them. The 2 m over 14 m absorbs rounding.
-GRID_CELL_M = 16.0
-_NEIGHBOURS = tuple(product((-1, 0, 1), repeat=3))
+# Twice a reach of 16 m, which is at least the largest geofence radius (14 m)
+# and the simulator's marker range (5 m): two points that close differ by at
+# most half a cell on each axis (a chord is no longer than its arc), so a
+# point's 8 neighbouring cells hold all of them. The 2 m over 14 m absorbs
+# rounding.
+GRID_CELL_M = 32.0
 # No TriggerIndex heap holds more than this many entries per pending message.
 HEAP_BOUND = 2
 
@@ -85,21 +89,23 @@ def geofence_contains(fence: Geofence, lat: float, lon: float) -> bool:
     return haversine_distance(fence.lat, fence.lon, lat, lon) <= fence.radius
 
 
-def grid_cell(lat: float, lon: float) -> tuple[int, int, int]:
-    """The grid cell holding a point, by its Earth-centred x/y/z on the haversine sphere."""
+def _cell_units(lat: float, lon: float) -> tuple[float, float, float]:
+    """A point's Earth-centred x/y/z on the haversine sphere, in cells."""
     phi, lam = math.radians(lat), math.radians(lon)
     scale = EARTH_RADIUS_M / GRID_CELL_M
-    return (
-        math.floor(scale * math.cos(phi) * math.cos(lam)),
-        math.floor(scale * math.cos(phi) * math.sin(lam)),
-        math.floor(scale * math.sin(phi)),
-    )
+    r = scale * math.cos(phi)
+    return r * math.cos(lam), r * math.sin(lam), scale * math.sin(phi)
+
+
+def grid_cell(lat: float, lon: float) -> tuple[int, int, int]:
+    """The grid cell holding a point."""
+    x, y, z = _cell_units(lat, lon)
+    return math.floor(x), math.floor(y), math.floor(z)
 
 
 def grid_neighbours(lat: float, lon: float) -> list[tuple[int, int, int]]:
-    """The 27 cells that hold every point within ``GRID_CELL_M`` of this one."""
-    x, y, z = grid_cell(lat, lon)
-    return [(x + dx, y + dy, z + dz) for dx, dy, dz in _NEIGHBOURS]
+    """The 8 cells that hold every point within half a ``GRID_CELL_M`` of this one."""
+    return list(product(*((math.floor(u - 0.5), math.floor(u + 0.5)) for u in _cell_units(lat, lon))))
 
 
 def window_contains(window: TimeWindow, t: datetime) -> bool:

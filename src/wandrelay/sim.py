@@ -317,9 +317,12 @@ def interpolate_position(trajectory: tuple[Waypoint, ...], t: datetime) -> tuple
 def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[ContextSample]:
     """One sample per tick from the trajectory start to the scenario end."""
     start = recipient.trajectory[0].t
+    # Each marker under its 8 neighbouring cells: a sample within range of
+    # it lies in one of them, so one probe of the sample's own cell finds it.
     markers: dict[tuple[int, int, int], list[MarkerSpec]] = {}
     for m in scenario.markers:
-        markers.setdefault(grid_cell(m.lat, m.lon), []).append(m)
+        for cell in grid_neighbours(m.lat, m.lon):
+            markers.setdefault(cell, []).append(m)
     k = 0
     while True:
         t = start + timedelta(seconds=k * scenario.tick)
@@ -329,8 +332,7 @@ def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[Cont
         wearing = any(w.start <= t <= w.end for w in recipient.wear_sessions)
         visible = frozenset(
             m.marker_id
-            for cell in grid_neighbours(lat, lon)
-            for m in markers.get(cell, ())
+            for m in markers.get(grid_cell(lat, lon), ())
             if haversine_distance(m.lat, m.lon, lat, lon) <= MARKER_VISIBILITY_M
         )
         yield ContextSample(

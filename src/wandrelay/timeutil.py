@@ -1,8 +1,8 @@
 """RFC 3339 timestamp helpers.
 
 All timestamps in the system are timezone-aware UTC datetimes; the canonical
-text form is ``YYYY-MM-DDTHH:MM:SSZ`` (fractional seconds kept only when
-nonzero, with trailing zeros trimmed).
+text form is ``YYYY-MM-DDTHH:MM:SSZ`` (the year always four digits,
+fractional seconds kept only when nonzero, with trailing zeros trimmed).
 """
 
 from __future__ import annotations
@@ -24,15 +24,19 @@ def parse_rfc3339(text: str) -> datetime:
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
-    # datetime.fromisoformat (3.10) wants exactly 3 or 6 fractional digits.
-    raw = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), raw, count=1)
+    if "." in raw:
+        # datetime.fromisoformat (3.10) wants exactly 3 or 6 fractional digits.
+        raw = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), raw, count=1)
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}") from None
     if dt.tzinfo is None:
         raise ParseError(f"timestamp {text!r} lacks a UTC offset")
-    return dt.astimezone(UTC)
+    try:
+        return dt.astimezone(UTC)
+    except OverflowError:  # an offset that takes it past year 1 or 9999
+        raise ParseError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_rfc3339(dt: datetime) -> str:
@@ -40,7 +44,5 @@ def format_rfc3339(dt: datetime) -> str:
     if dt.tzinfo is None:
         raise ValueError("naive datetime cannot be serialized")
     dt = dt.astimezone(UTC)
-    base = dt.strftime("%Y-%m-%dT%H:%M:%S")
-    if dt.microsecond:
-        base += f".{dt.microsecond:06d}".rstrip("0")
-    return base + "Z"
+    text = dt.replace(tzinfo=None).isoformat()
+    return (text.rstrip("0") if dt.microsecond else text) + "Z"

@@ -35,6 +35,16 @@ def lon_off(meters: float) -> float:
     return BASE_LON + meters / (_M_PER_DEG * math.cos(math.radians(BASE_LAT)))
 
 
+def destination(lat: float, lon: float, bearing: float, meters: float) -> tuple[float, float]:
+    """The point ``meters`` along a great circle from (lat, lon), with longitude wrapped into [-180, 180)."""
+    phi, lam, delta = math.radians(lat), math.radians(lon), meters / 6_371_000.0
+    phi2 = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing))
+    lam2 = lam + math.atan2(
+        math.sin(bearing) * math.sin(delta) * math.cos(phi), math.cos(delta) - math.sin(phi) * math.sin(phi2)
+    )
+    return math.degrees(phi2), (math.degrees(lam2) + 180.0) % 360.0 - 180.0
+
+
 def random_stream(rng: random.Random, max_samples: int = 200, recipient: str = "r1") -> list[ContextSample]:
     n = rng.randint(1, max_samples)
     samples = []

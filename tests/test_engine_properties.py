@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wandrelay.engine import (
-    EARTH_RADIUS_M,
     evaluate_sample,
     expire_messages,
     grid_cell,
@@ -15,8 +14,9 @@ from wandrelay.engine import (
     haversine_distance,
 )
 from wandrelay.model import MAX_GEOFENCE_RADIUS_M, Specificity
+from wandrelay.sim import MARKER_VISIBILITY_M
 
-from genrandom import random_messages, random_stream
+from genrandom import destination, random_messages, random_stream
 from oracles import brute_force_deliveries, oracle_condition_flags, oracle_haversine
 
 
@@ -170,20 +170,27 @@ def test_conservation_after_expiry_accounting():
         assert sorted(ids) == sorted(m.message_id for m in messages)
 
 
+# Latitudes and longitudes with the poles and the antimeridian kept.
+LATITUDES = st.floats(-90.0, 90.0) | st.sampled_from([90.0, -90.0, 89.99999, -89.99999])
+LONGITUDES = st.floats(-180.0, 180.0) | st.sampled_from([180.0, -180.0, 179.99999, -179.99999])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.floats(-90.0, 90.0) | st.sampled_from([90.0, -90.0, 89.99999, -89.99999]),
-    st.floats(-180.0, 180.0) | st.sampled_from([180.0, -180.0, 179.99999, -179.99999]),
+    LATITUDES,
+    LONGITUDES,
     st.floats(0.0, 2 * math.pi),
-    st.floats(0.0, MAX_GEOFENCE_RADIUS_M),
+    st.sampled_from([MAX_GEOFENCE_RADIUS_M, MARKER_VISIBILITY_M]),
+    st.floats(0.0, 1.0),
 )
-def test_grid_neighbours_hold_every_point_within_a_fence_radius(lat, lon, bearing, meters):
-    """Poles and the antimeridian included: the grid has no edge there."""
-    phi, lam, delta = math.radians(lat), math.radians(lon), meters / EARTH_RADIUS_M
-    phi2 = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing))
-    lam2 = lam + math.atan2(
-        math.sin(bearing) * math.sin(delta) * math.cos(phi), math.cos(delta) - math.sin(phi) * math.sin(phi2)
-    )
-    lat2, lon2 = math.degrees(phi2), (math.degrees(lam2) + 180.0) % 360.0 - 180.0
-    if haversine_distance(lat, lon, lat2, lon2) <= MAX_GEOFENCE_RADIUS_M:
-        assert grid_cell(lat2, lon2) in grid_neighbours(lat, lon)
+def test_grid_neighbours_hold_every_point_within_a_fence_radius(lat, lon, bearing, reach, fraction):
+    """Within a geofence radius or the marker range, each point's cell is among the other's 8 neighbours.
+
+    Poles and the antimeridian included: the grid has no edge there.
+    """
+    lat2, lon2 = destination(lat, lon, bearing, fraction * reach)
+    neighbours = grid_neighbours(lat, lon)
+    assert len(set(neighbours)) == 8
+    if haversine_distance(lat, lon, lat2, lon2) <= reach:
+        assert grid_cell(lat2, lon2) in neighbours
+        assert grid_cell(lat, lon) in grid_neighbours(lat2, lon2)

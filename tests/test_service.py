@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wandrelay import protocol
-from wandrelay.engine import ContextSample
+from wandrelay.engine import ContextSample, sample_to_dict
 from wandrelay.ids import IdFactory
 from wandrelay.model import (
     Geofence,
@@ -20,7 +20,7 @@ from wandrelay.model import (
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
-from client import consent, error_code, ids_of, push, submit, utter, view_of
+from client import consent, error_code, ids_of, push, request, submit, utter, view_of
 from conftest import at
 from genrandom import lat_off, lon_off
 
@@ -394,3 +394,22 @@ class TestFrameDispatch:
         (dup,) = service.handle_frame(good)
         assert dup["kind"] == protocol.ERROR
         assert dup["payload"]["code"] == "DuplicateMessageId"
+
+    @pytest.mark.parametrize("t", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_timestamps_past_the_datetime_range_are_parse_errors(self, service, t):
+        """Each parses, but shifting it to UTC overflows; every request still gets one ERROR."""
+        delivered = make_message(seed=1)
+        submit(service, delivered)
+        push(service, sample("09:00:00"))
+        before = service.message_states(), view_of(service, "s1"), len(capture(service, delivered.message_id).frames)
+        fresh = {**message_to_dict(make_message(seed=2)), "created_at": t}
+        requests = [
+            (protocol.CONTEXT, {"sample": {**sample_to_dict(sample("09:00:05")), "t": t}}, "r1"),
+            (protocol.SUBMIT, {"message": fresh}, "s1"),
+            (protocol.CONSENT, {"message_id": delivered.message_id, "answer": "yes", "t": t}, "r1"),
+        ]
+        for kind, payload, sender in requests:
+            assert error_code(request(service, kind, payload, sender)) == "ParseError"
+        after = service.message_states(), view_of(service, "s1"), len(capture(service, delivered.message_id).frames)
+        assert after == before
+        assert error_code(push(service, sample("09:00:01"))) is None  # the order guard did not move

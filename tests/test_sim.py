@@ -2,17 +2,23 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wandrelay import protocol, sim
+from wandrelay.engine import haversine_distance
 from wandrelay.errors import ParseError
 from wandrelay.model import MessageState
 
 from conftest import at
-from genrandom import lat_off, lon_off, random_scenario_dict
+from genrandom import destination, lat_off, lon_off, random_scenario_dict
 from oracles import oracle_interpolate, recount_pairs
+from test_engine_properties import LATITUDES, LONGITUDES
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -186,6 +192,34 @@ class TestSampleStream:
         visible_ts = [s.t for s in samples if "mk-desk" in s.visible_markers]
         # 1 m/s crossing at 09:00:20: within 5 m between 09:00:15 and 09:00:25
         assert visible_ts and visible_ts[0] == at("09:00:15") and visible_ts[-1] == at("09:00:25")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        LATITUDES,
+        LONGITUDES,
+        st.lists(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 25.0)), min_size=1, max_size=12),
+        st.lists(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 25.0)), min_size=1, max_size=4),
+    )
+    def test_visible_markers_match_a_scan_of_every_marker(self, lat, lon, layout, walk):
+        """Markers and waypoints scattered within 25 m of one point, poles and antimeridian included."""
+        markers = tuple(
+            sim.MarkerSpec(f"mk-{i}", *destination(lat, lon, bearing, meters))
+            for i, (bearing, meters) in enumerate(layout)
+        )
+        trajectory = tuple(
+            sim.Waypoint(at("09:00:00") + timedelta(seconds=10 * i), *destination(lat, lon, bearing, meters))
+            for i, (bearing, meters) in enumerate(walk)
+        )
+        recipient = sim.RecipientSpec("r1", (), trajectory)
+        scenario = sim.Scenario(
+            "walk", 1, 1.0, trajectory[-1].t + timedelta(seconds=5), markers, (recipient,), (), sim.ConsentPolicy()
+        )
+        for s in sim.sample_stream(scenario, recipient):
+            assert s.visible_markers == {
+                m.marker_id
+                for m in markers
+                if haversine_distance(m.lat, m.lon, s.lat, s.lon) <= sim.MARKER_VISIBILITY_M
+            }
 
     def test_positions_stay_inside_waypoint_bounding_box(self):
         rng = random.Random(4)

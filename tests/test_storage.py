@@ -11,7 +11,7 @@ import pytest
 from wandrelay import protocol
 from wandrelay.errors import ParseError
 from wandrelay.ids import IdFactory
-from wandrelay.model import MessageState, VoiceNote, compose
+from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
@@ -130,6 +130,17 @@ def test_bad_line_elsewhere_is_an_error(tmp_path, name, lines):
     (tmp_path / name).write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ParseError, match=Path(name).name):
         store.recover()
+
+
+def test_a_year_below_1000_survives_a_restart(tmp_path):
+    """The log writes the year as four digits, so what was acknowledged can be read back."""
+    service = durable(tmp_path)
+    message = make_message()
+    doc = {**message_to_dict(message), "created_at": "0999-06-05T09:00:00Z"}
+    (ack,) = request(service, protocol.SUBMIT, {"message": doc}, "s1")
+    assert ack["kind"] == protocol.ACK
+    service.close()
+    assert DeliveryService(FileStore(tmp_path)).message_states() == {message.message_id: MessageState.PENDING}
 
 
 def to(recipient, seed):

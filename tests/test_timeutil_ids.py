@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from datetime import datetime, timedelta
+import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,31 @@ from hypothesis import strategies as st
 from wandrelay.errors import ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.timeutil import UTC, format_rfc3339, parse_rfc3339
+
+
+def strftime_format(dt: datetime) -> str:
+    """The formatter the codec had before ``isoformat``, kept as an oracle (it leaves years below 1000 unpadded)."""
+    dt = dt.astimezone(UTC)
+    base = dt.strftime("%Y-%m-%dT%H:%M:%S")
+    if dt.microsecond:
+        base += f".{dt.microsecond:06d}".rstrip("0")
+    return base + "Z"
+
+
+CANONICAL = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d*[1-9])?Z$")
+# Any offset datetime allows: strictly inside a day, down to the microsecond.
+OFFSETS = st.timedeltas(
+    min_value=timedelta(hours=-24) + timedelta(microseconds=1),
+    max_value=timedelta(hours=24) - timedelta(microseconds=1),
+).map(timezone)
+
+
+def in_utc_range(dt: datetime) -> bool:
+    try:
+        dt.astimezone(UTC)
+    except OverflowError:
+        return False
+    return True
 
 
 class TestRfc3339:
@@ -24,10 +50,29 @@ class TestRfc3339:
     def test_parse_accepts_offsets(self):
         assert parse_rfc3339("2021-06-05T11:00:00+02:00") == datetime(2021, 6, 5, 9, 0, 0, tzinfo=UTC)
 
-    @pytest.mark.parametrize("bad", ["yesterday", "2021-06-05T09:00:00", "", 42])
+    def test_year_below_1000_is_padded(self):
+        dt = datetime(999, 6, 5, 9, 0, 0, tzinfo=UTC)
+        assert format_rfc3339(dt) == "0999-06-05T09:00:00Z"
+        assert parse_rfc3339(format_rfc3339(dt)) == dt
+
+    @pytest.mark.parametrize(
+        "bad",
+        # the last two are past the datetime range once shifted to UTC
+        ["yesterday", "2021-06-05T09:00:00", "", 42, "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_rfc3339(bad)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999),
+                        timezones=OFFSETS).filter(in_utc_range))
+    def test_codec_round_trips_any_aware_datetime(self, dt):
+        text = format_rfc3339(dt)
+        assert parse_rfc3339(text) == dt
+        assert CANONICAL.match(text), text
+        if dt.astimezone(UTC).year >= 1000:
+            assert text == strftime_format(dt)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=999_999))
