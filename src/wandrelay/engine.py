@@ -174,8 +174,9 @@ def evaluate_sample(
             )
         else:
             still_pending.append(message)
-    order = {m.message_id: (m.created_at, m.message_id) for m in pending}
-    deliveries.sort(key=lambda d: order[d.message_id])
+    if len(deliveries) > 1:
+        order = {m.message_id: (m.created_at, m.message_id) for m in pending}
+        deliveries.sort(key=lambda d: order[d.message_id])
     return deliveries, still_pending
 
 
@@ -225,6 +226,11 @@ class TriggerIndex:
     ``candidates`` and ``lapsed`` must see non-decreasing times. Entries of
     removed messages are dropped when popped, or all at once when a heap
     grows past ``HEAP_BOUND`` entries per pending message.
+
+    ``candidates`` probes a sample's markers and its 8 ``grid_neighbours``
+    only while the bucket map holds something. It keeps the last probed
+    position with its cells and computes them again only when a sample
+    moves: a recipient standing still pays for its cells once.
     """
 
     def __init__(self) -> None:
@@ -237,6 +243,8 @@ class TriggerIndex:
         self._ends: list[tuple[datetime, int, str]] = []
         self._open: set[str] = set()
         self._expiry: list[tuple[datetime, int, str]] = []
+        self._position: tuple[float, float] | None = None  # the last probed sample's, and its cells
+        self._cells: list[tuple[int, int, int]] = []
 
     @staticmethod
     def _indexed(schedule: TriggerSchedule) -> list[Any]:
@@ -314,11 +322,15 @@ class TriggerIndex:
             self._open.discard(heappop(self._ends)[2])
         ids = self._direct | self._open
         buckets = self._buckets
-        for key in (*sample.visible_markers, *grid_neighbours(sample.lat, sample.lon)):
-            bucket = buckets.get(key)
-            if bucket:
-                ids |= bucket
-        return self._in_order(ids)
+        if buckets:
+            position = sample.lat, sample.lon
+            if position != self._position:
+                self._position, self._cells = position, grid_neighbours(*position)
+            for key in (*sample.visible_markers, *self._cells):
+                bucket = buckets.get(key)
+                if bucket:
+                    ids |= bucket
+        return self._in_order(ids) if ids else []
 
 
 # -- canonical encoding -----------------------------------------------------------

@@ -106,17 +106,25 @@ def loggable_frame(frame: dict[str, Any]) -> dict[str, Any]:
 
 
 class FrameRecorder:
-    """Appends frames to an in-memory list and, optionally, a log file."""
+    """Writes frames to a log file, if given, and keeps those of a run in ``frames``.
+
+    A recorder that starts a log (or writes none) keeps every frame it
+    records in ``frames``: the whole log, which a run returns. One that
+    appends to an existing log, as a long-running server does, keeps none
+    (``frames`` is None): its own frames would not be the whole log, and a
+    list would grow for as long as the process lives.
+    """
 
     def __init__(self, path: str | Path | None = None, *, append: bool = False):
-        self.frames: list[dict[str, Any]] = []
+        self.frames: list[dict[str, Any]] | None = None if append else []
         self._fh: TextIO | None = None
         if path is not None:
             self._fh = open(path, "a" if append else "w", encoding="utf-8")
 
     def record(self, frame: dict[str, Any]) -> None:
         safe = loggable_frame(frame)
-        self.frames.append(safe)
+        if self.frames is not None:
+            self.frames.append(safe)
         if self._fh is not None:
             self._fh.write(dumps_canonical(safe) + "\n")
 

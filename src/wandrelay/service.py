@@ -373,18 +373,18 @@ class DeliveryService:
     ) -> tuple[ArMessage, CaptureSession | None]:
         """The Delivered message a capture request names, and its live session.
 
-        The session is None when a restart lost it. A message of another
-        recipient raises PrincipalMismatch; one already answered raises
-        ``closed``; one not Delivered, or waiting in line behind another
-        capture, raises UnknownMessage.
+        The session is None when a restart lost it. An id nobody holds, a
+        message of another recipient in any state, one not Delivered and one
+        waiting in line behind another capture all raise the same
+        UnknownMessage, so no answer tells whether another's message exists.
+        One already answered raises ``closed``.
         """
         message = self._messages.get(message_id)
-        if message is not None:
-            _check_origin(origin, message.recipient_id)
-        state = message.state if message is not None else None
-        if state in (MessageState.REACTED, MessageState.REACTION_DECLINED):
-            raise closed(f"session for {message_id} is {state.value}")
-        if state is not MessageState.DELIVERED or self._captures.queued(message.recipient_id, message_id):
+        if message is None or message.recipient_id != origin:
+            raise UnknownMessage(f"no capture session for {message_id}")
+        if message.state in (MessageState.REACTED, MessageState.REACTION_DECLINED):
+            raise closed(f"session for {message_id} is {message.state.value}")
+        if message.state is not MessageState.DELIVERED or self._captures.queued(message.recipient_id, message_id):
             raise UnknownMessage(f"no capture session for {message_id}")
         return message, self._captures.get(message_id)
 

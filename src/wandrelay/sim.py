@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import count
@@ -301,40 +300,50 @@ def load_scenario(path: str | Path) -> Scenario:
 # -- context stream -------------------------------------------------------------------
 
 
-def interpolate_position(trajectory: tuple[Waypoint, ...], t: datetime) -> tuple[float, float]:
-    """Piecewise-linear position along the waypoints, clamped at the ends."""
-    if t <= trajectory[0].t:
-        return trajectory[0].lat, trajectory[0].lon
-    if t >= trajectory[-1].t:
-        return trajectory[-1].lat, trajectory[-1].lon
-    times = [wp.t for wp in trajectory]
-    i = bisect_right(times, t) - 1
-    a, b = trajectory[i], trajectory[i + 1]
-    frac = (t - a.t).total_seconds() / (b.t - a.t).total_seconds()
-    return a.lat + (b.lat - a.lat) * frac, a.lon + (b.lon - a.lon) * frac
-
-
 def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[ContextSample]:
-    """One sample per tick from the trajectory start to the scenario end."""
-    start = recipient.trajectory[0].t
+    """One sample per tick from the trajectory start to the scenario end.
+
+    The position is piecewise linear between waypoints and clamped at both
+    ends; the glasses are worn inside any wear session, both bounds
+    included. Sample times only increase, so a cursor into the waypoints and
+    one into the wear sessions (sorted and disjoint, as
+    ``scenario_from_dict`` checks) only move forward. A sample at the
+    previous sample's position sees the same markers, so it reuses that set.
+    """
+    trajectory, sessions = recipient.trajectory, recipient.wear_sessions
+    start, last = trajectory[0].t, len(trajectory) - 1
     # Each marker under its 8 neighbouring cells: a sample within range of
     # it lies in one of them, so one probe of the sample's own cell finds it.
     markers: dict[tuple[int, int, int], list[MarkerSpec]] = {}
     for m in scenario.markers:
         for cell in grid_neighbours(m.lat, m.lon):
             markers.setdefault(cell, []).append(m)
+    i = w = 0  # the waypoint at or before t, and the first session not over before t
+    position, visible = None, frozenset()
     k = 0
     while True:
         t = start + timedelta(seconds=k * scenario.tick)
         if t > scenario.end:
             return
-        lat, lon = interpolate_position(recipient.trajectory, t)
-        wearing = any(w.start <= t <= w.end for w in recipient.wear_sessions)
-        visible = frozenset(
-            m.marker_id
-            for m in markers.get(grid_cell(lat, lon), ())
-            if haversine_distance(m.lat, m.lon, lat, lon) <= MARKER_VISIBILITY_M
-        )
+        while i < last and trajectory[i + 1].t <= t:
+            i += 1
+        a = trajectory[i]
+        if t <= start or i == last:
+            lat, lon = a.lat, a.lon
+        else:
+            b = trajectory[i + 1]
+            frac = (t - a.t).total_seconds() / (b.t - a.t).total_seconds()
+            lat, lon = a.lat + (b.lat - a.lat) * frac, a.lon + (b.lon - a.lon) * frac
+        while w < len(sessions) and sessions[w].end < t:
+            w += 1
+        wearing = w < len(sessions) and sessions[w].start <= t
+        if (lat, lon) != position:
+            position = lat, lon
+            visible = frozenset(
+                m.marker_id
+                for m in markers.get(grid_cell(lat, lon), ())
+                if haversine_distance(m.lat, m.lon, lat, lon) <= MARKER_VISIBILITY_M
+            )
         yield ContextSample(
             recipient_id=recipient.principal,
             t=t,

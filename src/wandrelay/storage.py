@@ -4,8 +4,8 @@ Each recipient queue is an event journal kept in two files under
 ``queues/``, both canonical JSON: an append-only log and a snapshot. Both
 are named by the percent-encoded recipient id, so no id names a path
 outside ``queues/``. Every event is appended as one line, flushed and
-fsynced, so a process killed right after acknowledging a submit loses
-nothing. ``snapshot()`` (called on graceful shutdown) writes each logged
+fsynced, with the directory fsynced too when the line starts a log, so a
+process killed right after acknowledging a submit loses nothing. ``snapshot()`` (called on graceful shutdown) writes each logged
 queue's whole journal to its snapshot file as ``{"v": 1, "events": [...]}``
 and removes the log only once the snapshot is durable; recovery is the
 snapshot's events, then the log's.
@@ -39,6 +39,15 @@ def check_principal(principal: str) -> None:
     """Refuse an id that cannot name its queue files: empty, or too long once percent-encoded."""
     if not 0 < len(quote(principal, safe="")) <= _MAX_STEM:
         raise ParseError(f"principal id must be 1 to {_MAX_STEM} bytes once percent-encoded")
+
+
+def _fsync_dir(path: Path) -> None:
+    """Make the entries of a directory durable: new, renamed or removed files."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class MemoryStore:
@@ -88,10 +97,19 @@ class FileStore:
 
     @staticmethod
     def _append_line(path: Path, obj: dict[str, Any]) -> None:
+        """Append one line and fsync it, and its directory too when the line starts the file.
+
+        A new file's directory entry is durable only once the directory is
+        fsynced. Logs start anew after every restart, since ``snapshot()``
+        removes them, as well as at a new recipient's first event.
+        """
         with open(path, "a", encoding="utf-8") as fh:
+            created = fh.tell() == 0
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        if created:
+            _fsync_dir(path.parent)
 
     def record_principal(self, principal: str) -> None:
         self._append_line(self._principals_path(), {"principal": principal})
@@ -120,11 +138,7 @@ class FileStore:
             os.replace(tmp, snap)
             logs.append(log)
         if logs:
-            fd = os.open(self.root / "queues", os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            _fsync_dir(self.root / "queues")
         for log in logs:
             log.unlink()
 

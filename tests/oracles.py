@@ -2,12 +2,14 @@
 
 Deliberately written from scratch: a different haversine formulation, a
 per-(message, sample) brute-force delivery scan, sort-based median with
-two-pass mean/sd, raw-dict log recounting, and a standalone waypoint
-interpolator. Nothing here imports the code paths it verifies.
+two-pass mean/sd, raw-dict log recounting, a standalone waypoint
+interpolator, and the simulator's former bisecting position lookup. Nothing
+here imports the code paths it verifies.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import asin, cos, radians, sin, sqrt
 
 from wandrelay.model import ArMessage, Specificity
@@ -94,6 +96,29 @@ def oracle_interpolate(waypoints: list[tuple[float, float, float]], t: float) ->
             f = (t - t0) / (t1 - t0)
             return lat0 + f * (lat1 - lat0), lon0 + f * (lon1 - lon0)
     raise AssertionError("unreachable")
+
+
+def bisect_position(trajectory, t):
+    """The position along waypoints (with ``t``, ``lat``, ``lon``), clamped at both ends.
+
+    The simulator's lookup before its forward cursor: bisect a fresh list of
+    the waypoint times on every call. The same arithmetic, so positions agree
+    bit for bit.
+    """
+    if t <= trajectory[0].t:
+        return trajectory[0].lat, trajectory[0].lon
+    if t >= trajectory[-1].t:
+        return trajectory[-1].lat, trajectory[-1].lon
+    times = [wp.t for wp in trajectory]
+    i = bisect_right(times, t) - 1
+    a, b = trajectory[i], trajectory[i + 1]
+    frac = (t - a.t).total_seconds() / (b.t - a.t).total_seconds()
+    return a.lat + (b.lat - a.lat) * frac, a.lon + (b.lon - a.lon) * frac
+
+
+def worn(sessions, t) -> bool:
+    """Inside any wear session (with ``start``, ``end``), both bounds included."""
+    return any(w.start <= t <= w.end for w in sessions)
 
 
 def recount_pairs(frames_groups: list[list[dict]]) -> dict[str, dict[str, tuple[int, int]]]:

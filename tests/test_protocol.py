@@ -79,6 +79,18 @@ class TestFrames:
         assert len(loaded) == 2
         assert "secret" not in path.read_text()
 
+    def test_an_appending_recorder_keeps_no_frames(self, tmp_path):
+        """As ``serve`` records: every frame goes to the log after the earlier ones, none stays in memory."""
+        path = tmp_path / "frames.ndjson"
+        hello = protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"})
+        for _ in range(2):
+            recorder = protocol.FrameRecorder(path, append=True)
+            for _ in range(3):
+                recorder.record(hello)
+            assert not recorder.frames
+            recorder.close()
+        assert list(protocol.read_frames(path)) == [hello] * 6
+
 
 @pytest.fixture()
 def running_server(tmp_path):
@@ -249,9 +261,9 @@ class TestWireServer:
             assert r2.read_frame()["kind"] == protocol.PLAYBACK
             start = r2.read_frame()
             assert start["kind"] == protocol.REACTION_START
-            # r1 answers r2's consent gate: refused, the capture stays r2's.
+            # r1 answers r2's consent gate: refused as for an unused id, the capture stays r2's.
             refused = r1.request(consent_frame(message.message_id, "yes", start["payload"]["deadline"], "r1"))
-            assert refused["payload"]["code"] == "PrincipalMismatch"
+            assert refused["payload"]["code"] == "UnknownMessage"
             assert service.message_states()[message.message_id].value == "Delivered"
             with WireClient(host, port) as sender:
                 sender.hello("sender", "s1")

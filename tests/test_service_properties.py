@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 import tempfile
 from datetime import timedelta
@@ -167,11 +168,33 @@ def test_requests_carrying_another_principals_ids_are_refused(data):
         service, received = two_principal_service(data_dir)
         before = (service.message_states(), {p: view_of(service, p) for p in PRINCIPALS}, stored_bytes(data_dir))
         for kind, payload, sender in data.draw(st.lists(foreign_request(received), min_size=1, max_size=8)):
-            assert error_code(request(service, kind, payload, sender)) == "PrincipalMismatch"
+            # A capture request for another's message is answered as for an unused id.
+            want = "UnknownMessage" if kind in (protocol.REACTION_FRAME, protocol.CONSENT) else "PrincipalMismatch"
+            assert error_code(request(service, kind, payload, sender)) == want
         after = (service.message_states(), {p: view_of(service, p) for p in PRINCIPALS}, stored_bytes(data_dir))
         assert after == before
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
+
+
+def test_another_recipients_message_is_answered_as_an_unused_id(tmp_path):
+    """Whatever the state of q's message, p learns from the ERROR only that p holds no such capture."""
+    service, received = two_principal_service(tmp_path)
+    states = service.message_states()
+    assert {states[m].value for m in received["q"]} == {"Pending", "Delivered", "Reacted"}
+    before = (states, {p: view_of(service, p) for p in PRINCIPALS}, stored_bytes(tmp_path))
+    unused = IdFactory(999)(at("08:55:00"))
+    payloads = {
+        protocol.REACTION_FRAME: lambda mid: {"message_id": mid, "t": "2021-06-05T09:00:30Z", "transcript": "hi"},
+        protocol.CONSENT: lambda mid: {"message_id": mid, "answer": "yes", "t": "2021-06-05T09:00:30Z"},
+    }
+    for kind, payload in payloads.items():
+        (want,) = request(service, kind, payload(unused), "p")
+        assert want["kind"] == protocol.ERROR and want["payload"]["code"] == "UnknownMessage"
+        for message_id in received["q"]:
+            (got,) = request(service, kind, payload(message_id), "p")
+            assert json.dumps(got).replace(message_id, unused) == json.dumps(want)
+    assert (service.message_states(), {p: view_of(service, p) for p in PRINCIPALS}, stored_bytes(tmp_path)) == before
 
 
 class LiveEqualsReplay(RuleBasedStateMachine):

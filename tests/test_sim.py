@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from wandrelay import protocol, sim
 from wandrelay.engine import haversine_distance
 from wandrelay.errors import ParseError
-from wandrelay.model import MessageState
+from wandrelay.model import MessageState, TimeWindow
 
 from conftest import at
 from genrandom import destination, lat_off, lon_off, random_scenario_dict
-from oracles import oracle_interpolate, recount_pairs
+from oracles import bisect_position, oracle_interpolate, recount_pairs, worn
 from test_engine_properties import LATITUDES, LONGITUDES
 
 
@@ -220,6 +220,76 @@ class TestSampleStream:
                 for m in markers
                 if haversine_distance(m.lat, m.lon, s.lat, s.lon) <= sim.MARKER_VISIBILITY_M
             }
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stream_equals_a_bisect_and_scan_oracle(self, data):
+        """Walks with stops, ticks that do not divide the legs, a clamped end, and sessions on sample times.
+
+        Every field matches the former per-sample lookups bit for bit, and a
+        sample at the previous sample's position measures no marker distance.
+        """
+        lat, lon = data.draw(LATITUDES | st.just(-0.0)), data.draw(LONGITUDES | st.just(-0.0))
+        tick = data.draw(st.sampled_from([0.25, 0.7, 1.0, 1.5, 2.5]))
+        start = at("09:00:00")
+
+        def place():
+            """The centre itself (a signed zero, say), a point within 25 m of it, or anywhere."""
+            kind = data.draw(st.sampled_from(["centre", "near", "near", "far"]))
+            if kind == "centre":
+                return lat, lon
+            if kind == "far":
+                return data.draw(LATITUDES), data.draw(LONGITUDES)
+            return destination(lat, lon, data.draw(st.floats(0.0, 2 * math.pi)), data.draw(st.floats(0.0, 25.0)))
+
+        waypoints = [sim.Waypoint(start, *place())]
+        for _ in range(data.draw(st.integers(0, 6))):
+            # Legs in quarter seconds: some waypoints fall on sample times, others between them.
+            t = waypoints[-1].t + timedelta(milliseconds=250 * data.draw(st.integers(1, 32)))
+            still = data.draw(st.booleans())
+            waypoints.append(sim.Waypoint(t, waypoints[-1].lat, waypoints[-1].lon) if still else sim.Waypoint(t, *place()))
+        end = waypoints[-1].t + timedelta(seconds=data.draw(st.integers(-3, 6)))  # past the last: clamped
+        # Session bounds on a half-tick grid: the even ones fall exactly on sample times.
+        bounds = sorted(data.draw(st.sets(st.integers(-2, 40), max_size=6)))
+        at_half_tick = [start + timedelta(seconds=k * tick / 2) for k in bounds[: len(bounds) // 2 * 2]]
+        sessions = tuple(TimeWindow(a, b) for a, b in zip(at_half_tick[::2], at_half_tick[1::2]))
+        markers = tuple(
+            sim.MarkerSpec(f"mk-{i}", *destination(lat, lon, bearing, meters))
+            for i, (bearing, meters) in enumerate(
+                data.draw(st.lists(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 25.0)), max_size=8))
+            )
+        )
+        recipient = sim.RecipientSpec("r1", sessions, tuple(waypoints))
+        scenario = sim.Scenario("walk", 1, tick, end, markers, (recipient,), (), sim.ConsentPolicy())
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return haversine_distance(*args)
+
+        sim.haversine_distance = counted
+        try:
+            samples, measured = [], []
+            for s in sim.sample_stream(scenario, recipient):
+                samples.append(s)
+                measured.append(len(calls))
+                calls.clear()
+        finally:
+            sim.haversine_distance = haversine_distance
+        times = [start + timedelta(seconds=k * tick) for k in range(len(samples) + 1)]
+        assert times[-1] > end and (not samples or times[-2] <= end)
+        for s, t, n, prev in zip(samples, times, measured, [None, *samples]):
+            want_lat, want_lon = bisect_position(waypoints, t)
+            assert (s.recipient_id, s.t, s.lat.hex(), s.lon.hex()) == ("r1", t, want_lat.hex(), want_lon.hex())
+            assert s.wearing is worn(sessions, t)
+            assert s.visible_markers == {
+                m.marker_id
+                for m in markers
+                if haversine_distance(m.lat, m.lon, s.lat, s.lon) <= sim.MARKER_VISIBILITY_M
+            }
+            if prev is not None and (prev.lat, prev.lon) == (s.lat, s.lon):
+                assert n == 0
 
     def test_positions_stay_inside_waypoint_bounding_box(self):
         rng = random.Random(4)

@@ -185,6 +185,33 @@ def test_snapshot_is_durable_before_any_log_goes(tmp_path, monkeypatch):
     ]
 
 
+def test_a_new_log_is_durable_in_its_directory(tmp_path, monkeypatch):
+    """The append that creates a file fsyncs it, then its directory, before the ACK; later ones only the file."""
+    calls = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        st_ = os.fstat(fd)
+        calls.append(("dir", st_.st_ino) if stat.S_ISDIR(st_.st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    root, queues = tmp_path.stat().st_ino, (tmp_path / "queues")
+    service = durable(tmp_path)  # registers s1, which starts principals.log, then r1
+    assert calls == ["file", ("dir", root), "file"]
+    for seed, want in [(1, ["file", ("dir", queues.stat().st_ino)]), (2, ["file"])]:
+        calls.clear()
+        (ack,) = submit(service, to("r1", seed))
+        assert ack["kind"] == protocol.ACK
+        assert calls == want
+    service.close()  # the snapshot removes r1's log, so the next event starts a new one
+    service = durable(tmp_path)
+    calls.clear()
+    (ack,) = submit(service, to("r1", 3))
+    assert ack["kind"] == protocol.ACK
+    assert calls == ["file", ("dir", queues.stat().st_ino)]
+
+
 def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
     first = durable(tmp_path)
     delivered, parked = make_message(seed=1), make_message(seed=2)

@@ -5,8 +5,10 @@ sends monotone samples, worn and not, near ordinary places, the poles and
 the antimeridian, some exactly on a fence's radius, with windows that open
 and lapse while the run goes on. After every sample the service must
 deliver and expire exactly what ``expire_messages`` and ``evaluate_sample``
-give over every pending message. Crash restarts and refused out-of-order
-samples are mixed in.
+give over every pending message. Some samples repeat the previous one's
+position, with messages submitted and delivered in between, and a scenario
+end now and then empties the index before submissions refill it. Crash
+restarts and refused out-of-order samples are mixed in.
 """
 
 from __future__ import annotations
@@ -150,16 +152,19 @@ def test_index_delivers_and_expires_what_a_full_scan_does(data):
         last_t = None  # the last sample sent
         durable_t = None  # the last sample that stored an event: what a restart keeps of the guard
         guard_t = None  # the service's out-of-order guard
-        kinds = st.sampled_from(["submit", "submit", "sample", "sample", "sample", "crash", "stale"])
+        position = None  # the last sample's, which a "still" sample repeats
+        kinds = st.sampled_from(["submit", "submit", "sample", "sample", "still", "crash", "stale", "drain"])
         steps = data.draw(st.lists(kinds, min_size=20, max_size=60))
         for step in steps:
             if step == "submit":
                 message = draw_message(data, ids, clock, spots)
                 assert error_code(submit(service, message)) is None
                 pending.append(message)
-            elif step == "sample":
+            elif step in ("sample", "still"):
                 clock += timedelta(seconds=data.draw(st.integers(1, 5)))
-                lat, lon = draw_position(data, spots)
+                if step == "sample" or position is None:
+                    position = draw_position(data, spots)
+                lat, lon = position
                 markers = data.draw(st.frozensets(st.sampled_from(MARKERS)))
                 sample = ContextSample("r1", clock, lat, lon, data.draw(st.booleans()), markers)
                 expired, pending = expire_messages(clock, pending)
@@ -177,6 +182,15 @@ def test_index_delivers_and_expires_what_a_full_scan_does(data):
             elif step == "crash":
                 service = open_service(data_dir, events)  # the old one is dropped without close()
                 guard_t = durable_t
+            elif step == "drain":  # a scenario end mid-run empties the index; submits refill it
+                clock += timedelta(seconds=1)
+                before = len(events)
+                service.end_of_run(clock)
+                assert [i for ev, i in events[before:] if ev == "expired"] == [m.message_id for m in pending]
+                assert not service._pending["r1"]._buckets
+                if pending:
+                    last_t = guard_t = durable_t = clock
+                pending = []
             elif guard_t is not None:  # stale: refused, and nothing moves
                 t = guard_t - timedelta(seconds=data.draw(st.integers(0, 5)))
                 lat, lon = draw_position(data, spots)
@@ -191,6 +205,34 @@ def test_index_delivers_and_expires_what_a_full_scan_does(data):
         assert [i for ev, i in events[before:] if ev == "expired"] == [m.message_id for m in pending]
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
+
+
+def fenced(seed, lat, lon):
+    schedule = TriggerSchedule(geofence=Geofence(lat=lat, lon=lon, radius=10.0))
+    return compose("s1", "r1", "dog", 1.0, VoiceNote(1.0, "hi"), schedule, now=at("08:00:00"), id_factory=IdFactory(seed))
+
+
+def test_cells_follow_the_position_while_the_buckets_empty_and_refill():
+    here, there = near(40.0, -100.0, 0.0, 0.0), near(40.0, -100.0, 500.0, 0.0)
+    index = TriggerIndex()
+    first = fenced(1, *here)
+    index.add(first)
+
+    def sample(k, position):
+        return ContextSample("r1", at("09:00:00") + timedelta(seconds=k), *position, True)
+
+    assert index.candidates(sample(0, here)) == [first]
+    assert index.candidates(sample(1, here)) == [first]  # the same position again
+    index.remove(first.message_id)
+    assert index.candidates(sample(2, here)) == []
+    assert index.candidates(sample(3, there)) == []  # moved while nothing was filed
+    second = fenced(2, *there)
+    index.add(second)
+    assert index.candidates(sample(4, there)) == [second]
+    assert index.candidates(sample(5, here)) == []
+    third = fenced(3, *here)
+    index.add(third)
+    assert index.candidates(sample(6, here)) == [third]
 
 
 def windowed(seed, start, end, marker=None):
