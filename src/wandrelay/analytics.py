@@ -20,14 +20,6 @@ from .errors import EmptyInput, IncompleteLog
 from .model import ArMessage, MessageState, Specificity, message_from_dict
 
 CATEGORIES = ("location", "time", "marker", "specific", "flexible", "direct")
-CATEGORY_TITLES = {
-    "location": "Location",
-    "time": "Time",
-    "marker": "Marker",
-    "specific": "Specific",
-    "flexible": "Flexible",
-    "direct": "Direct",
-}
 
 _DELIVERED_STATES = {
     MessageState.DELIVERED.value,
@@ -180,7 +172,7 @@ def _fmt_count(x: float | None) -> str:
     return text if text else "0"
 
 
-def _fmt_rate_median(x: float | None) -> str:
+def _fmt_rate(x: float | None) -> str:
     return "N/A" if x is None else f"{round_half_up(x)}%"
 
 
@@ -190,10 +182,6 @@ def _fmt_rate_mean(x: float | None) -> str:
 
 def _fmt_rate_sd(x: float | None) -> str:
     return "N/A" if x is None else f"{x:.1f}"
-
-
-def _rate_cell(rate: int | None) -> str:
-    return "N/A" if rate is None else f"{rate}%"
 
 
 def _table(rows: list[list[str]]) -> str:
@@ -211,7 +199,7 @@ def _summary_rows(report: Report) -> list[tuple[str, list[str]]]:
     """The Median, Mean and SD rows' cells, shared by both renderings."""
     rows = []
     for name, attr, fmt_rate in (
-        ("Median", "median", _fmt_rate_median),
+        ("Median", "median", _fmt_rate),
         ("Mean", "mean", _fmt_rate_mean),
         ("SD", "sd", _fmt_rate_sd),
     ):
@@ -233,14 +221,14 @@ def render_text(report: Report) -> str:
     """Aligned per-pair counts and rates with Median/Mean/SD rows appended."""
     header = ["Pair"]
     for c in CATEGORIES:
-        title = CATEGORY_TITLES[c]
+        title = c.capitalize()
         header += [f"{title} Sent", f"{title} Rcvd", f"{title} Rate"]
     rows = [header]
     for pair in report.pairs:
         row = [pair.pair_id]
         for c in CATEGORIES:
             tally = pair.tallies[c]
-            row += [str(tally.sent), str(tally.received), _rate_cell(tally.rate)]
+            row += [str(tally.sent), str(tally.received), _fmt_rate(tally.rate)]
         rows.append(row)
     if report.pairs:
         rows += [[name] + cells for name, cells in _summary_rows(report)]
@@ -257,7 +245,7 @@ def render_csv(report: Report) -> str:
         cells = [pair.pair_id, pair.sender_id, pair.recipient_id]
         for c in CATEGORIES:
             tally = pair.tallies[c]
-            cells += [str(tally.sent), str(tally.received), _rate_cell(tally.rate)]
+            cells += [str(tally.sent), str(tally.received), _fmt_rate(tally.rate)]
         lines.append(",".join(cells))
     if report.pairs:
         lines += [",".join([name, "", ""] + cells) for name, cells in _summary_rows(report)]

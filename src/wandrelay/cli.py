@@ -25,7 +25,6 @@ from .model import (
     VoiceNote,
     compose,
     message_to_dict,
-    schedule_to_dict,
 )
 from .server import WandRelayServer, WireClient
 from .service import DeliveryService
@@ -69,8 +68,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, shut_down)
     signal.signal(signal.SIGINT, shut_down)
-    if args.verbose:
-        print(f"listening on {host}:{port}, data in {data_dir}", file=sys.stderr)
     print(f"ready {host}:{port}", flush=True)
     try:
         server.serve_forever()
@@ -138,16 +135,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(f"{Path(args.scenario).stem}.runlog.ndjson")
     data_dir = _data_dir(args)
     store = FileStore(data_dir) if data_dir else None
-    result = sim.run(scenario, store=store, log_path=out)
-    if args.verbose:
-        delivered = sum(
-            1 for state in result.final_states.values() if state.value != "Expired"
-        )
-        print(
-            f"{scenario.name}: {len(scenario.sender_script)} submitted, "
-            f"{delivered} delivered, log {out}",
-            file=sys.stderr,
-        )
+    sim.run(scenario, store=store, log_path=out)
     return 0
 
 
@@ -181,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--listen", default="127.0.0.1:7707")
     serve.add_argument("--data-dir")
     serve.add_argument("--markers", help="JSON file declaring the known marker set")
-    serve.add_argument("--verbose", action="store_true")
     serve.set_defaults(func=cmd_serve)
 
     send = sub.add_parser("send", help="submit one message over the wire")
@@ -203,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out")
     simulate.add_argument("--data-dir")
     simulate.add_argument("--seed-override", type=int)
-    simulate.add_argument("--verbose", action="store_true")
     simulate.set_defaults(func=cmd_simulate)
 
     report = sub.add_parser("report", help="render deliverability statistics from logs")

@@ -28,7 +28,7 @@ from itertools import count, product
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import OutOfOrderSample, ParseError
-from .model import ArMessage, Geofence, MessageState, Specificity, TimeWindow, TriggerSchedule
+from .model import ArMessage, Geofence, MessageState, Specificity, TimeWindow, TriggerSchedule, check_position
 from .timeutil import format_rfc3339, parse_rfc3339
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -184,17 +184,17 @@ def schedule_unsatisfiable(schedule: TriggerSchedule | None, now: datetime) -> b
     """True when no future sample can ever fire the schedule.
 
     Under AND, a lapsed window kills the whole schedule (all conditions must
-    hold at one sample). Under OR, only a schedule whose every condition is a
-    lapsed window is dead. Geofence and marker conditions never lapse here;
-    scenario end retires them.
+    hold at one sample). An OR schedule has at least two conditions
+    (``TriggerSchedule`` makes a single condition AND), at most one of them a
+    window, so it always keeps a geofence or marker, and those never lapse
+    here; scenario end retires them.
     """
-    if schedule is None:
-        return False
-    window_lapsed = schedule.window is not None and schedule.window.end < now
-    if schedule.specificity is Specificity.SPECIFIC:
-        return window_lapsed
-    only_windows = schedule.geofence is None and schedule.marker is None
-    return only_windows and window_lapsed
+    return (
+        schedule is not None
+        and schedule.specificity is Specificity.SPECIFIC
+        and schedule.window is not None
+        and schedule.window.end < now
+    )
 
 
 def expire_messages(
@@ -317,7 +317,7 @@ class TriggerIndex:
             if message_id in self.messages:
                 self._open.add(message_id)
                 heappush(self._ends, (self.messages[message_id].schedule.window.end, seq, message_id))
-        self._compact()
+                self._compact()  # the one push here that can grow a heap
         while self._ends and self._ends[0][0] < t:
             self._open.discard(heappop(self._ends)[2])
         ids = self._direct | self._open
@@ -346,9 +346,10 @@ def sample_to_dict(sample: ContextSample) -> dict[str, Any]:
 
 
 def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
+    """A sample from its canonical form; a position off the globe (NaN too) is refused."""
     try:
         position = d["position"]
-        return ContextSample(
+        sample = ContextSample(
             recipient_id=str(d["recipient_id"]),
             t=parse_rfc3339(d["t"]),
             lat=float(position["lat"]),
@@ -358,4 +359,6 @@ def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad context sample: {exc}") from None
+    check_position(sample.lat, sample.lon)
+    return sample
 

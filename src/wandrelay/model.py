@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
+from functools import cache
 from importlib import resources
 from typing import Any, Callable, Collection, Mapping
 
@@ -93,6 +94,12 @@ class VoiceNote:
             raise VoiceNoteTooLong(f"{self.duration} s exceeds {MAX_VOICE_NOTE_SECONDS:.0f} s limit")
 
 
+def check_position(lat: float, lon: float) -> None:
+    """Refuse a point off the globe; NaN fails both comparisons."""
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise InvalidCoordinates("position outside lat [-90, 90] or lon [-180, 180]")
+
+
 @dataclass(frozen=True, slots=True)
 class Geofence:
     lat: float
@@ -100,8 +107,7 @@ class Geofence:
     radius: float  # meters
 
     def __post_init__(self) -> None:
-        if not (-90.0 <= self.lat <= 90.0) or not (-180.0 <= self.lon <= 180.0):
-            raise InvalidCoordinates(f"({self.lat}, {self.lon}) outside valid lat/lon range")
+        check_position(self.lat, self.lon)
         if not (MIN_GEOFENCE_RADIUS_M <= self.radius <= MAX_GEOFENCE_RADIUS_M):
             raise RadiusOutOfRange(
                 f"radius {self.radius} m outside "
@@ -177,25 +183,20 @@ class ArMessage:
 
 # -- catalog ------------------------------------------------------------------
 
-_catalog_cache: tuple[ContentItem, ...] | None = None
-
-
+@cache
 def catalog() -> tuple[ContentItem, ...]:
     """The static content catalog, in file order."""
-    global _catalog_cache
-    if _catalog_cache is None:
-        raw = json.loads(resources.files("wandrelay.data").joinpath("catalog.json").read_text())
-        _catalog_cache = tuple(
-            ContentItem(
-                content_id=item["content_id"],
-                kind=ContentKind(item["kind"]),
-                anchor=Anchor(item["anchor"]),
-                has_audio=bool(item["has_audio"]),
-                default_scale=float(item["default_scale"]),
-            )
-            for item in raw["items"]
+    raw = json.loads(resources.files("wandrelay.data").joinpath("catalog.json").read_text())
+    return tuple(
+        ContentItem(
+            content_id=item["content_id"],
+            kind=ContentKind(item["kind"]),
+            anchor=Anchor(item["anchor"]),
+            has_audio=bool(item["has_audio"]),
+            default_scale=float(item["default_scale"]),
         )
-    return _catalog_cache
+        for item in raw["items"]
+    )
 
 
 def catalog_item(content_id: str) -> ContentItem:

@@ -62,14 +62,18 @@ class _Handler(socketserver.StreamRequestHandler):
                     self._send([protocol.error_frame(ParseError("first frame must be HELLO"))])
                     continue
                 frame["from"] = claimed
-                responses = service.handle_frame(frame)
+                # One locked step: the generation read is the one this HELLO
+                # opened, not that of another connection's HELLO for the same
+                # recipient.
+                with service.lock:
+                    responses = service.handle_frame(frame)
+                    if frame["kind"] == protocol.HELLO and responses[0]["kind"] == protocol.ACK:
+                        # Only an acknowledged HELLO introduces the connection.
+                        principal = claimed
+                        if frame["payload"]["role"] == "recipient":
+                            session_generation = service.session_generation(principal)
                 # Only direct responses travel on this connection.
                 self._send([r for r in responses if r.get("to") in (None, claimed)])
-                if frame["kind"] == protocol.HELLO and responses[0]["kind"] == protocol.ACK:
-                    # Only an acknowledged HELLO introduces the connection.
-                    principal = claimed
-                    if frame["payload"]["role"] == "recipient":
-                        session_generation = service.session_generation(principal)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

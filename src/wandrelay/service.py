@@ -137,7 +137,9 @@ class DeliveryService:
         self._store = store if store is not None else MemoryStore()
         self._recorder = recorder
         self._markers = set(declared_markers) if declared_markers is not None else None
-        self._lock = RLock()
+        # Held by every request; a caller that reads state the request left
+        # (the TCP handler's session generation) holds it across both.
+        self.lock = RLock()
 
         self._principals: set[str] = set()
         self._messages: dict[str, ArMessage] = {}
@@ -147,7 +149,6 @@ class DeliveryService:
         self._pending: defaultdict[str, TriggerIndex] = defaultdict(TriggerIndex)
         self._last_t: dict[str, datetime] = {}
         self._sessions: dict[str, int] = {}  # principal -> live session generation
-        self._journal: dict[str, list[dict[str, Any]]] = {}
         self._captures = CaptureManager()
 
         self._recover()
@@ -155,7 +156,7 @@ class DeliveryService:
     # -- events ----------------------------------------------------------------
 
     def _apply(self, recipient_id: str, event: dict[str, Any]) -> None:
-        """Fold one stored event into the message states, queues and journal.
+        """Fold one stored event into the message states and queues.
 
         The only code that changes them: live operations call it once the
         store holds the event, and recovery calls it for every stored event,
@@ -169,9 +170,7 @@ class DeliveryService:
             self._pending[recipient_id].add(message)
         elif kind in _TRANSITIONS:
             message_id = event["message_id"]
-            message = self._messages.get(message_id)
-            if message is None:
-                raise UnknownMessage(message_id)
+            message = self._messages[message_id]
             self._messages[message_id] = message.with_state(_TRANSITIONS[kind])
             if message.state is MessageState.PENDING:
                 self._pending[recipient_id].remove(message_id)
@@ -185,7 +184,6 @@ class DeliveryService:
                 self._reactions[message_id] = reaction_from_dict(event["reaction"])
         else:
             raise ParseError(f"unknown stored event kind {kind!r}")
-        self._journal.setdefault(recipient_id, []).append(event)
 
     def _record(self, recipient_id: str, event: dict[str, Any]) -> None:
         """Make the event durable, then apply it."""
@@ -196,19 +194,21 @@ class DeliveryService:
         principals, journal = self._store.recover()
         self._principals.update(principals)
         for recipient_id, events in journal.items():
-            for event in events:
-                self._apply(recipient_id, event)
+            try:
+                for event in events:
+                    self._apply(recipient_id, event)
+            except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
+                raise ParseError(f"queue {recipient_id}: stored event cannot be applied: {exc!r}") from None
 
     def close(self) -> None:
-        """Flush a snapshot of every queue and release the store."""
-        with self._lock:
-            self._store.snapshot(self._journal)
+        """Release the store, which snapshots what it holds."""
+        with self.lock:
             self._store.close()
 
     # -- principals & sessions --------------------------------------------------
 
     def register_principal(self, principal: str) -> None:
-        with self._lock:
+        with self.lock:
             if principal not in self._principals:
                 self._principals.add(principal)
                 self._store.record_principal(principal)
@@ -220,18 +220,15 @@ class DeliveryService:
         no-op, so a superseded connection going away cannot kill the live
         session.
         """
-        with self._lock:
+        with self.lock:
             self.register_principal(recipient_id)
             generation = self._sessions.get(recipient_id, 0) + 1
             self._sessions[recipient_id] = generation
             return generation
 
-    def close_session(self, recipient_id: str, generation: int | None = None) -> None:
-        with self._lock:
-            current = self._sessions.get(recipient_id)
-            if current is None:
-                return
-            if generation is None or generation == current:
+    def close_session(self, recipient_id: str, generation: int) -> None:
+        with self.lock:
+            if self._sessions.get(recipient_id) == generation:
                 del self._sessions[recipient_id]
 
     def session_generation(self, recipient_id: str) -> int | None:
@@ -245,7 +242,7 @@ class DeliveryService:
         does a Delivered message whose capture was lost with an earlier
         process. Returns the ids of messages expired here.
         """
-        with self._lock:
+        with self.lock:
             stamp = format_rfc3339(at)
             expired_ids: list[str] = []
             for recipient_id, index in list(self._pending.items()):
@@ -265,7 +262,7 @@ class DeliveryService:
             return expired_ids
 
     def message_states(self) -> dict[str, MessageState]:
-        with self._lock:
+        with self.lock:
             return {mid: m.state for mid, m in self._messages.items()}
 
     # -- requests ---------------------------------------------------------------------
@@ -280,7 +277,7 @@ class DeliveryService:
         Both the inbound frame and every response are appended to the
         recorder, so a recorded session is the complete wire history.
         """
-        with self._lock:
+        with self.lock:
             self._log(frame)
             kind = frame["kind"]
             origin = frame.get("from")

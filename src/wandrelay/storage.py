@@ -5,16 +5,21 @@ Each recipient queue is an event journal kept in two files under
 are named by the percent-encoded recipient id, so no id names a path
 outside ``queues/``. Every event is appended as one line, flushed and
 fsynced, with the directory fsynced too when the line starts a log, so a
-process killed right after acknowledging a submit loses nothing. ``snapshot()`` (called on graceful shutdown) writes each logged
-queue's whole journal to its snapshot file as ``{"v": 1, "events": [...]}``
-and removes the log only once the snapshot is durable; recovery is the
-snapshot's events, then the log's.
+process killed right after acknowledging a submit loses nothing.
+
+The store keeps each queue's whole journal in memory: ``recover()`` seeds it
+with what it reads back and every appended event extends it. ``snapshot()``
+(called by ``close()`` on graceful shutdown) writes each logged queue's
+journal to its snapshot file as ``{"v": 1, "events": [...]}`` and removes
+the log only once the snapshot is durable; recovery is the snapshot's
+events, then the log's.
 
 Recovery also repairs what a crash can leave behind. An unterminated last
 line is an append cut short, never acknowledged: it is dropped and cut off
 the file. A log whose events already end the snapshot is one a crash left
 between the snapshot's rename and the log's removal: it is removed. A bad
-line anywhere else is corruption and raises ParseError.
+line anywhere else, or a file that is not what it should hold, is
+corruption and raises ParseError naming the file.
 
 Reaction capture buffers are deliberately NOT stored here; only consented,
 composed reaction records ever reach disk.
@@ -62,20 +67,27 @@ class MemoryStore:
     def recover(self) -> tuple[set[str], dict[str, list[dict[str, Any]]]]:
         return set(), {}
 
-    def snapshot(self, states: dict[str, list[dict[str, Any]]]) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
 
 class FileStore:
-    """Append-only log + snapshot per recipient queue under ``data_dir``."""
+    """Append-only log + snapshot per recipient queue under ``data_dir``.
+
+    ``recover()`` runs before the first ``record_event``, as DeliveryService
+    does on construction: the journal it seeds is the one ``snapshot()``
+    writes whole.
+    """
 
     def __init__(self, data_dir: str | Path):
         self.root = Path(data_dir)
+        queues = self.root / "queues"
+        self._journal: dict[str, list[dict[str, Any]]] = {}
         try:
-            (self.root / "queues").mkdir(parents=True, exist_ok=True)
+            created = [d for d in (queues, *queues.parents) if not d.exists()]
+            queues.mkdir(parents=True, exist_ok=True)
+            for directory in created:  # each new directory's entry is durable in its parent
+                _fsync_dir(directory.parent)
             probe = self.root / ".writable"
             probe.write_text("ok")
             probe.unlink()
@@ -116,8 +128,9 @@ class FileStore:
 
     def record_event(self, recipient_id: str, event: dict[str, Any]) -> None:
         self._append_line(self._log_path(recipient_id), event)
+        self._journal.setdefault(recipient_id, []).append(event)
 
-    def snapshot(self, states: dict[str, list[dict[str, Any]]]) -> None:
+    def snapshot(self) -> None:
         """Write each logged queue's journal to its snapshot, then remove its log.
 
         Every snapshot is fsynced and renamed into place, and the directory
@@ -125,7 +138,7 @@ class FileStore:
         appended nothing since its snapshot was written and is skipped.
         """
         logs = []
-        for recipient_id, events in states.items():
+        for recipient_id, events in self._journal.items():
             log = self._log_path(recipient_id)
             if not log.exists():
                 continue
@@ -143,7 +156,7 @@ class FileStore:
             log.unlink()
 
     def close(self) -> None:
-        pass
+        self.snapshot()
 
     # -- recovery --
 
@@ -169,17 +182,21 @@ class FileStore:
         return entries
 
     def recover(self) -> tuple[set[str], dict[str, list[dict[str, Any]]]]:
-        """Return (principals, per-recipient ordered event lists)."""
-        principals = {entry["principal"] for entry in self._read_lines(self._principals_path())}
-        states: dict[str, list[dict[str, Any]]] = {}
+        """Return (principals, per-recipient ordered event lists), the journal's new seed."""
+        self._journal = states = {}
         queues_dir = self.root / "queues"
-        for snap in sorted(queues_dir.glob(f"*{_SNAP}")):
-            states[unquote(snap.name[: -len(_SNAP)])] = json.loads(snap.read_text())["events"]
-        for log in sorted(queues_dir.glob("*.log")):
-            events = self._read_lines(log)
-            journal = states.setdefault(unquote(log.stem), [])
-            if events and journal[-len(events):] == events:
-                log.unlink()  # already folded into the snapshot
-            else:
-                journal.extend(events)
+        path = self._principals_path()  # the file being read, for the error
+        try:
+            principals = {entry["principal"] for entry in self._read_lines(path)}
+            for path in sorted(queues_dir.glob(f"*{_SNAP}")):
+                states[unquote(path.name[: -len(_SNAP)])] = list(json.loads(path.read_text())["events"])
+            for path in sorted(queues_dir.glob("*.log")):
+                events = self._read_lines(path)
+                journal = states.setdefault(unquote(path.stem), [])
+                if events and journal[-len(events):] == events:
+                    path.unlink()  # already folded into the snapshot
+                else:
+                    journal.extend(events)
+        except (LookupError, TypeError, ValueError) as exc:  # a file that is not what it should hold
+            raise ParseError(f"{path}: {exc!r}") from None
         return principals, states

@@ -21,6 +21,7 @@ from wandrelay.timeutil import format_rfc3339
 from client import submit
 from conftest import at
 from genrandom import lat_off, lon_off
+from test_service import OFF_THE_GLOBE, fenced, off_the_globe
 
 
 LONE_SURROGATE = b'{"v":1,"kind":"SENDER_VIEW_REQ","payload":{"sender_id":"\\ud800"}}\n'
@@ -289,6 +290,59 @@ class TestWireServer:
             assert client.hello("sender", "x1")["kind"] == protocol.ACK
             refused = client.request(context_frame("x1", at("09:00:00")))
             assert refused["payload"]["code"] == "NoSession"
+
+    def test_a_position_off_the_globe_is_answered_and_the_connection_stays_open(self, running_server):
+        host, port, _ = running_server
+        message = fenced()
+        with WireClient(host, port) as recipient, WireClient(host, port) as sender:
+            recipient.hello("recipient", "r1")
+            sender.hello("sender", "s1")
+            frame = protocol.make_frame(protocol.SUBMIT, {"message": message_to_dict(message)})
+            assert sender.request(frame)["kind"] == protocol.ACK
+            for lat, lon in OFF_THE_GLOBE:
+                refused = recipient.request(protocol.make_frame(protocol.CONTEXT, off_the_globe(lat, lon)))
+                assert (refused["kind"], refused["payload"]["code"]) == (protocol.ERROR, "InvalidCoordinates")
+            playback = recipient.request(context_frame("r1", at("09:00:00")))
+            assert (playback["kind"], playback["payload"]["message_id"]) == (protocol.PLAYBACK, message.message_id)
+
+    def test_a_superseded_connection_leaves_the_live_session_open(self, running_server):
+        """Two recipient HELLOs for r1: B's comes while A's connection is learning its session generation.
+
+        The gate holds A there for up to 1 s or until B is acknowledged. Had A's
+        HELLO and its generation read been two steps, B's HELLO would run in
+        between, A would take B's generation and A's close would end B's session.
+        """
+        host, port, service = running_server
+        read_generation, close_session = service.session_generation, service.close_session
+        a_reading, b_acked, a_closed = threading.Event(), threading.Event(), threading.Event()
+
+        def gated(recipient_id):
+            if not a_reading.is_set():  # connection A, right after its HELLO
+                a_reading.set()
+                b_acked.wait(timeout=1.0)
+            return read_generation(recipient_id)
+
+        def closing(recipient_id, generation):
+            close_session(recipient_id, generation)
+            a_closed.set()
+
+        service.session_generation, service.close_session = gated, closing
+        with WireClient(host, port) as b, WireClient(host, port) as sender:
+            a = WireClient(host, port)
+            a.send(protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"}))
+            assert a_reading.wait(timeout=5.0)
+            b_hello = threading.Thread(target=lambda: (b.hello("recipient", "r1"), b_acked.set()))
+            b_hello.start()
+            assert a.read_frame()["kind"] == protocol.ACK
+            b_hello.join(timeout=5.0)
+            assert not b_hello.is_alive()
+            a.close()
+            assert a_closed.wait(timeout=5.0)
+            sender.hello("sender", "s1")
+            message, frame = submit_frame()
+            assert sender.request(frame)["kind"] == protocol.ACK
+            playback = b.request(context_frame("r1", at("09:00:00")))
+            assert (playback["kind"], playback["payload"].get("message_id")) == (protocol.PLAYBACK, message.message_id)
 
     def test_reaction_round_trip_does_not_wait_on_delayed_acks(self, running_server):
         """A client with the kernel's default socket options sees no 40 ms stall per reaction."""

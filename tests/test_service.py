@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -69,7 +70,7 @@ class TestSubmit:
 
 class TestPushContext:
     def test_requires_open_session(self, service):
-        service.close_session("r1")
+        service.close_session("r1", service.session_generation("r1"))
         assert error_code(push(service, sample())) == "NoSession"
 
     def test_superseded_connection_cannot_close_live_session(self, service):
@@ -115,6 +116,39 @@ class TestPushContext:
         submit(service, message)
         assert push(service, sample()) == []
         assert service.message_states()[message.message_id] is MessageState.EXPIRED
+
+
+# Positions no sample can have: json reads NaN and Infinity, and neither is on the globe.
+OFF_THE_GLOBE = [
+    (math.nan, lon_off(0)), (math.inf, lon_off(0)), (-math.inf, lon_off(0)), (lat_off(0), math.inf),
+    (91.0, lon_off(0)), (lat_off(0), 181.0), (1e308, lon_off(0)),
+]
+
+
+def off_the_globe(lat, lon, t="09:00:00"):
+    return {"sample": {**sample_to_dict(sample(t)), "position": {"lat": lat, "lon": lon}}}
+
+
+def fenced():
+    """A message for r1 that a sample at ``sample()``'s position fires; while it waits, samples probe the grid."""
+    return make_message(TriggerSchedule(geofence=Geofence(lat=lat_off(0), lon=lon_off(0), radius=10.0)))
+
+
+@pytest.mark.parametrize("lat, lon", OFF_THE_GLOBE)
+def test_a_position_off_the_globe_is_refused(tmp_path, lat, lon):
+    """One ERROR, and nothing changes: states, views, stored bytes, nor the last sample time."""
+    service = durable(tmp_path)
+    fence = fenced()
+    submit(service, fence)
+
+    def observed():
+        stored = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        return service.message_states(), view_of(service, "s1"), stored
+
+    before = observed()
+    assert error_code(request(service, protocol.CONTEXT, off_the_globe(lat, lon), "r1")) == "InvalidCoordinates"
+    assert observed() == before
+    assert ids_of(push(service, sample()), protocol.PLAYBACK) == [fence.message_id]
 
 
 def capture(service, message_id):

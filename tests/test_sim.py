@@ -320,6 +320,19 @@ class TestRun:
         assert kinds.count("REACTION_NOTIFY") == 0
         assert list(result.final_states.values()) == [MessageState.REACTION_DECLINED]
 
+    @pytest.mark.parametrize("worn_from, utterances", [("09:01:55", 1), ("09:01:59", 0)])
+    def test_a_scenario_ending_during_a_capture(self, worn_from, utterances):
+        """Delivered 5 s before the end, the +2 s utterance is sent and the +10 s CONSENT is not;
+        1 s before, neither is. The end declines the capture, so nothing is forwarded."""
+        doc = minimal_scenario()  # ends at 09:02:00, consent "yes"
+        doc["recipients"][0]["wear_sessions"][0]["start"] = f"2021-06-05T{worn_from}Z"
+        result = sim.run(sim.scenario_from_dict(doc))
+        (playback,) = [f for f in result.frames if f["kind"] == "PLAYBACK"]
+        assert playback["payload"]["delivered_at"] == f"2021-06-05T{worn_from}Z"
+        kinds = [f["kind"] for f in result.frames]
+        assert [kinds.count(k) for k in ("REACTION_FRAME", "CONSENT", "REACTION_NOTIFY")] == [utterances, 0, 0]
+        assert list(result.final_states.values()) == [MessageState.REACTION_DECLINED]
+
     def test_same_scenario_runs_identically(self, tmp_path):
         doc = minimal_scenario()
         first = tmp_path / "a.ndjson"

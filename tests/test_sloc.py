@@ -3,6 +3,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "sloc", Path(__file__).resolve().parent.parent / "tools" / "sloc.py"
 )
@@ -44,3 +46,11 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert [line.split() for line in lines] == [
         ["9", str(tmp_path / "a.py")], ["1", str(tmp_path / "b.py")], ["10", "total"],
     ]
+
+
+@pytest.mark.parametrize("args", [[], ["--help"], ["missing.py"]])
+def test_no_path_or_a_missing_one_prints_the_usage(tmp_path, capsys, args):
+    argv = [str(tmp_path / a) if a.endswith(".py") else a for a in args]
+    assert sloc.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Usage: python tools/sloc.py PATH") and "Traceback" not in err

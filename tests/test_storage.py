@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from wandrelay import protocol
+from wandrelay.cli import main
 from wandrelay.errors import ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
@@ -186,7 +187,8 @@ def test_snapshot_is_durable_before_any_log_goes(tmp_path, monkeypatch):
 
 
 def test_a_new_log_is_durable_in_its_directory(tmp_path, monkeypatch):
-    """The append that creates a file fsyncs it, then its directory, before the ACK; later ones only the file."""
+    """A new directory is fsynced into its parent, and the append that creates a file fsyncs it,
+    then its directory, before the ACK; later appends fsync only the file."""
     calls = []
     real_fsync = os.fsync
 
@@ -195,21 +197,26 @@ def test_a_new_log_is_durable_in_its_directory(tmp_path, monkeypatch):
         calls.append(("dir", st_.st_ino) if stat.S_ISDIR(st_.st_mode) else "file")
         real_fsync(fd)
 
+    def entry(path):
+        return "dir", path.stat().st_ino
+
     monkeypatch.setattr(os, "fsync", fsync)
-    root, queues = tmp_path.stat().st_ino, (tmp_path / "queues")
-    service = durable(tmp_path)  # registers s1, which starts principals.log, then r1
-    assert calls == ["file", ("dir", root), "file"]
-    for seed, want in [(1, ["file", ("dir", queues.stat().st_ino)]), (2, ["file"])]:
+    fresh = tmp_path / "fresh"
+    data, queues = fresh / "data", fresh / "data" / "queues"
+    service = durable(data)  # creates fresh, data and queues; registers s1, which starts principals.log, then r1
+    assert calls == [entry(data), entry(fresh), entry(tmp_path), "file", entry(data), "file"]
+    for seed, want in [(1, ["file", entry(queues)]), (2, ["file"])]:
         calls.clear()
         (ack,) = submit(service, to("r1", seed))
         assert ack["kind"] == protocol.ACK
         assert calls == want
     service.close()  # the snapshot removes r1's log, so the next event starts a new one
-    service = durable(tmp_path)
     calls.clear()
+    service = durable(data)  # every directory exists: nothing to fsync
+    assert calls == []
     (ack,) = submit(service, to("r1", 3))
     assert ack["kind"] == protocol.ACK
-    assert calls == ["file", ("dir", queues.stat().st_ino)]
+    assert calls == ["file", entry(queues)]
 
 
 def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
@@ -266,3 +273,39 @@ def test_hello_refuses_a_principal_too_long_for_a_file_name(tmp_path):
     assert error_code(submit(service, to(longest, 1))) is None
     service.close()
     assert (tmp_path / "queues" / f"{longest}.snap.json").exists()
+
+
+DELIVERED_A = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}' % A
+
+
+@pytest.mark.parametrize(
+    "name, content, named",
+    [
+        ("principals.log", '{"who":"s1"}\n', "principals.log"),
+        ("principals.log", "5\n", "principals.log"),
+        ("queues/r1.snap.json", "{not json", "r1.snap.json"),
+        ("queues/r1.snap.json", '{"v":1}', "r1.snap.json"),
+        ("queues/r1.snap.json", '{"v":1,"events":5}', "r1.snap.json"),
+        ("queues/r1.snap.json", '{"v":1,"events":[5]}', "queue r1:"),
+        ("queues/r1.log", '{"message_id":"%s"}\n' % A, "queue r1:"),
+        ("queues/r1.log", '{"ev":"teleported","message_id":"%s"}\n' % A, "queue r1:"),
+        ("queues/r1.log", DELIVERED_A + "\n", "queue r1:"),  # a message never enqueued
+        ("queues/r1.log", enqueued(A, "dog", "1.0", "{}", "null", "08:50:00") + "\n", "queue r1:"),
+        ("queues/r1.log", "\n".join([enqueued(A, "dog", "1.0", '{"duration":2.0,"transcript":"x"}',
+                                              "null", "08:50:00"), DELIVERED_A, DELIVERED_A]) + "\n",
+         "queue r1:"),
+    ],
+    ids=["principal-missing", "principal-not-object", "snapshot-not-json", "snapshot-without-events",
+         "snapshot-events-not-list", "snapshot-event-not-object", "log-line-not-event", "unknown-ev",
+         "transition-of-unknown-message", "bad-message", "illegal-transition"],
+)
+def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, name, content, named):
+    """serve exits 1 with ``error: ParseError:`` naming the file or queue, never with InternalError."""
+    data = tmp_path / "data"
+    (data / "queues").mkdir(parents=True)
+    (data / name).write_text(content)
+    with pytest.raises(ParseError, match=named):
+        DeliveryService(FileStore(data))
+    assert main(["serve", "--listen", "127.0.0.1:0", "--data-dir", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and named in err, err

@@ -46,12 +46,12 @@ def sloc(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    paths = [Path(arg) for arg in argv]
+    if not paths or not all(path.exists() for path in paths):  # --help too
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
     files: list[Path] = []
-    for arg in argv:
-        path = Path(arg)
+    for path in paths:
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     total = 0
     for path in files:
