@@ -11,7 +11,6 @@ import dataclasses
 import os
 import signal
 import sys
-import threading
 from pathlib import Path
 
 from . import analytics, protocol, sim
@@ -58,22 +57,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise ParseError(f"{args.markers}: expected a markers list of {{marker_id}} objects") from None
     store = FileStore(data_dir)
     recorder = protocol.FrameRecorder(data_dir / "frames.ndjson", append=True)
-    service = DeliveryService(store, declared_markers=markers, recorder=recorder)
-    server = WandRelayServer(host, port, service)
-
-    def shut_down(signum: int, _frame) -> None:
-        # shutdown() blocks until serve_forever exits, so it must not run on
-        # the serving thread itself.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, shut_down)
-    signal.signal(signal.SIGINT, shut_down)
-    print(f"ready {host}:{port}", flush=True)
     try:
-        server.serve_forever()
+        service = DeliveryService(store, declared_markers=markers, recorder=recorder)
+        server = WandRelayServer(host, port, service)
+        # Either signal interrupts serve_forever where it waits, so the exit
+        # (and the snapshot) starts at once.
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, signal.default_int_handler)
+        try:
+            print(f"ready {host}:{port}", flush=True)
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.server_close()
+            service.close()
     finally:
-        server.server_close()
-        service.close()
         recorder.close()
     return 0
 

@@ -210,8 +210,8 @@ class DeliveryService:
     def register_principal(self, principal: str) -> None:
         with self.lock:
             if principal not in self._principals:
-                self._principals.add(principal)
                 self._store.record_principal(principal)
+                self._principals.add(principal)
 
     def open_session(self, recipient_id: str) -> int:
         """Open the live session for a recipient, superseding any earlier one.

@@ -5,14 +5,15 @@ Each recipient queue is an event journal kept in two files under
 are named by the percent-encoded recipient id, so no id names a path
 outside ``queues/``. Every event is appended as one line, flushed and
 fsynced, with the directory fsynced too when the line starts a log, so a
-process killed right after acknowledging a submit loses nothing.
+process killed right after acknowledging a submit loses nothing. An append
+that fails is cut back off the file and raised as DataDirUnwritable.
 
-The store keeps each queue's whole journal in memory: ``recover()`` seeds it
-with what it reads back and every appended event extends it. ``snapshot()``
-(called by ``close()`` on graceful shutdown) writes each logged queue's
-journal to its snapshot file as ``{"v": 1, "events": [...]}`` and removes
-the log only once the snapshot is durable; recovery is the snapshot's
-events, then the log's.
+The store keeps no events in memory: the files are the journal.
+``snapshot()`` (called by ``close()`` on graceful shutdown) writes each
+logged queue's snapshot as ``{"v":1,"events":[...]}`` by joining bytes, the
+old snapshot's events and then the log's lines, and removes the log only
+once the snapshot is durable; recovery is the snapshot's events, then the
+log's.
 
 Recovery also repairs what a crash can leave behind. An unterminated last
 line is an append cut short, never acknowledged: it is dropped and cut off
@@ -27,6 +28,7 @@ composed reaction records ever reach disk.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from pathlib import Path
@@ -38,6 +40,14 @@ from .errors import DataDirUnwritable, ParseError
 
 _SNAP = ".snap.json"
 _MAX_STEM = 255 - len(_SNAP)  # 255 bytes: the common file-name limit
+
+# A snapshot is its events' log lines joined by "," between these two: what
+# json.dumps writes for {"v": 1, "events": [...]} with _line's separators.
+_SNAP_HEAD, _SNAP_TAIL = b'{"v":1,"events":[', b"]}"
+
+
+def _line(obj: dict[str, Any]) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
 def check_principal(principal: str) -> None:
@@ -74,15 +84,12 @@ class MemoryStore:
 class FileStore:
     """Append-only log + snapshot per recipient queue under ``data_dir``.
 
-    ``recover()`` runs before the first ``record_event``, as DeliveryService
-    does on construction: the journal it seeds is the one ``snapshot()``
-    writes whole.
+    It holds no events: a snapshot is the old snapshot joined with the log.
     """
 
     def __init__(self, data_dir: str | Path):
         self.root = Path(data_dir)
         queues = self.root / "queues"
-        self._journal: dict[str, list[dict[str, Any]]] = {}
         try:
             created = [d for d in (queues, *queues.parents) if not d.exists()]
             queues.mkdir(parents=True, exist_ok=True)
@@ -102,9 +109,6 @@ class FileStore:
     def _log_path(self, recipient_id: str) -> Path:
         return self.root / "queues" / f"{quote(recipient_id, safe='')}.log"
 
-    def _snap_path(self, recipient_id: str) -> Path:
-        return self.root / "queues" / f"{quote(recipient_id, safe='')}{_SNAP}"
-
     # -- writes --
 
     @staticmethod
@@ -114,42 +118,52 @@ class FileStore:
         A new file's directory entry is durable only once the directory is
         fsynced. Logs start anew after every restart, since ``snapshot()``
         removes them, as well as at a new recipient's first event.
+
+        A write, fsync or open that fails is DataDirUnwritable, whose detail
+        names no file, so it can answer the request. What a failed write
+        left is cut off again first, so the next append starts a line.
         """
-        with open(path, "a", encoding="utf-8") as fh:
-            created = fh.tell() == 0
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if created:
-            _fsync_dir(path.parent)
+        line = _line(obj)
+        try:
+            with open(path, "ab", buffering=0) as fh:
+                size = fh.tell()
+                try:
+                    if os.write(fh.fileno(), line) < len(line):
+                        raise OSError(errno.ENOSPC, "short write")
+                    os.fsync(fh.fileno())
+                    if size == 0:
+                        _fsync_dir(path.parent)
+                except OSError:
+                    fh.truncate(size)
+                    raise
+        except OSError as exc:
+            raise DataDirUnwritable(f"append failed: {exc.strerror}") from None
 
     def record_principal(self, principal: str) -> None:
         self._append_line(self._principals_path(), {"principal": principal})
 
     def record_event(self, recipient_id: str, event: dict[str, Any]) -> None:
         self._append_line(self._log_path(recipient_id), event)
-        self._journal.setdefault(recipient_id, []).append(event)
 
     def snapshot(self) -> None:
-        """Write each logged queue's journal to its snapshot, then remove its log.
+        """Join each log onto its queue's snapshot, then remove the log.
 
-        Every snapshot is fsynced and renamed into place, and the directory
-        fsynced, before the first log goes. A queue without a log has
-        appended nothing since its snapshot was written and is skipped.
+        The new snapshot holds the old one's events, then the log's complete
+        lines. Every snapshot is fsynced and renamed into place, and the
+        directory fsynced, before the first log goes. A queue without a log
+        has appended nothing since its snapshot was written and is skipped.
         """
-        logs = []
-        for recipient_id, events in self._journal.items():
-            log = self._log_path(recipient_id)
-            if not log.exists():
-                continue
-            snap = self._snap_path(recipient_id)
+        logs = sorted((self.root / "queues").glob("*.log"))
+        for log in logs:
+            snap = log.with_name(log.stem + _SNAP)
+            old = snap.read_bytes()[len(_SNAP_HEAD) : -len(_SNAP_TAIL)] if snap.exists() else b""
+            lines = log.read_bytes().rpartition(b"\n")[0].split(b"\n")
             tmp = snap.with_suffix(".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"v": 1, "events": events}, separators=(",", ":")))
+            with open(tmp, "wb") as fh:
+                fh.write(_SNAP_HEAD + b",".join(part for part in (old, *lines) if part) + _SNAP_TAIL)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, snap)
-            logs.append(log)
         if logs:
             _fsync_dir(self.root / "queues")
         for log in logs:
@@ -182,8 +196,8 @@ class FileStore:
         return entries
 
     def recover(self) -> tuple[set[str], dict[str, list[dict[str, Any]]]]:
-        """Return (principals, per-recipient ordered event lists), the journal's new seed."""
-        self._journal = states = {}
+        """Return (principals, per-recipient ordered event lists)."""
+        states: dict[str, list[dict[str, Any]]] = {}
         queues_dir = self.root / "queues"
         path = self._principals_path()  # the file being read, for the error
         try:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import signal
+import statistics
 import socket
 import subprocess
 import sys
@@ -188,6 +190,24 @@ class TestServe:
         finally:
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=10)
+
+    def test_sigterm_ends_an_idle_server_at_once(self, tmp_path):
+        """From SIGTERM to exit 0 takes well under the serve loop's half-second poll."""
+        procs = [start_server(tmp_path / f"data{n}", free_port()) for n in range(5)]
+        delays = random.Random(11).sample(range(0, 500, 10), len(procs))
+        took = []
+        try:
+            for proc, delay in zip(procs, delays):
+                time.sleep(delay / 1000)
+                start = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0
+                took.append(time.monotonic() - start)
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.communicate()
+        assert statistics.median(took) < 0.150, took
 
     def test_second_serve_same_port_fails(self, tmp_path):
         port = free_port()

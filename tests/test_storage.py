@@ -1,12 +1,22 @@
-"""FileStore on disk: the v1 format, torn appends, corruption, snapshot order and file names."""
+"""FileStore on disk: the v1 format, failed and torn appends, corruption, the byte-join snapshot, its order and file names."""
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import gc
+import json
 import os
 import stat
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
+from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wandrelay import protocol
 from wandrelay.cli import main
@@ -100,6 +110,69 @@ def test_v1_data_dir_recovers(tmp_path):
     assert (tmp_path / "queues" / "r1.snap.json").read_text() == V1_SNAPSHOT[:-2] + "," + ",".join(
         V1_LOG.strip().split("\n")
     ) + "]}"
+
+
+def fail_once(monkeypatch, name, skip=0):
+    """Make ``os.<name>`` fail with ENOSPC once, after ``skip`` calls; a failing write writes half first."""
+    real = getattr(os, name)
+    calls = []
+
+    def flaky(fd, *data):
+        calls.append(fd)
+        if len(calls) != skip + 1:
+            return real(fd, *data)
+        if data:
+            real(fd, data[0][: len(data[0]) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, name, flaky)
+
+
+@pytest.mark.parametrize("call", ["write", "fsync"])
+@pytest.mark.parametrize("failing", ["first-submit", "later-submit", "second-delivery"])
+def test_a_failed_append_is_answered_and_cut_off(tmp_path, monkeypatch, call, failing):
+    """One ERROR, the log as it was before the failed line, and the service goes on, restart included."""
+    service = durable(tmp_path)
+    one, two, three = (make_message(seed=n, created=f"08:5{n}:00") for n in (1, 2, 3))
+    log = tmp_path / "queues" / "r1.log"
+    if failing == "first-submit":
+        fail_once(monkeypatch, call)
+        frames, logged = submit(service, one), b""
+    elif failing == "later-submit":
+        submit(service, one)
+        logged = log.read_bytes()
+        fail_once(monkeypatch, call)
+        frames = submit(service, two)
+    else:
+        submit(service, one)
+        submit(service, two)
+        # the sample fires both: the first delivery is written, the second fails
+        logged = log.read_bytes() + b'{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}\n' % (
+            one.message_id.encode()
+        )
+        fail_once(monkeypatch, call, skip=1)
+        frames = push(service, sample("09:00:00"))
+    monkeypatch.undo()
+
+    assert error_code(frames) == "DataDirUnwritable"
+    detail = frames[0]["payload"]["detail"]
+    assert not any(word in detail for word in ("r1", "queues", str(tmp_path), one.message_id, two.message_id))
+    assert log.read_bytes() == logged
+    assert error_code(submit(service, three)) is None
+    live = service.message_states()
+    assert three.message_id in live
+    service.close()
+    assert DeliveryService(FileStore(tmp_path)).message_states() == live
+
+
+def test_a_principal_whose_write_failed_is_written_by_its_next_hello(tmp_path, monkeypatch):
+    service = durable(tmp_path)
+    fail_once(monkeypatch, "fsync")
+    assert error_code(hello(service, "recipient", "r2")) == "DataDirUnwritable"
+    monkeypatch.undo()
+    assert error_code(hello(service, "recipient", "r2")) is None
+    service.close()
+    assert FileStore(tmp_path).recover()[0] == {"s1", "r1", "r2"}
 
 
 def test_torn_last_line_is_dropped_and_cut_off(tmp_path):
@@ -300,12 +373,67 @@ DELIVERED_A = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}'
          "transition-of-unknown-message", "bad-message", "illegal-transition"],
 )
 def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, name, content, named):
-    """serve exits 1 with ``error: ParseError:`` naming the file or queue, never with InternalError."""
+    """serve exits 1 with ``error: ParseError:`` naming the file or queue, never with InternalError,
+    and closes the frame log it had opened."""
     data = tmp_path / "data"
     (data / "queues").mkdir(parents=True)
     (data / name).write_text(content)
     with pytest.raises(ParseError, match=named):
         DeliveryService(FileStore(data))
-    assert main(["serve", "--listen", "127.0.0.1:0", "--data-dir", str(data)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["serve", "--listen", "127.0.0.1:0", "--data-dir", str(data)]) == 1
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: ") and named in err, err
+
+
+RECIPIENTS = ("r1", "r/2", "r\u00e9 3")  # the last two are percent-encoded in their file names
+stored_events = st.fixed_dictionaries(
+    {"ev": st.sampled_from(["enqueued", "delivered"]), "n": st.integers()},
+    optional={"note": st.text(max_size=8), "tags": st.lists(st.text(max_size=4) | st.floats(allow_nan=False))},
+)
+store_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(RECIPIENTS), stored_events),
+        st.tuples(st.sampled_from(["close", "crash"])),
+        # close() dies after this many logs are removed: every snapshot is in place
+        st.tuples(st.just("crash-before-unlink"), st.integers(0, 2)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(store_steps)
+def test_a_snapshot_is_the_old_snapshot_joined_with_the_log(steps):
+    """Whatever mix of appends, closes and crashes came before, a clean close leaves each queue's
+    snapshot byte for byte as json.dumps writes all its events, and every restart recovers them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        recorded: dict[str, list] = {}
+        store = FileStore(root)
+        for step in [*steps, ("close",)]:
+            if step[0] == "record":
+                store.record_event(step[1], step[2])
+                recorded.setdefault(step[1], []).append(step[2])
+                continue
+            if step[0] == "close":
+                store.close()
+                for recipient, events in recorded.items():
+                    snap = root / "queues" / f"{quote(recipient, safe='')}.snap.json"
+                    assert snap.read_bytes() == json.dumps({"v": 1, "events": events}, separators=(",", ":")).encode()
+            elif step[0] == "crash-before-unlink":
+                removed, real_unlink = [], Path.unlink
+
+                def unlink(path, missing_ok=False, left=step[1]):
+                    if len(removed) == left:
+                        raise OSError("killed before the log was removed")
+                    removed.append(path)
+                    real_unlink(path, missing_ok)
+
+                with mock.patch.object(Path, "unlink", unlink), contextlib.suppress(OSError):
+                    store.close()
+            store = FileStore(root)
+            assert store.recover() == (set(), recorded)
