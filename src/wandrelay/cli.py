@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 input/scenario error, 2 internal error. Every
 failure prints one greppable line to stderr: ``error: <Code>: <detail>``.
+
+The simulator and the analytics are imported only by the commands that use
+them, so a ``serve`` (re)start does not pay for them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import signal
 import sys
 from pathlib import Path
 
-from . import analytics, protocol, sim
+from . import protocol
 from .errors import DataDirUnwritable, ParseError, WandRelayError
 from .model import (
     MarkerCondition,
@@ -50,6 +53,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = _parse_listen(args.listen)
     markers = None
     if args.markers:
+        from . import sim
+
         doc = sim.load_json_object(args.markers)
         try:
             markers = {str(m["marker_id"]) for m in doc["markers"]}
@@ -128,6 +133,8 @@ def _wire_error(payload: dict) -> WandRelayError:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sim
+
     scenario = sim.load_scenario(args.scenario)
     if args.seed_override is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed_override)
@@ -139,6 +146,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import analytics
+
     for path in args.logs:
         if not Path(path).exists():
             raise ParseError(f"no such log: {path}")
@@ -152,6 +161,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import sim
+
     scenario = sim.load_scenario(args.scenario)
     print(
         f"ok: {scenario.name}: {len(scenario.recipients)} recipient(s), "

@@ -4,7 +4,8 @@ Every frame is one line: ``{"v": 1, "kind": ..., "payload": {...}}`` plus
 optional ``"from"`` / ``"to"`` principal routing fields. The same frames,
 appended to a file, form the event-log format the analytics layer consumes.
 
-One privacy carve-out: when a REACTION_FRAME is written to a log, its
+Two privacy carve-outs. A server's log keeps no CONTEXT frame (see
+``FrameRecorder``). When a REACTION_FRAME is written to a log, its
 transcript is dropped. Consent is still undecided at that point, and
 unconsented audio must never be persisted; the consented text reappears later
 inside REACTION_NOTIFY and sender-view frames.
@@ -61,9 +62,13 @@ def error_frame(exc: WandRelayError, to: str | None = None) -> dict[str, Any]:
     return make_frame(ERROR, {"code": exc.code, "detail": exc.detail}, to=to)
 
 
+# Built once: json.dumps with any non-default argument builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def dumps_canonical(obj: Any) -> str:
     """Compact, key-order-preserving JSON; the one encoder used everywhere."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(obj)
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
@@ -113,6 +118,11 @@ class FrameRecorder:
     appends to an existing log, as a long-running server does, keeps none
     (``frames`` is None): its own frames would not be the whole log, and a
     list would grow for as long as the process lives.
+
+    A server's log also skips every CONTEXT frame. It outlives any one run
+    and is read by ``report``, which needs no sample, and samples are the
+    wearer's positions and sightings, which must not pile up on disk. The
+    frames that answer a CONTEXT are still written.
     """
 
     def __init__(self, path: str | Path | None = None, *, append: bool = False):
@@ -122,6 +132,8 @@ class FrameRecorder:
             self._fh = open(path, "a" if append else "w", encoding="utf-8")
 
     def record(self, frame: dict[str, Any]) -> None:
+        if self.frames is None and frame["kind"] == CONTEXT:
+            return
         safe = loggable_frame(frame)
         if self.frames is not None:
             self.frames.append(safe)

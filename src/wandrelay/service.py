@@ -30,6 +30,7 @@ from typing import Any
 from . import protocol
 from .engine import TriggerIndex, check_order, evaluate_sample, expire_messages, sample_from_dict
 from .errors import (
+    DataDirUnwritable,
     DuplicateMessageId,
     NoSession,
     NotAwaitingConsent,
@@ -269,27 +270,38 @@ class DeliveryService:
 
     def _log(self, frame: dict[str, Any]) -> None:
         if self._recorder is not None:
-            self._recorder.record(frame)
+            try:
+                self._recorder.record(frame)
+            except OSError as exc:
+                raise DataDirUnwritable(f"frame log write failed: {exc.strerror}") from None
 
     def handle_frame(self, frame: dict[str, Any]) -> list[dict[str, Any]]:
         """Process one inbound frame; returns the outbound frames it caused.
 
-        Both the inbound frame and every response are appended to the
-        recorder, so a recorded session is the complete wire history.
+        Both the inbound frame and every response go to the recorder. A
+        run's recorder keeps them all, so a recorded run is the complete wire
+        history; a server's keeps no CONTEXT, because ``report`` reads that
+        log and it must not hold the wearer's positions. An inbound frame
+        that cannot be logged is refused before it changes anything. A
+        response that cannot be logged is still returned: the store already
+        holds what it reports.
         """
         with self.lock:
-            self._log(frame)
             kind = frame["kind"]
             origin = frame.get("from")
             try:
+                self._log(frame)
                 handler = _HANDLERS.get(kind)
                 if handler is None:
                     raise ParseError(f"frame kind {kind} is not accepted from clients")
                 responses = handler(self, frame["payload"], origin)
             except WandRelayError as exc:
                 responses = [protocol.error_frame(exc, to=origin)]
-            for response in responses:
-                self._log(response)
+            try:
+                for response in responses:
+                    self._log(response)
+            except DataDirUnwritable:
+                pass
             return responses
 
     def _hello(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
@@ -324,7 +336,11 @@ class DeliveryService:
         return [protocol.make_frame(protocol.ACK, ack, to=message.sender_id)]
 
     def _context(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
-        """Ingest one sample: PLAYBACK per delivery, then REACTION_START per new capture."""
+        """Ingest one sample: PLAYBACK per delivery, then REACTION_START per new capture.
+
+        A delivery whose write fails ends the answer with one ERROR, after
+        the frames of the deliveries written before it.
+        """
         sample = sample_from_dict(_field(payload, "sample", dict))
         recipient_id = sample.recipient_id
         _check_origin(origin, recipient_id)
@@ -352,10 +368,15 @@ class DeliveryService:
         starts: list[dict[str, Any]] = []
         for delivery in deliveries:
             message_id = delivery.message_id
-            self._record(
-                recipient_id,
-                {"ev": "delivered", "message_id": message_id, "at": format_rfc3339(delivery.delivered_at)},
-            )
+            try:
+                self._record(
+                    recipient_id,
+                    {"ev": "delivered", "message_id": message_id, "at": format_rfc3339(delivery.delivered_at)},
+                )
+            except DataDirUnwritable as exc:
+                # The earlier deliveries are durable and their captures run:
+                # play them. This one stays Pending and fires at a later sample.
+                return playbacks + starts + [protocol.error_frame(exc, to=recipient_id)]
             message = self._messages[message_id]
             playbacks.append(_playback(message, delivery.delivered_at))
             # Behind a running capture, this one starts once that one finalizes.

@@ -6,7 +6,9 @@ are named by the percent-encoded recipient id, so no id names a path
 outside ``queues/``. Every event is appended as one line, flushed and
 fsynced, with the directory fsynced too when the line starts a log, so a
 process killed right after acknowledging a submit loses nothing. An append
-that fails is cut back off the file and raised as DataDirUnwritable.
+that fails is cut back off the file and raised as DataDirUnwritable. A log's
+first line, written with its first event, names the size of the snapshot the
+log follows: ``{"snap":N}``, 0 when there is none.
 
 The store keeps no events in memory: the files are the journal.
 ``snapshot()`` (called by ``close()`` on graceful shutdown) writes each
@@ -17,10 +19,12 @@ log's.
 
 Recovery also repairs what a crash can leave behind. An unterminated last
 line is an append cut short, never acknowledged: it is dropped and cut off
-the file. A log whose events already end the snapshot is one a crash left
-between the snapshot's rename and the log's removal: it is removed. A bad
-line anywhere else, or a file that is not what it should hold, is
-corruption and raises ParseError naming the file.
+the file. A log whose snapshot is no longer the size its first line names
+is one a crash left between the snapshot's rename and the log's removal:
+its events are in the snapshot, and it is removed. (A log written before
+logs named their snapshot counts as folded when its events end the
+snapshot.) A bad line anywhere else, or a file that is not what it should
+hold, is corruption and raises ParseError naming the file.
 
 Reaction capture buffers are deliberately NOT stored here; only consented,
 composed reaction records ever reach disk.
@@ -48,6 +52,18 @@ _SNAP_HEAD, _SNAP_TAIL = b'{"v":1,"events":[', b"]}"
 
 def _line(obj: dict[str, Any]) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+
+
+def _follows(entry: Any) -> int | None:
+    """The snapshot size a log's first line names, or None when that line is an event."""
+    return entry["snap"] if isinstance(entry, dict) and list(entry) == ["snap"] else None
+
+
+def _size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
 
 
 def check_principal(principal: str) -> None:
@@ -112,12 +128,13 @@ class FileStore:
     # -- writes --
 
     @staticmethod
-    def _append_line(path: Path, obj: dict[str, Any]) -> None:
+    def _append_line(path: Path, obj: dict[str, Any], follows: Path | None = None) -> None:
         """Append one line and fsync it, and its directory too when the line starts the file.
 
         A new file's directory entry is durable only once the directory is
         fsynced. Logs start anew after every restart, since ``snapshot()``
-        removes them, as well as at a new recipient's first event.
+        removes them, as well as at a new recipient's first event. A log
+        that ``follows`` a snapshot starts with the line naming its size.
 
         A write, fsync or open that fails is DataDirUnwritable, whose detail
         names no file, so it can answer the request. What a failed write
@@ -128,6 +145,8 @@ class FileStore:
             with open(path, "ab", buffering=0) as fh:
                 size = fh.tell()
                 try:
+                    if size == 0 and follows is not None:
+                        line = _line({"snap": _size(follows)}) + line
                     if os.write(fh.fileno(), line) < len(line):
                         raise OSError(errno.ENOSPC, "short write")
                     os.fsync(fh.fileno())
@@ -143,7 +162,8 @@ class FileStore:
         self._append_line(self._principals_path(), {"principal": principal})
 
     def record_event(self, recipient_id: str, event: dict[str, Any]) -> None:
-        self._append_line(self._log_path(recipient_id), event)
+        log = self._log_path(recipient_id)
+        self._append_line(log, event, log.with_name(log.stem + _SNAP))
 
     def snapshot(self) -> None:
         """Join each log onto its queue's snapshot, then remove the log.
@@ -158,6 +178,8 @@ class FileStore:
             snap = log.with_name(log.stem + _SNAP)
             old = snap.read_bytes()[len(_SNAP_HEAD) : -len(_SNAP_TAIL)] if snap.exists() else b""
             lines = log.read_bytes().rpartition(b"\n")[0].split(b"\n")
+            if lines[0] and _follows(json.loads(lines[0])) is not None:
+                del lines[0]
             tmp = snap.with_suffix(".tmp")
             with open(tmp, "wb") as fh:
                 fh.write(_SNAP_HEAD + b",".join(part for part in (old, *lines) if part) + _SNAP_TAIL)
@@ -207,7 +229,13 @@ class FileStore:
             for path in sorted(queues_dir.glob("*.log")):
                 events = self._read_lines(path)
                 journal = states.setdefault(unquote(path.stem), [])
-                if events and journal[-len(events):] == events:
+                follows = _follows(events[0]) if events else None
+                if follows is not None:
+                    events = events[1:]
+                    folded = follows != _size(path.with_name(path.stem + _SNAP))
+                else:  # a log written before logs named their snapshot
+                    folded = bool(events) and journal[-len(events):] == events
+                if folded:
                     path.unlink()  # already folded into the snapshot
                 else:
                     journal.extend(events)

@@ -15,9 +15,15 @@ import pytest
 
 from wandrelay import protocol
 from wandrelay.cli import main
+from wandrelay.engine import ContextSample, sample_to_dict
+from wandrelay.ids import IdFactory
+from wandrelay.model import (
+    Geofence, MarkerCondition, Specificity, TriggerSchedule, VoiceNote, compose, message_to_dict,
+)
 from wandrelay.server import WireClient
 
-from conftest import FIXTURE_PATHS
+from conftest import FIXTURE_PATHS, at
+from genrandom import lat_off, lon_off
 
 
 def mini_scenario_file(tmp_path: Path, scale=1.0) -> Path:
@@ -141,6 +147,17 @@ class TestReport:
         assert "error: IncompleteLog:" in capsys.readouterr().err
 
 
+def test_importing_the_cli_loads_neither_the_simulator_nor_the_analytics():
+    """So a ``serve`` (re)start pays for neither; only the commands that use them import them."""
+    code = (
+        "import sys, wandrelay.cli; "
+        "print(sorted(m for m in ('wandrelay.sim', 'wandrelay.analytics', 'statistics') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -208,6 +225,49 @@ class TestServe:
                 proc.kill()
                 proc.communicate()
         assert statistics.median(took) < 0.150, took
+
+    def test_a_served_session_leaves_no_sample_on_disk(self, tmp_path):
+        """No coordinate or sighted marker id of any CONTEXT reaches a file under the data dir.
+
+        The geofence centre and the marker id a SUBMIT names may stay there: triggers need them.
+        """
+        data, port = tmp_path / "data", free_port()
+        fence = Geofence(lat=lat_off(1.0), lon=lon_off(-1.0), radius=10.0)
+        message = compose(
+            "s1", "r1", "dog", 1.0, VoiceNote(2.0, "hi"),
+            TriggerSchedule(geofence=fence, marker=MarkerCondition("mk-desk"), specificity=Specificity.FLEXIBLE),
+            now=at("08:55:00"), id_factory=IdFactory(1),
+        )
+        samples = [  # outside the fence, then two inside it, none at its centre
+            ContextSample("r1", at(t), lat_off(north), lon_off(east), True, frozenset({"kitchen-door"}))
+            for t, north, east in (("09:00:00", 40.0, 30.0), ("09:00:01", 3.0, 2.0), ("09:00:02", 4.0, -1.5))
+        ]
+        proc = start_server(data, port)
+        try:
+            with WireClient("127.0.0.1", port) as recipient, WireClient("127.0.0.1", port) as sender:
+                recipient.hello("recipient", "r1")
+                sender.hello("sender", "s1")
+                submit = protocol.make_frame(protocol.SUBMIT, {"message": message_to_dict(message)}, sender="s1")
+                assert sender.request(submit)["kind"] == protocol.ACK
+                for n, sample in enumerate(samples):
+                    recipient.send(protocol.make_frame(protocol.CONTEXT, {"sample": sample_to_dict(sample)}))
+                    if n == 1:
+                        assert recipient.read_frame()["kind"] == protocol.PLAYBACK
+                        start = recipient.read_frame()
+                        assert start["kind"] == protocol.REACTION_START
+                reaction = {"message_id": message.message_id, "t": "2021-06-05T09:00:03Z", "transcript": "a dog!"}
+                assert recipient.request(protocol.make_frame(protocol.REACTION_FRAME, reaction))["kind"] == protocol.ACK
+                answer = {"message_id": message.message_id, "answer": "yes", "t": start["payload"]["deadline"]}
+                assert recipient.request(protocol.make_frame(protocol.CONSENT, answer))["kind"] == protocol.ACK
+                view = sender.request(protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}))
+                assert [r["state"] for r in view["payload"]["records"]] == ["Reacted"]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        stored = b"".join(path.read_bytes() for path in sorted(data.rglob("*")) if path.is_file())
+        assert json.dumps(fence.lat).encode() in stored and b"mk-desk" in stored
+        sampled = {json.dumps(v) for sample in samples for v in (sample.lat, sample.lon)} | {"kitchen-door"}
+        assert not {token for token in sampled if token.encode() in stored}
 
     def test_second_serve_same_port_fails(self, tmp_path):
         port = free_port()

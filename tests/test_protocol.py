@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import errno
+import io
+import json
+import os
 import socket
 import statistics
 import threading
@@ -12,7 +16,7 @@ import pytest
 from wandrelay import protocol
 from wandrelay.errors import AddressInUse, ParseError
 from wandrelay.ids import IdFactory
-from wandrelay.model import VoiceNote, compose, message_to_dict
+from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
 from wandrelay.server import MAX_LINE_BYTES, WandRelayServer, WireClient, _Handler
 from wandrelay.service import DeliveryService
 from wandrelay.engine import sample_to_dict, ContextSample
@@ -91,6 +95,99 @@ class TestFrames:
             assert not recorder.frames
             recorder.close()
         assert list(protocol.read_frames(path)) == [hello] * 6
+
+    def test_only_an_appending_recorder_skips_context(self, tmp_path):
+        """A server's log keeps no sample, only what answers it; a run's log keeps the whole wire history."""
+        hello = protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"})
+        context = context_frame("r1", at("09:00:00"))
+        playback = protocol.make_frame(protocol.PLAYBACK, {"message_id": "X"}, to="r1")
+        for append in (False, True):
+            path = tmp_path / f"append-{append}.ndjson"
+            recorder = protocol.FrameRecorder(path, append=append)
+            for frame in (hello, context, playback):
+                recorder.record(frame)
+            recorder.close()
+            kept = [hello, playback] if append else [hello, context, playback]
+            assert list(protocol.read_frames(path)) == kept
+            assert recorder.frames == (None if append else kept)
+
+    def test_the_one_encoder_writes_what_json_dumps_writes(self):
+        frame = context_frame("r\u00e9", at("09:00:00"))
+        frame["payload"]["note"] = ["\u2603", 1.5e-7, None, True, {"nested": [float("inf")]}]
+        expected = json.dumps(frame, separators=(",", ":"), ensure_ascii=False)
+        assert protocol.dumps_canonical(frame) == expected
+        assert protocol.encode_frame(frame) == (expected + "\n").encode("utf-8")
+
+
+class FullDisk(io.StringIO):
+    """A frame log file that, once armed, lets ``skip`` writes through and fails the next with ENOSPC."""
+
+    fail_in: int | None = None
+
+    def fail_after(self, skip: int) -> None:
+        self.fail_in = skip
+
+    def write(self, text):
+        if self.fail_in == 0:
+            self.fail_in = None
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "/srv/wandrelay/frames.ndjson")
+        if self.fail_in is not None:
+            self.fail_in -= 1
+        return super().write(text)
+
+    def kinds(self) -> list[str]:
+        return [json.loads(line)["kind"] for line in self.getvalue().splitlines()]
+
+
+def full_disk_service():
+    """A service, with r1's session open and s1 known, whose frame log is a FullDisk."""
+    recorder = protocol.FrameRecorder(append=True)
+    recorder._fh = log = FullDisk()
+    service = DeliveryService(recorder=recorder)
+    service.register_principal("s1")
+    service.open_session("r1")
+    return service, log
+
+
+@pytest.mark.parametrize("failing", ["inbound", "response"])
+def test_a_frame_log_that_cannot_be_written_never_escapes(failing):
+    """An unlogged request is refused and changes nothing; an unlogged answer is still given."""
+    service, log = full_disk_service()
+    log.fail_after(0 if failing == "inbound" else 1)
+    message, frame = submit_frame()
+    (answer,) = service.handle_frame(frame)
+    if failing == "inbound":
+        assert answer["kind"] == protocol.ERROR
+        assert answer["payload"]["code"] == "DataDirUnwritable"
+        assert "frames.ndjson" not in answer["payload"]["detail"]
+        assert "/srv" not in answer["payload"]["detail"]
+        assert service.message_states() == {}
+        (answer,) = service.handle_frame(frame)
+    assert answer["kind"] == protocol.ACK
+    assert service.message_states() == {message.message_id: MessageState.PENDING}
+    logged = [protocol.ERROR, protocol.SUBMIT, protocol.ACK] if failing == "inbound" else [protocol.SUBMIT]
+    assert log.kinds() == logged
+
+
+def test_a_frame_log_that_cannot_be_written_keeps_the_connection():
+    service, log = full_disk_service()
+    server = WandRelayServer("127.0.0.1", 0, service)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address
+    try:
+        with WireClient(host, port) as sender:
+            assert sender.hello("sender", "s1")["kind"] == protocol.ACK
+            message, frame = submit_frame()
+            log.fail_after(0)
+            refused = sender.request(frame)
+            assert refused["kind"] == protocol.ERROR
+            assert refused["payload"]["code"] == "DataDirUnwritable"
+            ack = sender.request(frame)
+            assert ack["kind"] == protocol.ACK
+            assert ack["payload"]["message_id"] == message.message_id
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.fixture()

@@ -26,7 +26,7 @@ from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
-from client import consent, error_code, push, request, submit, view_of
+from client import consent, error_code, ids_of, push, request, submit, view_of
 from conftest import at
 from test_service import durable, make_message, sample
 
@@ -154,10 +154,19 @@ def test_a_failed_append_is_answered_and_cut_off(tmp_path, monkeypatch, call, fa
         frames = push(service, sample("09:00:00"))
     monkeypatch.undo()
 
-    assert error_code(frames) == "DataDirUnwritable"
-    detail = frames[0]["payload"]["detail"]
+    if failing == "second-delivery":
+        # the first message, durably Delivered, is played and its capture starts; then the ERROR
+        assert [f["kind"] for f in frames] == [protocol.PLAYBACK, protocol.REACTION_START, protocol.ERROR]
+        assert ids_of(frames, protocol.PLAYBACK) == ids_of(frames, protocol.REACTION_START) == [one.message_id]
+        assert frames[-1]["payload"]["code"] == "DataDirUnwritable"
+    else:
+        assert error_code(frames) == "DataDirUnwritable"
+    detail = frames[-1]["payload"]["detail"]
     assert not any(word in detail for word in ("r1", "queues", str(tmp_path), one.message_id, two.message_id))
     assert log.read_bytes() == logged
+    if failing == "second-delivery":
+        assert service.message_states()[two.message_id] is MessageState.PENDING
+        assert ids_of(push(service, sample("09:00:01")), protocol.PLAYBACK) == [two.message_id]
     assert error_code(submit(service, three)) is None
     live = service.message_states()
     assert three.message_id in live
@@ -314,6 +323,27 @@ def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
     reborn = DeliveryService(FileStore(tmp_path))
     assert (reborn.message_states(), view_of(reborn, "s1")) == before
     assert not log.exists()
+
+
+def test_a_log_that_repeats_the_end_of_its_snapshot_is_kept(tmp_path):
+    """Only a snapshot that is no longer the size a log names holds that log, whatever its events."""
+    event = {"ev": "enqueued", "n": 0}
+    store = FileStore(tmp_path)
+    store.record_event("r1", event)
+    store.close()
+    store = FileStore(tmp_path)
+    store.record_event("r1", event)  # then a crash: no close
+    assert FileStore(tmp_path).recover() == (set(), {"r1": [event, event]})
+    assert (tmp_path / "queues" / "r1.log").read_bytes().startswith(b'{"snap":')
+
+
+def test_a_log_without_a_size_line_that_ends_its_snapshot_is_removed(tmp_path):
+    """A log written before logs named their snapshot is folded when its events end the snapshot."""
+    (tmp_path / "queues").mkdir()
+    (tmp_path / "queues" / "r1.snap.json").write_text('{"v":1,"events":[{"ev":"a"},{"ev":"b"}]}')
+    (tmp_path / "queues" / "r1.log").write_text('{"ev":"b"}\n')
+    assert FileStore(tmp_path).recover() == (set(), {"r1": [{"ev": "a"}, {"ev": "b"}]})
+    assert not (tmp_path / "queues" / "r1.log").exists()
 
 
 def hello(service, role, principal):
