@@ -41,8 +41,8 @@ def _data_dir(args: argparse.Namespace) -> Path | None:
 
 def _parse_listen(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ParseError(f"--listen expects HOST:PORT, got {value!r}")
+    if not (sep and port.isdecimal() and len(port) <= 5 and int(port) <= 65535):
+        raise ParseError(f"expected HOST:PORT with a port in 0-65535, got {value!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -75,8 +75,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
         finally:
-            server.server_close()
-            service.close()
+            server.server_close()  # closes the service too, after any running request
     finally:
         recorder.close()
     return 0

@@ -122,14 +122,15 @@ class FrameRecorder:
     A server's log also skips every CONTEXT frame. It outlives any one run
     and is read by ``report``, which needs no sample, and samples are the
     wearer's positions and sightings, which must not pile up on disk. The
-    frames that answer a CONTEXT are still written.
+    frames that answer a CONTEXT are still written, each line as it is
+    recorded, so a killed server's log still holds every answer it gave.
     """
 
     def __init__(self, path: str | Path | None = None, *, append: bool = False):
         self.frames: list[dict[str, Any]] | None = None if append else []
         self._fh: TextIO | None = None
         if path is not None:
-            self._fh = open(path, "a" if append else "w", encoding="utf-8")
+            self._fh = open(path, "a" if append else "w", buffering=1 if append else -1, encoding="utf-8")
 
     def record(self, frame: dict[str, Any]) -> None:
         if self.frames is None and frame["kind"] == CONTEXT:

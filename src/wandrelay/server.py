@@ -7,12 +7,19 @@ service addresses to other principals (for example REACTION_NOTIFY for a
 sessionless sender) are recorded in the frame log and not transmitted here;
 senders pick them up by polling their view.
 
+Each connection has its own thread, and the server owns everything they
+share: ``lock``, which runs one ``handle_frame`` at a time, and ``sessions``,
+which maps each recipient to the handler of its live session. A recipient
+HELLO, first or repeated, makes its connection the live session, and that
+connection's close ends the session unless a later one has taken it over. A
+CONTEXT from a principal without a live session is refused with NoSession.
+
 A connection speaks for the principal its acknowledged HELLO named: every
 frame's ``from`` is overwritten with it, a later HELLO naming another
 principal is refused, and one repeating its own is answered as usual. A
-recipient HELLO, first or repeated, opens the session that the disconnect
-closes. A frame line longer than ``MAX_LINE_BYTES`` is refused and closes the
-connection, so no client can make a handler buffer without bound.
+frame line longer than ``MAX_LINE_BYTES`` is refused and closes the
+connection, so no client can make a handler buffer without bound. None of
+these connection-level refusals reaches the service or its frame log.
 
 A request's direct replies leave in one write, in order. Written one by one,
 a reply sent while an earlier one is unacknowledged waits on Nagle's
@@ -25,10 +32,11 @@ from __future__ import annotations
 import errno
 import socket
 import socketserver
+import threading
 from typing import Any
 
 from . import protocol
-from .errors import AddressInUse, ParseError
+from .errors import AddressInUse, NoSession, ParseError
 from .service import DeliveryService
 
 MAX_LINE_BYTES = 1 << 20  # newline included
@@ -36,9 +44,8 @@ MAX_LINE_BYTES = 1 << 20  # newline included
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        service: DeliveryService = self.server.service  # type: ignore[attr-defined]
+        server: WandRelayServer = self.server  # type: ignore[assignment]
         principal: str | None = None
-        session_generation: int | None = None
         try:
             while raw := self.rfile.readline(MAX_LINE_BYTES):
                 if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
@@ -61,24 +68,25 @@ class _Handler(socketserver.StreamRequestHandler):
                 elif principal is None:
                     self._send([protocol.error_frame(ParseError("first frame must be HELLO"))])
                     continue
+                elif frame["kind"] == protocol.CONTEXT and principal not in server.sessions:
+                    self._send([protocol.error_frame(NoSession(principal), to=principal)])
+                    continue
                 frame["from"] = claimed
-                # One locked step: the generation read is the one this HELLO
-                # opened, not that of another connection's HELLO for the same
-                # recipient.
-                with service.lock:
-                    responses = service.handle_frame(frame)
+                with server.lock:
+                    responses = server.service.handle_frame(frame)
                     if frame["kind"] == protocol.HELLO and responses[0]["kind"] == protocol.ACK:
                         # Only an acknowledged HELLO introduces the connection.
                         principal = claimed
                         if frame["payload"]["role"] == "recipient":
-                            session_generation = service.session_generation(principal)
+                            server.sessions[principal] = self
                 # Only direct responses travel on this connection.
                 self._send([r for r in responses if r.get("to") in (None, claimed)])
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            if session_generation is not None:
-                service.close_session(principal, session_generation)
+            with server.lock:
+                if server.sessions.get(principal) is self:
+                    del server.sessions[principal]
 
     def _send(self, frames: list[dict[str, Any]]) -> None:
         """One write per request: its replies leave together, in order."""
@@ -91,13 +99,24 @@ class WandRelayServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = False
 
     def __init__(self, host: str, port: int, service: DeliveryService):
+        super().__init__((host, port), _Handler, bind_and_activate=False)
         self.service = service
+        self.lock = threading.Lock()
+        self.sessions: dict[str, _Handler] = {}  # recipient -> the handler of its live session
         try:
-            super().__init__((host, port), _Handler)
+            self.server_bind()
+            self.server_activate()
         except OSError as exc:
+            self.socket.close()  # the service stays open: it is not the server's until it serves
             if exc.errno == errno.EADDRINUSE:
                 raise AddressInUse(f"{host}:{port}") from None
             raise
+
+    def server_close(self) -> None:
+        """Stop listening, then close the service once no request is running."""
+        super().server_close()
+        with self.lock:
+            self.service.close()
 
 
 class WireClient:

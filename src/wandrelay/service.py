@@ -3,10 +3,10 @@
 Accepts submissions, ingests recipient context, drives the trigger engine,
 runs the reaction-capture loop, and answers sender views. Every request
 arrives as a wire frame through ``handle_frame``, which hands it to one
-handler per request kind. All mutations run under one lock, which trivially
-satisfies the per-recipient serialization contract at this scale; time comes
-exclusively from the frames themselves, so the service is a deterministic
-function of its input frame sequence.
+handler per request kind. It takes one request at a time and holds no lock:
+a caller with more than one thread (the TCP server) serializes its calls.
+Time comes exclusively from the frames themselves, so the service is a
+deterministic function of its input frame sequence.
 
 Each recipient's pending messages live in a ``TriggerIndex``, which only
 ``_apply`` changes, so recovery rebuilds it from the journal by the same
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from datetime import datetime
-from threading import RLock
 from typing import Any
 
 from . import protocol
@@ -32,7 +31,6 @@ from .engine import TriggerIndex, check_order, evaluate_sample, expire_messages,
 from .errors import (
     DataDirUnwritable,
     DuplicateMessageId,
-    NoSession,
     NotAwaitingConsent,
     OutOfOrderSample,
     ParseError,
@@ -138,9 +136,6 @@ class DeliveryService:
         self._store = store if store is not None else MemoryStore()
         self._recorder = recorder
         self._markers = set(declared_markers) if declared_markers is not None else None
-        # Held by every request; a caller that reads state the request left
-        # (the TCP handler's session generation) holds it across both.
-        self.lock = RLock()
 
         self._principals: set[str] = set()
         self._messages: dict[str, ArMessage] = {}
@@ -149,7 +144,6 @@ class DeliveryService:
         self._by_sender: dict[str, list[str]] = {}
         self._pending: defaultdict[str, TriggerIndex] = defaultdict(TriggerIndex)
         self._last_t: dict[str, datetime] = {}
-        self._sessions: dict[str, int] = {}  # principal -> live session generation
         self._captures = CaptureManager()
 
         self._recover()
@@ -203,37 +197,14 @@ class DeliveryService:
 
     def close(self) -> None:
         """Release the store, which snapshots what it holds."""
-        with self.lock:
-            self._store.close()
+        self._store.close()
 
-    # -- principals & sessions --------------------------------------------------
+    # -- principals -------------------------------------------------------------
 
     def register_principal(self, principal: str) -> None:
-        with self.lock:
-            if principal not in self._principals:
-                self._store.record_principal(principal)
-                self._principals.add(principal)
-
-    def open_session(self, recipient_id: str) -> int:
-        """Open the live session for a recipient, superseding any earlier one.
-
-        Returns a generation token; close_session with a stale token is a
-        no-op, so a superseded connection going away cannot kill the live
-        session.
-        """
-        with self.lock:
-            self.register_principal(recipient_id)
-            generation = self._sessions.get(recipient_id, 0) + 1
-            self._sessions[recipient_id] = generation
-            return generation
-
-    def close_session(self, recipient_id: str, generation: int) -> None:
-        with self.lock:
-            if self._sessions.get(recipient_id) == generation:
-                del self._sessions[recipient_id]
-
-    def session_generation(self, recipient_id: str) -> int | None:
-        return self._sessions.get(recipient_id)
+        if principal not in self._principals:
+            self._store.record_principal(principal)
+            self._principals.add(principal)
 
     def end_of_run(self, at: datetime) -> list[str]:
         """Scenario end: expire whatever is still pending, discard open captures.
@@ -243,28 +214,26 @@ class DeliveryService:
         does a Delivered message whose capture was lost with an earlier
         process. Returns the ids of messages expired here.
         """
-        with self.lock:
-            stamp = format_rfc3339(at)
-            expired_ids: list[str] = []
-            for recipient_id, index in list(self._pending.items()):
-                for message in list(index.messages.values()):
-                    self._record(recipient_id, {"ev": "expired", "message_id": message.message_id, "at": stamp})
-                    expired_ids.append(message.message_id)
-            for recipient_id, session, line in self._captures.drain():
-                session.awaiting = True
-                finalize(session, False)
-                for message_id in line:
-                    self._record(recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
-            for message in list(self._messages.values()):
-                if message.state is MessageState.DELIVERED:
-                    self._record(
-                        message.recipient_id, {"ev": "declined", "message_id": message.message_id, "at": stamp}
-                    )
-            return expired_ids
+        stamp = format_rfc3339(at)
+        expired_ids: list[str] = []
+        for recipient_id, index in list(self._pending.items()):
+            for message in list(index.messages.values()):
+                self._record(recipient_id, {"ev": "expired", "message_id": message.message_id, "at": stamp})
+                expired_ids.append(message.message_id)
+        for recipient_id, session, line in self._captures.drain():
+            session.awaiting = True
+            finalize(session, False)
+            for message_id in line:
+                self._record(recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
+        for message in list(self._messages.values()):
+            if message.state is MessageState.DELIVERED:
+                self._record(
+                    message.recipient_id, {"ev": "declined", "message_id": message.message_id, "at": stamp}
+                )
+        return expired_ids
 
     def message_states(self) -> dict[str, MessageState]:
-        with self.lock:
-            return {mid: m.state for mid, m in self._messages.items()}
+        return {mid: m.state for mid, m in self._messages.items()}
 
     # -- requests ---------------------------------------------------------------------
 
@@ -286,23 +255,22 @@ class DeliveryService:
         response that cannot be logged is still returned: the store already
         holds what it reports.
         """
-        with self.lock:
-            kind = frame["kind"]
-            origin = frame.get("from")
-            try:
-                self._log(frame)
-                handler = _HANDLERS.get(kind)
-                if handler is None:
-                    raise ParseError(f"frame kind {kind} is not accepted from clients")
-                responses = handler(self, frame["payload"], origin)
-            except WandRelayError as exc:
-                responses = [protocol.error_frame(exc, to=origin)]
-            try:
-                for response in responses:
-                    self._log(response)
-            except DataDirUnwritable:
-                pass
-            return responses
+        kind = frame["kind"]
+        origin = frame.get("from")
+        try:
+            self._log(frame)
+            handler = _HANDLERS.get(kind)
+            if handler is None:
+                raise ParseError(f"frame kind {kind} is not accepted from clients")
+            responses = handler(self, frame["payload"], origin)
+        except WandRelayError as exc:
+            responses = [protocol.error_frame(exc, to=origin)]
+        try:
+            for response in responses:
+                self._log(response)
+        except DataDirUnwritable:
+            pass
+        return responses
 
     def _hello(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
         role = payload.get("role")
@@ -310,10 +278,7 @@ class DeliveryService:
         if role not in ("sender", "recipient") or not principal or not isinstance(principal, str):
             raise ParseError("HELLO requires role in {sender, recipient} and a principal")
         check_principal(principal)
-        if role == "recipient":
-            self.open_session(principal)
-        else:
-            self.register_principal(principal)
+        self.register_principal(principal)
         ack = {"of": protocol.HELLO, "role": role, "principal": principal}
         return [protocol.make_frame(protocol.ACK, ack, to=principal)]
 
@@ -344,8 +309,6 @@ class DeliveryService:
         sample = sample_from_dict(_field(payload, "sample", dict))
         recipient_id = sample.recipient_id
         _check_origin(origin, recipient_id)
-        if recipient_id not in self._sessions:
-            raise NoSession(recipient_id)
         last_t = self._last_t.get(recipient_id)
         check_order(sample.t, last_t)  # before the index moves
         index = self._pending[recipient_id]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import count
@@ -146,8 +147,8 @@ def scenario_from_dict(doc: Mapping[str, Any], *, source: str = "<scenario>") ->
         tick = float(doc.get("tick", 1.0))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{source}: {exc}") from None
-    if tick <= 0:
-        raise ParseError(f"{source}: tick must be positive, got {tick}")
+    if not 1e-6 <= tick < math.inf:  # sample times resolve to the microsecond
+        raise ParseError(f"{source}: tick must be a finite number of seconds, at least 1e-06, got {tick}")
     end = parse_rfc3339(_require(doc, "end", source))
 
     markers: list[MarkerSpec] = []

@@ -367,14 +367,14 @@ def test_criterion_6_determinism_and_durability(tmp_path):
     data_dir = tmp_path / "durable"
     service = DeliveryService(FileStore(data_dir))
     service.register_principal("s1")
-    service.open_session("r1")
+    service.register_principal("r1")
     message = compose("s1", "r1", "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:55:00"))
     submit(service, message)
     del service  # crash: no close(), no snapshot
 
     reborn = DeliveryService(FileStore(data_dir))
     assert reborn.message_states() == {message.message_id: MessageState.PENDING}
-    reborn.open_session("r1")
+    reborn.register_principal("r1")
     frames = push(reborn, ContextSample("r1", at("09:00:00"), 0.0, 0.0, wearing=True))
     assert ids_of(frames, protocol.PLAYBACK) == [message.message_id]
     ok(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import signal
@@ -76,6 +77,16 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "--scenario", "nope.json"]) == 1
         assert "error: ParseError:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tick", [math.nan, math.inf, 0.0, 1e-7, 1e-300])
+    def test_a_tick_must_be_finite_and_at_least_a_microsecond(self, tmp_path, capsys, tick):
+        """NaN and Infinity are what ``json.loads`` reads; below 1 us, samples would repeat their times."""
+        path = mini_scenario_file(tmp_path)
+        path.write_text(path.read_text().replace('"tick": 1.0', f'"tick": {json.dumps(tick)}'))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ParseError: {path}: tick must be a finite number")
+        path.write_text(path.read_text().replace(f'"tick": {json.dumps(tick)}', '"tick": 1e-06'))
+        assert main(["validate", "--scenario", str(path)]) == 0
 
 
 class TestSimulate:
@@ -193,7 +204,7 @@ class TestServe:
             message_id = json.loads(result.stdout)["message_id"]
         finally:
             proc.kill()  # unclean shutdown on purpose
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
 
         proc = start_server(tmp_path / "data", port)
         try:
@@ -206,7 +217,7 @@ class TestServe:
             assert [(r["message_id"], r["state"]) for r in records] == [(message_id, "Pending")]
         finally:
             proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
 
     def test_sigterm_ends_an_idle_server_at_once(self, tmp_path):
         """From SIGTERM to exit 0 takes well under the serve loop's half-second poll."""
@@ -263,7 +274,8 @@ class TestServe:
                 assert [r["state"] for r in view["payload"]["records"]] == ["Reacted"]
         finally:
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+            proc.communicate(timeout=10)
+        assert proc.returncode == 0
         stored = b"".join(path.read_bytes() for path in sorted(data.rglob("*")) if path.is_file())
         assert json.dumps(fence.lat).encode() in stored and b"mk-desk" in stored
         sampled = {json.dumps(v) for sample in samples for v in (sample.lat, sample.lon)} | {"kitchen-door"}
@@ -282,7 +294,30 @@ class TestServe:
             assert "error: AddressInUse:" in result.stderr
         finally:
             proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
+
+    def test_a_killed_server_keeps_every_answered_submit_in_its_frame_log(self, tmp_path):
+        """Each frame log line reaches the OS as it is recorded, so SIGKILL loses no SUBMIT nor its ACK."""
+        data, port = tmp_path / "data", free_port()
+        proc = start_server(data, port)
+        sent = []
+        try:
+            with WireClient("127.0.0.1", port) as recipient, WireClient("127.0.0.1", port) as sender:
+                assert recipient.hello("recipient", "r1")["kind"] == protocol.ACK
+                assert sender.hello("sender", "s1")["kind"] == protocol.ACK
+                for seed in range(1, 6):
+                    message = compose("s1", "r1", "dog", 1.0, VoiceNote(2.0, "hi"),
+                                      now=at("08:55:00"), id_factory=IdFactory(seed))
+                    frame = protocol.make_frame(protocol.SUBMIT, {"message": message_to_dict(message)})
+                    assert sender.request(frame)["kind"] == protocol.ACK
+                    sent.append(message.message_id)
+        finally:
+            proc.kill()
+            proc.communicate(timeout=10)
+        frames = list(protocol.read_frames(data / "frames.ndjson"))
+        submitted = [f["payload"]["message"]["message_id"] for f in frames if f["kind"] == protocol.SUBMIT]
+        acked = [f["payload"]["message_id"] for f in frames if f["kind"] == protocol.ACK and f["payload"]["of"] == "SUBMIT"]
+        assert submitted == acked == sent
 
     @pytest.mark.parametrize(
         "content", [None, b"{not json", b"\xff", b"[]", b"{}", b'{"markers": 5}', b'{"markers": [{}]}']
@@ -319,4 +354,17 @@ class TestServe:
             assert (tmp_path / "env-data").is_dir()
         finally:
             proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "1\u00b2"])
+def test_a_port_outside_0_to_65535_is_an_input_error(tmp_path, capsys, port):
+    """Neither command binds nor dials it: serve would fail inside bind(), send would dial the port modulo 65536."""
+    data = tmp_path / "data"
+    for argv in (
+        ["serve", "--listen", f"127.0.0.1:{port}", "--data-dir", str(data)],
+        ["send", "--connect", f"127.0.0.1:{port}", "--sender", "s1", "--recipient", "r1", "--content", "dog"],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ParseError: expected HOST:PORT with a port in 0-65535")
+    assert not data.exists()

@@ -6,6 +6,7 @@ import json
 import os
 import socket
 import statistics
+import sys
 import threading
 import time
 from datetime import timedelta
@@ -19,6 +20,7 @@ from wandrelay.ids import IdFactory
 from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
 from wandrelay.server import MAX_LINE_BYTES, WandRelayServer, WireClient, _Handler
 from wandrelay.service import DeliveryService
+from wandrelay.storage import FileStore, MemoryStore
 from wandrelay.engine import sample_to_dict, ContextSample
 from wandrelay.timeutil import format_rfc3339
 
@@ -140,12 +142,12 @@ class FullDisk(io.StringIO):
 
 
 def full_disk_service():
-    """A service, with r1's session open and s1 known, whose frame log is a FullDisk."""
+    """A service, with r1 and s1 known, whose frame log is a FullDisk."""
     recorder = protocol.FrameRecorder(append=True)
     recorder._fh = log = FullDisk()
     service = DeliveryService(recorder=recorder)
     service.register_principal("s1")
-    service.open_session("r1")
+    service.register_principal("r1")
     return service, log
 
 
@@ -190,15 +192,32 @@ def test_a_frame_log_that_cannot_be_written_keeps_the_connection():
         server.server_close()
 
 
-@pytest.fixture()
-def running_server(tmp_path):
-    service = DeliveryService()
+def serving(service: DeliveryService) -> WandRelayServer:
     server = WandRelayServer("127.0.0.1", 0, service)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address
-    yield host, port, service
+    return server
+
+
+@pytest.fixture()
+def wire_server():
+    server = serving(DeliveryService())
+    yield server
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture()
+def running_server(wire_server):
+    host, port = wire_server.server_address
+    return host, port, wire_server.service
+
+
+def wait_until(condition, timeout=5.0):
+    """Poll ``condition`` until it holds; a handler thread changes the server's state after its reply."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
 
 
 def submit_frame(sender="s1", recipient="r1", seed=1):
@@ -373,16 +392,14 @@ class TestWireServer:
             answered = r2.request(consent_frame(message.message_id, "yes", start["payload"]["deadline"], "r2"))
             assert answered["kind"] == protocol.ACK
 
-    def test_repeated_recipient_hello_closes_its_session_at_disconnect(self, running_server):
-        host, port, service = running_server
+    def test_repeated_recipient_hello_closes_its_session_at_disconnect(self, wire_server):
+        host, port = wire_server.server_address
         with WireClient(host, port) as client:
             assert client.hello("sender", "x1")["kind"] == protocol.ACK
+            assert "x1" not in wire_server.sessions
             assert client.hello("recipient", "x1")["kind"] == protocol.ACK
-            assert service.session_generation("x1") is not None
-        deadline = time.monotonic() + 2.0
-        while service.session_generation("x1") is not None and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert service.session_generation("x1") is None
+            assert "x1" in wire_server.sessions
+        wait_until(lambda: "x1" not in wire_server.sessions)
         with WireClient(host, port) as client:
             assert client.hello("sender", "x1")["kind"] == protocol.ACK
             refused = client.request(context_frame("x1", at("09:00:00")))
@@ -402,44 +419,26 @@ class TestWireServer:
             playback = recipient.request(context_frame("r1", at("09:00:00")))
             assert (playback["kind"], playback["payload"]["message_id"]) == (protocol.PLAYBACK, message.message_id)
 
-    def test_a_superseded_connection_leaves_the_live_session_open(self, running_server):
-        """Two recipient HELLOs for r1: B's comes while A's connection is learning its session generation.
-
-        The gate holds A there for up to 1 s or until B is acknowledged. Had A's
-        HELLO and its generation read been two steps, B's HELLO would run in
-        between, A would take B's generation and A's close would end B's session.
-        """
-        host, port, service = running_server
-        read_generation, close_session = service.session_generation, service.close_session
-        a_reading, b_acked, a_closed = threading.Event(), threading.Event(), threading.Event()
-
-        def gated(recipient_id):
-            if not a_reading.is_set():  # connection A, right after its HELLO
-                a_reading.set()
-                b_acked.wait(timeout=1.0)
-            return read_generation(recipient_id)
-
-        def closing(recipient_id, generation):
-            close_session(recipient_id, generation)
-            a_closed.set()
-
-        service.session_generation, service.close_session = gated, closing
+    def test_a_superseded_connection_leaves_the_live_session_open(self, wire_server):
+        """B's recipient HELLO takes r1's session over from A; A's close then leaves B's session live."""
+        host, port = wire_server.server_address
+        sessions = wire_server.sessions
         with WireClient(host, port) as b, WireClient(host, port) as sender:
             a = WireClient(host, port)
-            a.send(protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"}))
-            assert a_reading.wait(timeout=5.0)
-            b_hello = threading.Thread(target=lambda: (b.hello("recipient", "r1"), b_acked.set()))
-            b_hello.start()
-            assert a.read_frame()["kind"] == protocol.ACK
-            b_hello.join(timeout=5.0)
-            assert not b_hello.is_alive()
+            assert a.hello("recipient", "r1")["kind"] == protocol.ACK
+            a_handler = sessions["r1"]
+            assert b.hello("recipient", "r1")["kind"] == protocol.ACK
+            b_handler = sessions["r1"]
+            assert b_handler is not a_handler
             a.close()
-            assert a_closed.wait(timeout=5.0)
+            wait_until(lambda: a_handler.rfile.closed)  # A's handler has returned
+            assert sessions["r1"] is b_handler
             sender.hello("sender", "s1")
             message, frame = submit_frame()
             assert sender.request(frame)["kind"] == protocol.ACK
             playback = b.request(context_frame("r1", at("09:00:00")))
             assert (playback["kind"], playback["payload"].get("message_id")) == (protocol.PLAYBACK, message.message_id)
+        wait_until(lambda: "r1" not in sessions)
 
     def test_reaction_round_trip_does_not_wait_on_delayed_acks(self, running_server):
         """A client with the kernel's default socket options sees no 40 ms stall per reaction."""
@@ -469,6 +468,101 @@ class TestWireServer:
         host, port, _ = running_server
         with pytest.raises(AddressInUse):
             WandRelayServer(host, port, DeliveryService())
+
+    def test_a_server_that_cannot_bind_leaves_its_store_alone(self, running_server):
+        """A failed start snapshots nothing: the data dir may be a live server's."""
+        host, port, _ = running_server
+        closed = []
+
+        class Store(MemoryStore):
+            def close(self):
+                closed.append(self)
+
+        with pytest.raises(AddressInUse):
+            WandRelayServer(host, port, DeliveryService(Store()))
+        assert closed == []
+
+
+class OneAtATime(DeliveryService):
+    """A service that notes the most requests it ever ran at once."""
+
+    running = most = 0
+
+    def handle_frame(self, frame):
+        self.running += 1
+        self.most = max(self.most, self.running)
+        try:
+            return super().handle_frame(frame)
+        finally:
+            self.running -= 1
+
+
+def test_concurrent_clients_leave_what_a_recovered_service_reads(tmp_path):
+    """Senders submit on their own threads while the recipient streams firing samples on its own.
+
+    Twice as many client threads as cores, switching often. The server runs
+    one request at a time, every SUBMIT gets exactly one ACK and every
+    message one PLAYBACK, and once ``server_close`` has snapshotted the
+    store, a service recovered from the data dir reads the same states as
+    the live one.
+    """
+    service = OneAtATime(FileStore(tmp_path))
+    server = serving(service)
+    host, port = server.server_address
+    senders, per_sender = 2 * (os.cpu_count() or 1) + 1, 10
+    acked: list[str] = []
+    played: list[str] = []
+    submitting = threading.Event()
+
+    def send_all(n):
+        sender_id = f"s{n}"
+        with WireClient(host, port) as client:
+            assert client.hello("sender", sender_id)["kind"] == protocol.ACK
+            submitting.set()
+            for k in range(per_sender):
+                message, frame = submit_frame(sender=sender_id, seed=100 * n + k)
+                answer = client.request(frame)
+                assert (answer["kind"], answer["payload"]["message_id"]) == (protocol.ACK, message.message_id)
+                acked.append(message.message_id)
+            view = client.request(protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": sender_id}))
+            assert view["kind"] == protocol.SENDER_VIEW_RESP  # no second answer to any SUBMIT came before it
+            assert len(view["payload"]["records"]) == per_sender
+
+    def stream(recipient, samples):
+        """Each sample, then a repeated HELLO whose ACK ends that sample's answer."""
+        for k in samples:
+            recipient.send(context_frame("r1", at("09:00:00") + timedelta(seconds=k)))
+            recipient.send(protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"}))
+            while (frame := recipient.read_frame())["kind"] != protocol.ACK:
+                assert frame["kind"] in (protocol.PLAYBACK, protocol.REACTION_START), frame
+                if frame["kind"] == protocol.PLAYBACK:
+                    played.append(frame["payload"]["message_id"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with WireClient(host, port) as recipient:
+            assert recipient.hello("recipient", "r1")["kind"] == protocol.ACK
+            threads = [threading.Thread(target=send_all, args=(n,)) for n in range(senders)]
+            for thread in threads:
+                thread.start()
+            assert submitting.wait(timeout=5.0)
+            stream(recipient, range(40))
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            stream(recipient, [40])  # delivers whatever came in after the last sample
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+
+    assert service.most == 1
+    assert len(acked) == senders * per_sender
+    assert sorted(played) == sorted(acked)
+    live = service.message_states()
+    assert set(live) == set(acked) and set(live.values()) == {MessageState.DELIVERED}
+    assert DeliveryService(FileStore(tmp_path)).message_states() == live
 
 
 class CountingSocket:
@@ -514,7 +608,7 @@ def test_each_request_is_answered_in_one_write():
         client.sendall(b"".join(protocol.encode_frame(f) for f in frames))
         client.shutdown(socket.SHUT_WR)
         counting = CountingSocket(end)
-        _Handler(counting, ("local", 0), SimpleNamespace(service=service))
+        _Handler(counting, ("local", 0), SimpleNamespace(service=service, lock=threading.Lock(), sessions={}))
         end.shutdown(socket.SHUT_WR)
         received = client.makefile("rb").read()
     assert counting.writes == expected

@@ -30,7 +30,7 @@ from genrandom import lat_off, lon_off
 def service():
     svc = DeliveryService(declared_markers={"mk-desk", "mk-door"})
     svc.register_principal("s1")
-    svc.open_session("r1")
+    svc.register_principal("r1")
     return svc
 
 
@@ -69,18 +69,6 @@ class TestSubmit:
 
 
 class TestPushContext:
-    def test_requires_open_session(self, service):
-        service.close_session("r1", service.session_generation("r1"))
-        assert error_code(push(service, sample())) == "NoSession"
-
-    def test_superseded_connection_cannot_close_live_session(self, service):
-        first = service.open_session("r1")
-        second = service.open_session("r1")
-        service.close_session("r1", first)  # stale token: no-op
-        assert error_code(push(service, sample())) is None
-        service.close_session("r1", second)
-        assert error_code(push(service, sample("09:00:01"))) == "NoSession"
-
     def test_out_of_order_rejected(self, service):
         push(service, sample("09:00:00"))
         assert error_code(push(service, sample("09:00:00"))) == "OutOfOrderSample"
@@ -266,7 +254,7 @@ class TestSenderView:
 def durable(tmp_path):
     service = DeliveryService(FileStore(tmp_path))
     service.register_principal("s1")
-    service.open_session("r1")
+    service.register_principal("r1")
     return service
 
 
@@ -318,7 +306,7 @@ class TestDurability:
 
     def test_consent_after_restart_declines_a_lost_capture(self, tmp_path):
         reborn, running, queued = self.lost_captures(tmp_path)
-        reborn.open_session("r1")
+        reborn.register_principal("r1")
         assert error_code(utter(reborn, running, at("09:00:05"), "wow")) == "UnknownMessage"
         for message_id, answer in ((running, "yes"), (queued, "no")):
             (ack,) = consent(reborn, message_id, answer, at("09:00:10"))
@@ -349,7 +337,7 @@ class TestDurability:
         assert first.message_states()[earlier.message_id] is MessageState(event.capitalize())
         # crash: the 09:00:30 sample is known to the store only by the event it caused
         reborn = DeliveryService(FileStore(tmp_path))
-        reborn.open_session("r1")
+        reborn.register_principal("r1")
         later = make_message(seed=2, created="08:56:00")
         submit(reborn, later)
         assert error_code(push(reborn, sample("09:00:05"))) == "OutOfOrderSample"
@@ -388,7 +376,7 @@ def answered(tmp_path, how):
         return service, queued.message_id
     service.close()
     service = DeliveryService(FileStore(tmp_path))
-    service.open_session("r1")
+    service.register_principal("r1")
     consent(service, first.message_id, "yes", at("09:00:10"))  # lost with the old process
     return service, first.message_id
 

@@ -64,7 +64,7 @@ def sample(t, markers=()):
 def service_with_open_capture():
     """Two direct messages delivered to r1: one capture running, one queued."""
     service = DeliveryService(declared_markers={"mk-desk"})
-    service.open_session("r1")
+    service.register_principal("r1")
     service.register_principal("s1")
     first, second = message(1), message(2)
     submit(service, first)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import random
@@ -148,6 +149,12 @@ class TestSampleStream:
         assert samples[0].t == at("09:00:00")
         assert samples[0].lat == pytest.approx(lat_off(0))
         assert len(samples) == 121  # 09:00:00..09:02:00 inclusive at 1 Hz
+
+    def test_the_smallest_tick_still_moves_every_sample(self):
+        """At the 1 us a scenario's tick may go down to, each sample keeps a time of its own."""
+        scenario = sim.scenario_from_dict(minimal_scenario(tick=1e-6))
+        samples = itertools.islice(sim.sample_stream(scenario, scenario.recipients[0]), 1000)
+        assert [s.t for s in samples] == [at("09:00:00") + timedelta(microseconds=k) for k in range(1000)]
 
     def test_midpoint_of_20m_segment_is_10m_along(self):
         # two waypoints 20 m apart (north-south), sampled at the midpoint

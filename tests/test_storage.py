@@ -233,12 +233,12 @@ def to(recipient, seed):
 
 def test_snapshot_is_durable_before_any_log_goes(tmp_path, monkeypatch):
     first = durable(tmp_path)
-    first.open_session("r3")
+    first.register_principal("r3")
     submit(first, to("r3", 3))
     first.close()  # r3 now has a snapshot and no log
     service = durable(tmp_path)
     for seed, recipient in enumerate(("r1", "r2")):
-        service.open_session(recipient)
+        service.register_principal(recipient)
         submit(service, to(recipient, seed))
 
     calls = []
