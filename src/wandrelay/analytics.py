@@ -1,7 +1,9 @@
-"""Deliverability statistics over run logs.
+"""Deliverability statistics over run logs or data dirs.
 
-Counts come only from SUBMIT and PLAYBACK frames plus the terminal states
-reported by the closing sender-view frames. Each (sender, recipient) pair gets
+From a run log, counts come only from SUBMIT and PLAYBACK frames plus the
+terminal states reported by the closing sender-view frames. From a data dir,
+they come from the queue journals' ``enqueued`` and ``delivered`` events,
+which the report reads and never repairs. Each (sender, recipient) pair gets
 per-category sent/received counts and an integer-percent delivery rate;
 summary rows (median / mean / sample SD) are computed over those integer
 rates, excluding pairs with nothing sent in a category.
@@ -16,16 +18,13 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import protocol
-from .errors import EmptyInput, IncompleteLog
+from .errors import EmptyInput, IncompleteLog, ParseError, WandRelayError
 from .model import ArMessage, MessageState, Specificity, message_from_dict
+from .storage import read_journal
 
 CATEGORIES = ("location", "time", "marker", "specific", "flexible", "direct")
 
-_DELIVERED_STATES = {
-    MessageState.DELIVERED.value,
-    MessageState.REACTED.value,
-    MessageState.REACTION_DECLINED.value,
-}
+_DELIVERED_STATES = {MessageState.DELIVERED, MessageState.REACTED, MessageState.REACTION_DECLINED}
 
 
 def categorize(message: ArMessage) -> str:
@@ -100,40 +99,75 @@ class Report:
 
 def summarize_frames_groups(groups: Iterable[Iterable[Mapping[str, Any]]]) -> Report:
     """Aggregate one or more frame logs into a deliverability report."""
-    pairs: dict[tuple[str, str], PairSummary] = {}
-    category_of: dict[str, str] = {}
-    pair_of: dict[str, tuple[str, str]] = {}
+    messages: dict[str, ArMessage] = {}
     playback_ids: set[str] = set()
-    final_states: dict[str, str] = {}
+    final_states: dict[str, MessageState] = {}
 
     for frames in groups:
         for frame in frames:
             kind = frame.get("kind")
             payload = frame.get("payload", {})
-            if kind == protocol.SUBMIT:
-                message = message_from_dict(payload["message"])
-                key = (message.sender_id, message.recipient_id)
-                pairs.setdefault(key, PairSummary(*key))
-                category_of[message.message_id] = categorize(message)
-                pair_of[message.message_id] = key
-            elif kind == protocol.PLAYBACK:
-                playback_ids.add(payload["message_id"])
-            elif kind == protocol.SENDER_VIEW_RESP:
-                for record in payload.get("records", []):
-                    # Later views supersede earlier ones.
-                    final_states[record["message_id"]] = record["state"]
+            try:
+                if kind == protocol.SUBMIT:
+                    message = message_from_dict(payload["message"])
+                    messages[message.message_id] = message
+                elif kind == protocol.PLAYBACK:
+                    playback_ids.add(payload["message_id"])
+                elif kind == protocol.SENDER_VIEW_RESP:
+                    for record in payload.get("records", []):
+                        # Later views supersede earlier ones.
+                        final_states[record["message_id"]] = MessageState(record["state"])
+            except (LookupError, TypeError, ValueError, AttributeError) as exc:
+                raise ParseError(f"bad {kind} frame: {exc!r}") from None
 
-    for message_id, key in pair_of.items():
+    outcomes = []
+    for message_id, message in messages.items():
         state = final_states.get(message_id)
-        if state is None or state == MessageState.PENDING.value:
+        if state is None or state is MessageState.PENDING:
             raise IncompleteLog(f"{message_id} has no terminal state")
         delivered = state in _DELIVERED_STATES
         if delivered != (message_id in playback_ids):
-            raise IncompleteLog(f"{message_id}: playback frames disagree with state {state}")
-        tally = pairs[key].tallies[category_of[message_id]]
+            raise IncompleteLog(f"{message_id}: playback frames disagree with state {state.value}")
+        outcomes.append((message, delivered))
+    return _summarize(outcomes)
+
+
+def summarize_data_dirs(roots: Sequence[str | Path]) -> Report:
+    """Aggregate data dirs, read and never repaired, into a deliverability report.
+
+    Each dir's messages count in ``(created_at, message_id)`` order, so pairs
+    come in the order of their first message. A message is received exactly
+    when its queue holds a ``delivered`` event: a Pending one counts as sent
+    and not received, as the end of a run would expire it.
+    """
+    outcomes = []
+    for root in roots:
+        found: dict[str, list[Any]] = {}  # message_id -> [message, received]
+        for recipient_id, events in read_journal(Path(root))[1].items():
+            try:
+                for event in events:
+                    kind = event["ev"]
+                    if kind == "enqueued":
+                        message = message_from_dict(event["message"])
+                        found[message.message_id] = [message, False]
+                    elif kind == "delivered":
+                        found[event["message_id"]][1] = True
+                    elif kind not in ("expired", "reacted", "declined"):
+                        raise ValueError(f"unknown stored event kind {kind!r}")
+            except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
+                raise ParseError(f"{root}: queue {recipient_id}: bad stored event: {exc!r}") from None
+        outcomes += sorted(found.values(), key=lambda item: (item[0].created_at, item[0].message_id))
+    return _summarize(outcomes)
+
+
+def _summarize(outcomes: Iterable[Sequence[Any]]) -> Report:
+    """Count each (message, received) into its pair's category; pairs in order of first message."""
+    pairs: dict[tuple[str, str], PairSummary] = {}
+    for message, received in outcomes:
+        key = (message.sender_id, message.recipient_id)
+        tally = pairs.setdefault(key, PairSummary(*key)).tallies[categorize(message)]
         tally.sent += 1
-        if delivered:
-            tally.received += 1
+        tally.received += received
 
     ordered = list(pairs.values())
 
@@ -159,7 +193,11 @@ def summarize_frames_groups(groups: Iterable[Iterable[Mapping[str, Any]]]) -> Re
 
 
 def summarize_paths(paths: Sequence[str | Path]) -> Report:
-    return summarize_frames_groups(protocol.read_frames(p) for p in paths)
+    """A report over run log files, or over data dirs; a mix of the two is refused."""
+    dirs = [Path(p).is_dir() for p in paths]
+    if any(dirs) and not all(dirs):
+        raise ParseError("report reads run log files or data dirs, not a mix of both")
+    return summarize_data_dirs(paths) if all(dirs) else summarize_frames_groups(map(protocol.read_frames, paths))
 
 
 # -- rendering ---------------------------------------------------------------

@@ -24,9 +24,9 @@ from .model import (
     Specificity,
     TimeWindow,
     TriggerSchedule,
-    VoiceNote,
     compose,
     message_to_dict,
+    voice_note_from_dict,
 )
 from .server import WandRelayServer, WireClient
 from .service import DeliveryService
@@ -60,24 +60,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
             markers = {str(m["marker_id"]) for m in doc["markers"]}
         except (KeyError, TypeError):
             raise ParseError(f"{args.markers}: expected a markers list of {{marker_id}} objects") from None
-    store = FileStore(data_dir)
-    recorder = protocol.FrameRecorder(data_dir / "frames.ndjson", append=True)
+    service = DeliveryService(FileStore(data_dir), declared_markers=markers)
+    server = WandRelayServer(host, port, service)
+    # Either signal interrupts serve_forever where it waits, so the exit
+    # (and the snapshot) starts at once.
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.default_int_handler)
     try:
-        service = DeliveryService(store, declared_markers=markers, recorder=recorder)
-        server = WandRelayServer(host, port, service)
-        # Either signal interrupts serve_forever where it waits, so the exit
-        # (and the snapshot) starts at once.
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, signal.default_int_handler)
-        try:
-            print(f"ready {host}:{port}", flush=True)
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()  # closes the service too, after any running request
+        print(f"ready {host}:{port}", flush=True)
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
     finally:
-        recorder.close()
+        server.server_close()  # closes the service too, after any running request
     return 0
 
 
@@ -108,7 +103,7 @@ def _schedule_from_flags(args: argparse.Namespace) -> TriggerSchedule | None:
 
 def cmd_send(args: argparse.Namespace) -> int:
     host, port = _parse_listen(args.connect)
-    note = VoiceNote(duration=args.note_duration, transcript=args.note)
+    note = voice_note_from_dict({"duration": args.note_duration, "transcript": args.note})
     message = compose(
         args.sender, args.recipient, args.content, args.scale, note, _schedule_from_flags(args)
     )
@@ -147,10 +142,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import analytics
 
-    for path in args.logs:
-        if not Path(path).exists():
-            raise ParseError(f"no such log: {path}")
-    report = analytics.summarize_paths(args.logs)
+    try:
+        report = analytics.summarize_paths(args.logs)
+    except OSError as exc:
+        raise ParseError(f"cannot read {exc.filename}: {exc.strerror}") from None
     rendered = analytics.render_csv(report) if args.format == "csv" else analytics.render_text(report)
     if args.out:
         Path(args.out).write_text(rendered)
@@ -201,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed-override", type=int)
     simulate.set_defaults(func=cmd_simulate)
 
-    report = sub.add_parser("report", help="render deliverability statistics from logs")
-    report.add_argument("logs", nargs="+")
+    report = sub.add_parser("report", help="render deliverability statistics from run logs or data dirs")
+    report.add_argument("logs", nargs="+", help="run log files, or data dirs")
     report.add_argument("--format", choices=["text", "csv"], default="text")
     report.add_argument("--out")
     report.set_defaults(func=cmd_report)

@@ -2,10 +2,10 @@
 
 Every frame is one line: ``{"v": 1, "kind": ..., "payload": {...}}`` plus
 optional ``"from"`` / ``"to"`` principal routing fields. The same frames,
-appended to a file, form the event-log format the analytics layer consumes.
+written to a file by a simulated run, form the run-log format the analytics
+layer consumes.
 
-Two privacy carve-outs. A server's log keeps no CONTEXT frame (see
-``FrameRecorder``). When a REACTION_FRAME is written to a log, its
+One privacy carve-out: when a REACTION_FRAME is written to a log, its
 transcript is dropped. Consent is still undecided at that point, and
 unconsented audio must never be persisted; the consented text reappears later
 inside REACTION_NOTIFY and sender-view frames.
@@ -111,33 +111,19 @@ def loggable_frame(frame: dict[str, Any]) -> dict[str, Any]:
 
 
 class FrameRecorder:
-    """Writes frames to a log file, if given, and keeps those of a run in ``frames``.
+    """Keeps every frame it records in ``frames`` and writes it to a log file, if given.
 
-    A recorder that starts a log (or writes none) keeps every frame it
-    records in ``frames``: the whole log, which a run returns. One that
-    appends to an existing log, as a long-running server does, keeps none
-    (``frames`` is None): its own frames would not be the whole log, and a
-    list would grow for as long as the process lives.
-
-    A server's log also skips every CONTEXT frame. It outlives any one run
-    and is read by ``report``, which needs no sample, and samples are the
-    wearer's positions and sightings, which must not pile up on disk. The
-    frames that answer a CONTEXT are still written, each line as it is
-    recorded, so a killed server's log still holds every answer it gave.
+    A run's recorder: ``frames`` is the whole wire history, which the run
+    returns and ``report`` can read back from the file.
     """
 
-    def __init__(self, path: str | Path | None = None, *, append: bool = False):
-        self.frames: list[dict[str, Any]] | None = None if append else []
-        self._fh: TextIO | None = None
-        if path is not None:
-            self._fh = open(path, "a" if append else "w", buffering=1 if append else -1, encoding="utf-8")
+    def __init__(self, path: str | Path | None = None):
+        self.frames: list[dict[str, Any]] = []
+        self._fh: TextIO | None = None if path is None else open(path, "w", encoding="utf-8")
 
     def record(self, frame: dict[str, Any]) -> None:
-        if self.frames is None and frame["kind"] == CONTEXT:
-            return
         safe = loggable_frame(frame)
-        if self.frames is not None:
-            self.frames.append(safe)
+        self.frames.append(safe)
         if self._fh is not None:
             self._fh.write(dumps_canonical(safe) + "\n")
 
@@ -150,7 +136,7 @@ class FrameRecorder:
 
 def read_frames(path: str | Path) -> Iterator[dict[str, Any]]:
     """Stream frames back out of a log file, validating each line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -4,8 +4,8 @@ Connections speak newline-delimited JSON frames and must open with HELLO.
 Recipient connections are live sessions (a later connect supersedes an
 earlier one); sender connections are plain request/response. Frames the
 service addresses to other principals (for example REACTION_NOTIFY for a
-sessionless sender) are recorded in the frame log and not transmitted here;
-senders pick them up by polling their view.
+sessionless sender) are not transmitted here; senders pick them up by
+polling their view.
 
 Each connection has its own thread, and the server owns everything they
 share: ``lock``, which runs one ``handle_frame`` at a time, and ``sessions``,
@@ -19,7 +19,7 @@ frame's ``from`` is overwritten with it, a later HELLO naming another
 principal is refused, and one repeating its own is answered as usual. A
 frame line longer than ``MAX_LINE_BYTES`` is refused and closes the
 connection, so no client can make a handler buffer without bound. None of
-these connection-level refusals reaches the service or its frame log.
+these connection-level refusals reaches the service.
 
 A request's direct replies leave in one write, in order. Written one by one,
 a reply sent while an earlier one is unacknowledged waits on Nagle's

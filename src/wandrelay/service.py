@@ -247,13 +247,11 @@ class DeliveryService:
     def handle_frame(self, frame: dict[str, Any]) -> list[dict[str, Any]]:
         """Process one inbound frame; returns the outbound frames it caused.
 
-        Both the inbound frame and every response go to the recorder. A
-        run's recorder keeps them all, so a recorded run is the complete wire
-        history; a server's keeps no CONTEXT, because ``report`` reads that
-        log and it must not hold the wearer's positions. An inbound frame
-        that cannot be logged is refused before it changes anything. A
-        response that cannot be logged is still returned: the store already
-        holds what it reports.
+        Both the inbound frame and every response go to the recorder, if
+        there is one, so a recorded run is the complete wire history. An
+        inbound frame that cannot be logged is refused before it changes
+        anything. A response that cannot be logged is still returned: the
+        store already holds what it reports.
         """
         kind = frame["kind"]
         origin = frame.get("from")

@@ -323,7 +323,10 @@ def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[Cont
     position, visible = None, frozenset()
     k = 0
     while True:
-        t = start + timedelta(seconds=k * scenario.tick)
+        try:
+            t = start + timedelta(seconds=k * scenario.tick)
+        except OverflowError:  # past the last datetime, so past the end
+            return
         if t > scenario.end:
             return
         while i < last and trajectory[i + 1].t <= t:

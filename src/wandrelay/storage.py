@@ -17,11 +17,13 @@ old snapshot's events and then the log's lines, and removes the log only
 once the snapshot is durable; recovery is the snapshot's events, then the
 log's.
 
-Recovery also repairs what a crash can leave behind. An unterminated last
-line is an append cut short, never acknowledged: it is dropped and cut off
-the file. A log whose snapshot is no longer the size its first line names
-is one a crash left between the snapshot's rename and the log's removal:
-its events are in the snapshot, and it is removed. (A log written before
+``read_journal`` reads a data dir and writes nothing, so ``report`` can read
+a live server's; ``FileStore.recover()`` then repairs what a crash can leave
+behind. An unterminated last line is an append cut short, never
+acknowledged: it is dropped, and recovery cuts it off the file. A log whose
+snapshot is no longer the size its first line names is one a crash left
+between the snapshot's rename and the log's removal: its events are in the
+snapshot, and recovery removes it. (A log written before
 logs named their snapshot counts as folded when its events end the
 snapshot.) A bad line anywhere else, or a file that is not what it should
 hold, is corruption and raises ParseError naming the file.
@@ -48,6 +50,8 @@ _MAX_STEM = 255 - len(_SNAP)  # 255 bytes: the common file-name limit
 # A snapshot is its events' log lines joined by "," between these two: what
 # json.dumps writes for {"v": 1, "events": [...]} with _line's separators.
 _SNAP_HEAD, _SNAP_TAIL = b'{"v":1,"events":[', b"]}"
+
+Queues = dict[str, list[dict[str, Any]]]  # recipient -> its queue's events, oldest first
 
 
 def _line(obj: dict[str, Any]) -> bytes:
@@ -90,7 +94,7 @@ class MemoryStore:
     def record_event(self, recipient_id: str, event: dict[str, Any]) -> None:
         pass
 
-    def recover(self) -> tuple[set[str], dict[str, list[dict[str, Any]]]]:
+    def recover(self) -> tuple[set[str], Queues]:
         return set(), {}
 
     def close(self) -> None:
@@ -118,9 +122,6 @@ class FileStore:
             raise DataDirUnwritable(f"{self.root}: {exc}") from None
 
     # -- paths --
-
-    def _principals_path(self) -> Path:
-        return self.root / "principals.log"
 
     def _log_path(self, recipient_id: str) -> Path:
         return self.root / "queues" / f"{quote(recipient_id, safe='')}.log"
@@ -159,7 +160,7 @@ class FileStore:
             raise DataDirUnwritable(f"append failed: {exc.strerror}") from None
 
     def record_principal(self, principal: str) -> None:
-        self._append_line(self._principals_path(), {"principal": principal})
+        self._append_line(self.root / "principals.log", {"principal": principal})
 
     def record_event(self, recipient_id: str, event: dict[str, Any]) -> None:
         log = self._log_path(recipient_id)
@@ -196,49 +197,67 @@ class FileStore:
 
     # -- recovery --
 
-    @staticmethod
-    def _read_lines(path: Path) -> list[dict[str, Any]]:
-        """Parse a log, dropping (and cutting off) an unterminated last line."""
-        if not path.exists():
-            return []
-        data = path.read_bytes()
-        body, _, torn = data.rpartition(b"\n")
-        entries = []
-        for lineno, line in enumerate(body.split(b"\n"), start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if torn:
+    def recover(self) -> tuple[set[str], Queues]:
+        """Return (principals, per-recipient ordered event lists), after the repairs ``read_journal`` names."""
+        principals, queues, torn, folded = read_journal(self.root)
+        for path, size in torn:
             with open(path, "r+b") as fh:
-                fh.truncate(len(data) - len(torn))
+                fh.truncate(size)
                 os.fsync(fh.fileno())
-        return entries
+        for path in folded:
+            path.unlink()
+        return principals, queues
 
-    def recover(self) -> tuple[set[str], dict[str, list[dict[str, Any]]]]:
-        """Return (principals, per-recipient ordered event lists)."""
-        states: dict[str, list[dict[str, Any]]] = {}
-        queues_dir = self.root / "queues"
-        path = self._principals_path()  # the file being read, for the error
+
+def _read_lines(path: Path, torn: list[tuple[Path, int]]) -> list[dict[str, Any]]:
+    """Parse a log; an unterminated last line is dropped and noted in ``torn`` as (path, size to keep)."""
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    body, _, tail = data.rpartition(b"\n")
+    entries = []
+    for lineno, line in enumerate(body.split(b"\n"), start=1):
+        if not line.strip():
+            continue
         try:
-            principals = {entry["principal"] for entry in self._read_lines(path)}
-            for path in sorted(queues_dir.glob(f"*{_SNAP}")):
-                states[unquote(path.name[: -len(_SNAP)])] = list(json.loads(path.read_text())["events"])
-            for path in sorted(queues_dir.glob("*.log")):
-                events = self._read_lines(path)
-                journal = states.setdefault(unquote(path.stem), [])
-                follows = _follows(events[0]) if events else None
-                if follows is not None:
-                    events = events[1:]
-                    folded = follows != _size(path.with_name(path.stem + _SNAP))
-                else:  # a log written before logs named their snapshot
-                    folded = bool(events) and journal[-len(events):] == events
-                if folded:
-                    path.unlink()  # already folded into the snapshot
-                else:
-                    journal.extend(events)
-        except (LookupError, TypeError, ValueError) as exc:  # a file that is not what it should hold
-            raise ParseError(f"{path}: {exc!r}") from None
-        return principals, states
+            entries.append(json.loads(line))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if tail:
+        torn.append((path, len(data) - len(tail)))
+    return entries
+
+
+def read_journal(root: Path) -> tuple[set[str], Queues, list[tuple[Path, int]], list[Path]]:
+    """Read a data dir without writing to it.
+
+    Returns the principals, each queue's events in order, the torn tails
+    (each log with the size its complete lines take) and the logs already
+    folded into their snapshots; ``FileStore.recover()`` repairs the last two.
+    """
+    queues_dir = root / "queues"
+    if not queues_dir.is_dir():
+        raise ParseError(f"{root}: not a data dir, it has no queues/")
+    states: Queues = {}
+    torn, folded = [], []
+    path = root / "principals.log"  # the file being read, for the error
+    try:
+        principals = {entry["principal"] for entry in _read_lines(path, torn)}
+        for path in sorted(queues_dir.glob(f"*{_SNAP}")):
+            states[unquote(path.name[: -len(_SNAP)])] = list(json.loads(path.read_text())["events"])
+        for path in sorted(queues_dir.glob("*.log")):
+            events = _read_lines(path, torn)
+            journal = states.setdefault(unquote(path.stem), [])
+            follows = _follows(events[0]) if events else None
+            if follows is not None:
+                events = events[1:]
+                is_folded = follows != _size(path.with_name(path.stem + _SNAP))
+            else:  # a log written before logs named their snapshot
+                is_folded = bool(events) and journal[-len(events):] == events
+            if is_folded:
+                folded.append(path)
+            else:
+                journal.extend(events)
+    except (LookupError, TypeError, ValueError) as exc:  # a file that is not what it should hold
+        raise ParseError(f"{path}: {exc!r}") from None
+    return principals, states, torn, folded

@@ -15,7 +15,9 @@ from wandrelay.analytics import (
     stats,
     summarize_frames_groups,
 )
+from wandrelay.engine import ContextSample
 from wandrelay.errors import EmptyInput, IncompleteLog
+from wandrelay.ids import IdFactory
 from wandrelay.model import (
     Geofence,
     MarkerCondition,
@@ -26,6 +28,10 @@ from wandrelay.model import (
     compose,
 )
 
+from wandrelay.service import DeliveryService
+from wandrelay.storage import FileStore
+
+from client import push, submit
 from conftest import at
 from genrandom import random_scenario_dict
 from oracles import naive_mean, naive_median, naive_sample_sd, recount_pairs
@@ -175,6 +181,37 @@ class TestSummarize:
             for pair in report.pairs
         }
         assert got == recounted
+
+
+class TestDataDirs:
+    def test_pairs_come_in_the_order_of_their_first_message(self, tmp_path):
+        """Not in submission or queue-file order; a tie at one instant goes by message id.
+
+        Before and after the snapshot, a Pending message counts as sent and not received.
+        """
+        service = DeliveryService(FileStore(tmp_path))
+        for principal in ("a", "b", "c", "r1", "r2"):
+            service.register_principal(principal)
+
+        def send(sender, recipient, created, seed, schedule=None):
+            message = compose(sender, recipient, "dog", 1.0, VoiceNote(2.0, "x"), schedule,
+                              now=at(created), id_factory=IdFactory(seed))
+            assert submit(service, message)[0]["kind"] == "ACK"
+            return message
+
+        send("a", "r1", "09:00:00", 1)
+        send("a", "r1", "09:30:00", 2, TriggerSchedule(geofence=FENCE))
+        tied = [send("b", "r2", "08:00:00", 3), send("c", "r2", "08:00:00", 4)]
+        push(service, ContextSample("r1", at("09:05:00"), 0.0, 0.0, True, frozenset()))
+        expected = [f"{m.sender_id}/r2" for m in sorted(tied, key=lambda m: m.message_id)] + ["a/r1"]
+        counts = {"a/r1": {"direct": (1, 1), "location": (1, 0)}, "b/r2": {"direct": (1, 0)}, "c/r2": {"direct": (1, 0)}}
+        for _ in range(2):
+            report = analytics.summarize_data_dirs([tmp_path])
+            assert [pair.pair_id for pair in report.pairs] == expected
+            for pair in report.pairs:
+                got = {c: (t.sent, t.received) for c, t in pair.tallies.items() if t.sent}
+                assert got == counts[pair.pair_id]
+            service.close()
 
 
 class TestRendering:

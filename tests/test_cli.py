@@ -22,6 +22,7 @@ from wandrelay.model import (
     Geofence, MarkerCondition, Specificity, TriggerSchedule, VoiceNote, compose, message_to_dict,
 )
 from wandrelay.server import WireClient
+from wandrelay.storage import FileStore
 
 from conftest import FIXTURE_PATHS, at
 from genrandom import lat_off, lon_off
@@ -111,6 +112,17 @@ class TestSimulate:
         main(["simulate", "--scenario", str(scenario), "--out", str(b), "--seed-override", "77"])
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("tick", [1e12, 1e300])
+    def test_a_tick_past_the_last_datetime_ends_the_stream(self, tmp_path, tick):
+        """The second sample would lie past year 9999, so past any end: each recipient gets one CONTEXT."""
+        scenario = mini_scenario_file(tmp_path)
+        scenario.write_text(scenario.read_text().replace('"tick": 1.0', f'"tick": {tick!r}'))
+        out = tmp_path / "run.ndjson"
+        assert main(["validate", "--scenario", str(scenario)]) == 0
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        kinds = [f["kind"] for f in protocol.read_frames(out)]
+        assert kinds.count(protocol.CONTEXT) == 1 and protocol.PLAYBACK in kinds
+
     def test_bad_scenario_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"v": 1, "seed": 1, "end": "2021-06-05T09:00:00Z", "recipients": []}))
@@ -142,6 +154,43 @@ class TestReport:
     def test_missing_log_exit_1(self, capsys):
         assert main(["report", "missing.ndjson"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "files, args, named",
+        [
+            ({"bom.ndjson": b'\xff\xfe{"v":1}\n'}, ["bom.ndjson"], "bom.ndjson:1: bad frame"),
+            ({"empty.ndjson": b'{"v":1,"kind":"SUBMIT","payload":{}}\n'}, ["empty.ndjson"],
+             "bad SUBMIT frame: KeyError('message')"),
+            ({"lost.ndjson": b'{"v":1,"kind":"SENDER_VIEW_RESP","payload":{"records":[{"message_id":"A",'
+                             b'"state":"Lost"}]}}\n'}, ["lost.ndjson"], "bad SENDER_VIEW_RESP frame"),
+            ({}, ["missing.ndjson"], "cannot read missing.ndjson"),
+            ({"data/queues": None, "run.ndjson": b""}, ["data", "run.ndjson"], "not a mix of both"),
+            ({"plain": None}, ["plain"], "plain: not a data dir"),
+            ({"data/queues/r1.log": b"not json\n"}, ["data"], "r1.log:1:"),
+            ({"data/queues/r1.snap.json": b'{"v":1,"events":'}, ["data"], "r1.snap.json"),
+            ({"data/principals.log": b'["s1"]\n', "data/queues": None}, ["data"], "principals.log"),
+            ({"data/queues/r1.log": b'{"ev":"enqueued","message":{}}\n'}, ["data"], "queue r1: bad stored event"),
+            ({"data/queues/r1.log": b'{"ev":"moved"}\n'}, ["data"], "queue r1: bad stored event"),
+            ({"data/queues/r1.log": b'{"ev":"delivered","message_id":"A"}\n'}, ["data"], "queue r1: bad stored event"),
+            ({"data/queues/r1.log": b'[1]\n'}, ["data"], "queue r1: bad stored event"),
+        ],
+        ids=["not-utf-8", "submit-without-message", "unknown-state", "missing-file", "dir-and-file",
+             "not-a-data-dir", "corrupt-log", "corrupt-snapshot", "corrupt-principals", "bad-message",
+             "unknown-event", "delivery-of-unknown-message", "event-not-object"],
+    )
+    def test_bad_input_is_a_parse_error(self, tmp_path, monkeypatch, capsys, files, args, named):
+        """Exit 1 with ``error: ParseError:`` naming the file or queue, never InternalError."""
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            path = tmp_path / name
+            if content is None:
+                path.mkdir(parents=True)
+            else:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(content)
+        assert main(["report", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and named in err, err
 
     def test_incomplete_log_reported(self, tmp_path, capsys):
         scenario = mini_scenario_file(tmp_path)
@@ -276,6 +325,8 @@ class TestServe:
             proc.send_signal(signal.SIGTERM)
             proc.communicate(timeout=10)
         assert proc.returncode == 0
+        files = sorted(path.relative_to(data).as_posix() for path in data.rglob("*") if path.is_file())
+        assert files[0] == "principals.log" and all(name.startswith("queues/") for name in files[1:]), files
         stored = b"".join(path.read_bytes() for path in sorted(data.rglob("*")) if path.is_file())
         assert json.dumps(fence.lat).encode() in stored and b"mk-desk" in stored
         sampled = {json.dumps(v) for sample in samples for v in (sample.lat, sample.lon)} | {"kitchen-door"}
@@ -296,8 +347,8 @@ class TestServe:
             proc.send_signal(signal.SIGTERM)
             proc.communicate(timeout=10)
 
-    def test_a_killed_server_keeps_every_answered_submit_in_its_frame_log(self, tmp_path):
-        """Each frame log line reaches the OS as it is recorded, so SIGKILL loses no SUBMIT nor its ACK."""
+    def test_a_killed_servers_data_dir_reports_every_answered_submit(self, tmp_path, capsys):
+        """Each SUBMIT is fsynced before its ACK, so after SIGKILL ``report`` on the data dir counts all five."""
         data, port = tmp_path / "data", free_port()
         proc = start_server(data, port)
         sent = []
@@ -314,10 +365,13 @@ class TestServe:
         finally:
             proc.kill()
             proc.communicate(timeout=10)
-        frames = list(protocol.read_frames(data / "frames.ndjson"))
-        submitted = [f["payload"]["message"]["message_id"] for f in frames if f["kind"] == protocol.SUBMIT]
-        acked = [f["payload"]["message_id"] for f in frames if f["kind"] == protocol.ACK and f["payload"]["of"] == "SUBMIT"]
-        assert submitted == acked == sent
+        assert main(["report", str(data), "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        counts = dict(zip(header.split(","), row.split(",")))
+        assert (counts["pair"], counts["direct_sent"], counts["direct_received"]) == ("s1/r1", "5", "0")
+        assert not (data / "frames.ndjson").exists()
+        journal = FileStore(data).recover()[1]["r1"]
+        assert [e["message"]["message_id"] for e in journal] == sent
 
     @pytest.mark.parametrize(
         "content", [None, b"{not json", b"\xff", b"[]", b"{}", b'{"markers": 5}', b'{"markers": [{}]}']
@@ -332,6 +386,15 @@ class TestServe:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: ParseError: {markers}")
+
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan"])
+    def test_send_rejects_a_bad_note_duration_locally(self, capsys, duration):
+        rc = main([
+            "send", "--connect", "127.0.0.1:1", "--sender", "s1", "--recipient", "r1",
+            "--content", "dog", "--note-duration", duration,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ParseError: bad voice note: voice note duration must be positive")
 
     def test_send_rejects_bad_schedule_locally(self, capsys):
         rc = main([

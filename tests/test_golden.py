@@ -66,6 +66,14 @@ def test_twelve_pairs_match_golden_digests(fixture_runs):
     assert digest_lines(fixture_runs) == GOLDEN.read_text()
 
 
+def test_a_report_over_the_twelve_data_dirs_matches_the_golden_report(fixture_runs):
+    """The queue journals alone give the report the frame logs give, byte for byte."""
+    report = analytics.summarize_paths([run["data_dir"] for run in fixture_runs])
+    golden = GOLDEN.read_text().splitlines()
+    for name, text in (("report.txt", analytics.render_text(report)), ("report.csv", analytics.render_csv(report))):
+        assert f"{hashlib.sha256(text.encode()).hexdigest()}  {name}" in golden
+
+
 def test_random_scenarios_match_golden_digests(tmp_path):
     assert random_digest_lines(tmp_path) == GOLDEN_RANDOM.read_text()
 

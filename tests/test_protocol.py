@@ -86,33 +86,6 @@ class TestFrames:
         assert len(loaded) == 2
         assert "secret" not in path.read_text()
 
-    def test_an_appending_recorder_keeps_no_frames(self, tmp_path):
-        """As ``serve`` records: every frame goes to the log after the earlier ones, none stays in memory."""
-        path = tmp_path / "frames.ndjson"
-        hello = protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"})
-        for _ in range(2):
-            recorder = protocol.FrameRecorder(path, append=True)
-            for _ in range(3):
-                recorder.record(hello)
-            assert not recorder.frames
-            recorder.close()
-        assert list(protocol.read_frames(path)) == [hello] * 6
-
-    def test_only_an_appending_recorder_skips_context(self, tmp_path):
-        """A server's log keeps no sample, only what answers it; a run's log keeps the whole wire history."""
-        hello = protocol.make_frame(protocol.HELLO, {"role": "recipient", "principal": "r1"})
-        context = context_frame("r1", at("09:00:00"))
-        playback = protocol.make_frame(protocol.PLAYBACK, {"message_id": "X"}, to="r1")
-        for append in (False, True):
-            path = tmp_path / f"append-{append}.ndjson"
-            recorder = protocol.FrameRecorder(path, append=append)
-            for frame in (hello, context, playback):
-                recorder.record(frame)
-            recorder.close()
-            kept = [hello, playback] if append else [hello, context, playback]
-            assert list(protocol.read_frames(path)) == kept
-            assert recorder.frames == (None if append else kept)
-
     def test_the_one_encoder_writes_what_json_dumps_writes(self):
         frame = context_frame("r\u00e9", at("09:00:00"))
         frame["payload"]["note"] = ["\u2603", 1.5e-7, None, True, {"nested": [float("inf")]}]
@@ -143,7 +116,7 @@ class FullDisk(io.StringIO):
 
 def full_disk_service():
     """A service, with r1 and s1 known, whose frame log is a FullDisk."""
-    recorder = protocol.FrameRecorder(append=True)
+    recorder = protocol.FrameRecorder()
     recorder._fh = log = FullDisk()
     service = DeliveryService(recorder=recorder)
     service.register_principal("s1")

@@ -325,6 +325,38 @@ def test_crash_between_snapshot_and_log_removal(tmp_path, monkeypatch):
     assert not log.exists()
 
 
+def test_report_reads_a_torn_and_folded_data_dir_without_writing(tmp_path, monkeypatch, capsys):
+    """Every file and directory keeps its bytes and mtime; a later recovery still makes both repairs."""
+    first = durable(tmp_path)
+    message = make_message()
+    submit(first, message)
+    push(first, sample("09:00:00"))
+    def crash(path, missing_ok=False):
+        raise OSError("killed before the log was removed")
+
+    monkeypatch.setattr(Path, "unlink", crash)
+    with pytest.raises(OSError):
+        first.close()  # the snapshot holds r1's log, which a crash left behind
+    monkeypatch.undo()
+    principals, log = tmp_path / "principals.log", tmp_path / "queues" / "r1.log"
+    with open(principals, "a", encoding="utf-8") as fh:
+        fh.write('{"princ')  # and a crash mid-append left this line unterminated
+
+    def entries():
+        return {p: (p.is_file() and p.read_bytes(), p.stat().st_mtime_ns) for p in [tmp_path, *tmp_path.rglob("*")]}
+
+    before = entries()
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    counts = dict(zip(header.split(","), row.split(",")))
+    assert (counts["pair"], counts["direct_sent"], counts["direct_received"]) == ("s1/r1", "1", "1")
+    assert entries() == before
+
+    assert FileStore(tmp_path).recover()[0] == {"s1", "r1"}
+    assert principals.read_bytes().endswith(b'{"principal":"r1"}\n')
+    assert not log.exists()
+
+
 def test_a_log_that_repeats_the_end_of_its_snapshot_is_kept(tmp_path):
     """Only a snapshot that is no longer the size a log names holds that log, whatever its events."""
     event = {"ev": "enqueued", "n": 0}
@@ -404,7 +436,7 @@ DELIVERED_A = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}'
 )
 def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, name, content, named):
     """serve exits 1 with ``error: ParseError:`` naming the file or queue, never with InternalError,
-    and closes the frame log it had opened."""
+    and leaves no file open."""
     data = tmp_path / "data"
     (data / "queues").mkdir(parents=True)
     (data / name).write_text(content)
