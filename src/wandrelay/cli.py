@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import protocol
-from .errors import DataDirUnwritable, ParseError, WandRelayError
+from .errors import DataDirUnwritable, ParseError, ServerUnreachable, WandRelayError
 from .model import (
     MarkerCondition,
     Geofence,
@@ -107,7 +107,11 @@ def cmd_send(args: argparse.Namespace) -> int:
     message = compose(
         args.sender, args.recipient, args.content, args.scale, note, _schedule_from_flags(args)
     )
-    with WireClient(host, port) as client:
+    try:
+        client = WireClient(host, port)
+    except OSError as exc:  # nobody listens there, or the address leads nowhere
+        raise ServerUnreachable(exc.strerror or str(exc)) from None
+    with client:
         client.hello("sender", args.sender)
         response = client.request(
             protocol.make_frame(

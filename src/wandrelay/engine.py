@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from heapq import heapify, heappop, heappush
-from itertools import count, product
+from itertools import count
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import OutOfOrderSample, ParseError
@@ -104,8 +104,17 @@ def grid_cell(lat: float, lon: float) -> tuple[int, int, int]:
 
 
 def grid_neighbours(lat: float, lon: float) -> list[tuple[int, int, int]]:
-    """The 8 cells that hold every point within half a ``GRID_CELL_M`` of this one."""
-    return list(product(*((math.floor(u - 0.5), math.floor(u + 0.5)) for u in _cell_units(lat, lon))))
+    """The 8 cells that hold every point within half a ``GRID_CELL_M`` of this one.
+
+    On each axis ``u``, the cell half a cell below the point,
+    ``floor(u - 0.5)``, and the next one up, which holds the point half a
+    cell above (``floor(u + 0.5)``, unless that sum rounds up to an integer);
+    in ``itertools.product`` order.
+    """
+    ux, uy, uz = _cell_units(lat, lon)
+    x, y, z = math.floor(ux - 0.5), math.floor(uy - 0.5), math.floor(uz - 0.5)
+    x1, y1, z1 = x + 1, y + 1, z + 1
+    return [(x, y, z), (x, y, z1), (x, y1, z), (x, y1, z1), (x1, y, z), (x1, y, z1), (x1, y1, z), (x1, y1, z1)]
 
 
 def window_contains(window: TimeWindow, t: datetime) -> bool:
@@ -302,6 +311,8 @@ class TriggerIndex:
 
     def lapsed(self, t: datetime) -> list[ArMessage]:
         """The messages whose window ended before ``t``: what ``expire_messages`` retires now."""
+        if not self._expiry or self._expiry[0][0] >= t:
+            return []
         ids = []
         while self._expiry and self._expiry[0][0] < t:
             message_id = heappop(self._expiry)[2]
@@ -320,17 +331,16 @@ class TriggerIndex:
                 self._compact()  # the one push here that can grow a heap
         while self._ends and self._ends[0][0] < t:
             self._open.discard(heappop(self._ends)[2])
-        ids = self._direct | self._open
+        hits = []
         buckets = self._buckets
         if buckets:
             position = sample.lat, sample.lon
             if position != self._position:
                 self._position, self._cells = position, grid_neighbours(*position)
-            for key in (*sample.visible_markers, *self._cells):
-                bucket = buckets.get(key)
-                if bucket:
-                    ids |= bucket
-        return self._in_order(ids) if ids else []
+            hits = [bucket for key in (*sample.visible_markers, *self._cells) if (bucket := buckets.get(key))]
+        if not (self._direct or self._open or hits):
+            return []
+        return self._in_order(self._direct.union(self._open, *hits))
 
 
 # -- canonical encoding -----------------------------------------------------------
@@ -355,7 +365,7 @@ def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
             lat=float(position["lat"]),
             lon=float(position["lon"]),
             wearing=bool(d["wearing"]),
-            visible_markers=frozenset(str(m) for m in d.get("visible_markers", [])),
+            visible_markers=frozenset(map(str, d.get("visible_markers", ()))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad context sample: {exc}") from None

@@ -117,5 +117,9 @@ class AddressInUse(WandRelayError):
     code = "AddressInUse"
 
 
+class ServerUnreachable(WandRelayError):
+    code = "ServerUnreachable"
+
+
 class DataDirUnwritable(WandRelayError):
     code = "DataDirUnwritable"

@@ -21,10 +21,11 @@ frame line longer than ``MAX_LINE_BYTES`` is refused and closes the
 connection, so no client can make a handler buffer without bound. None of
 these connection-level refusals reaches the service.
 
-A request's direct replies leave in one write, in order. Written one by one,
-a reply sent while an earlier one is unacknowledged waits on Nagle's
-algorithm for the client's delayed ACK, about 40 ms on Linux, once per
-reaction cycle; joined, they need no socket option.
+A request's direct replies leave in one write, in order, and the socket has
+Nagle's algorithm off. With it on, a write made while an earlier one is
+unacknowledged waits for the client's delayed ACK, about 40 ms on Linux:
+the second of two replies written one by one, or the reply to a request
+that a client sent in one burst behind another.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ MAX_LINE_BYTES = 1 << 20  # newline included
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: WandRelayServer = self.server  # type: ignore[assignment]
         principal: str | None = None

@@ -12,7 +12,8 @@ Each recipient's pending messages live in a ``TriggerIndex``, which only
 ``_apply`` changes, so recovery rebuilds it from the journal by the same
 path a live operation takes. A CONTEXT sample hands the engine only the
 index's candidates, in enqueue order: what can lapse or fire at that
-sample, not everything pending.
+sample, not everything pending. A sample with no candidate of either kind
+does not call the engine at all.
 
 Privacy boundary: the only payloads ever addressed to a sender are ACK/ERROR,
 REACTION_NOTIFY, and SENDER_VIEW_RESP, and those are built by
@@ -310,13 +311,16 @@ class DeliveryService:
         last_t = self._last_t.get(recipient_id)
         check_order(sample.t, last_t)  # before the index moves
         index = self._pending[recipient_id]
-        expired, _ = expire_messages(sample.t, index.lapsed(sample.t))
-        for message in expired:
-            self._record(
-                recipient_id,
-                {"ev": "expired", "message_id": message.message_id, "at": format_rfc3339(sample.t)},
-            )
-        deliveries, _ = evaluate_sample(sample, index.candidates(sample) if sample.wearing else [], last_t)
+        lapsed = index.lapsed(sample.t)
+        if lapsed:
+            expired, _ = expire_messages(sample.t, lapsed)
+            for message in expired:
+                self._record(
+                    recipient_id,
+                    {"ev": "expired", "message_id": message.message_id, "at": format_rfc3339(sample.t)},
+                )
+        candidates = index.candidates(sample) if sample.wearing else ()
+        deliveries = evaluate_sample(sample, candidates, last_t)[0] if candidates else ()
         self._last_t[recipient_id] = sample.t
 
         # The head of the capture line keeps recording the point of view
@@ -324,6 +328,8 @@ class DeliveryService:
         head = self._captures.head(recipient_id)
         if head is not None:
             head.see(sample.t)
+        if not deliveries:
+            return []
 
         playbacks: list[dict[str, Any]] = []
         starts: list[dict[str, Any]] = []

@@ -373,9 +373,14 @@ def run(
 ) -> RunResult:
     """Execute a scenario end to end and return the complete frame log.
 
-    The simulator is a scripted client: it queues every request frame by the
-    time it is due and sends them in order, adding the recipient's utterance
-    and answer whenever a response starts a reaction capture.
+    The simulator is a scripted client: it queues request frames by the time
+    they are due and sends them in order, adding the recipient's utterance
+    and answer whenever a response starts a reaction capture. Samples are
+    merged lazily: the queue holds one sample per recipient, keyed by its
+    time and the recipient's place in the scenario, and sending it queues
+    that recipient's next one. Samples due at one instant therefore go in
+    recipient order, and the queue never holds more samples than there are
+    recipients.
     """
     recorder = protocol.FrameRecorder(log_path)
     service = DeliveryService(store, declared_markers=scenario.marker_ids, recorder=recorder)
@@ -393,11 +398,21 @@ def run(
                 )
         return responses
 
+    # (due, priority, tie, kind, payload, sender): a sample's tie is its
+    # recipient's index, any other frame's the order it was queued in.
     heap: list[tuple[datetime, int, int, str, dict[str, Any], str]] = []
     seq = count()
 
     def push(t: datetime, kind: str, payload: dict[str, Any], sender: str) -> None:
         heapq.heappush(heap, (t, _PRIORITY[kind], next(seq), kind, payload, sender))
+
+    def pull(index: int) -> None:
+        """Queue the next sample of the recipient at ``index``, if it has one."""
+        sample = next(streams[index], None)
+        if sample is not None:
+            payload = {"sample": sample_to_dict(sample)}
+            entry = (sample.t, _PRIORITY[protocol.CONTEXT], index, protocol.CONTEXT, payload, sample.recipient_id)
+            heapq.heappush(heap, entry)
 
     ids = IdFactory(scenario.seed)
     answers: dict[str, str] = {}  # message_id -> the recipient's consent answer
@@ -415,15 +430,17 @@ def run(
         )
         answers[message.message_id] = "yes" if scenario.consent_policy.answer_for(action.label) else "no"
         push(action.at, protocol.SUBMIT, {"message": message_to_dict(message)}, action.sender_id)
-    for recipient in scenario.recipients:
+    streams = [sample_stream(scenario, recipient) for recipient in scenario.recipients]
+    for index, recipient in enumerate(scenario.recipients):
         send(protocol.HELLO, {"role": "recipient", "principal": recipient.principal}, recipient.principal)
-        for sample in sample_stream(scenario, recipient):
-            push(sample.t, protocol.CONTEXT, {"sample": sample_to_dict(sample)}, recipient.principal)
+        pull(index)
 
     while heap:
-        t, _priority, _seq, kind, payload, sender = heapq.heappop(heap)
+        t, _priority, tie, kind, payload, sender = heapq.heappop(heap)
         if t > scenario.end:
             break
+        if kind == protocol.CONTEXT:
+            pull(tie)
         for response in send(kind, payload, sender):
             if response["kind"] != protocol.REACTION_START:
                 continue

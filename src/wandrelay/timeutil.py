@@ -44,5 +44,5 @@ def format_rfc3339(dt: datetime) -> str:
     if dt.tzinfo is None:
         raise ValueError("naive datetime cannot be serialized")
     dt = dt.astimezone(UTC)
-    text = dt.replace(tzinfo=None).isoformat()
+    text = dt.isoformat()[:-6]  # without its "+00:00"
     return (text.rstrip("0") if dt.microsecond else text) + "Z"

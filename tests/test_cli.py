@@ -396,6 +396,11 @@ class TestServe:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ParseError: bad voice note: voice note duration must be positive")
 
+    def test_send_to_a_port_nobody_listens_on_is_an_input_error(self, capsys):
+        rc = main(["send", "--connect", "127.0.0.1:1", "--sender", "s1", "--recipient", "r1", "--content", "dog"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ServerUnreachable: Connection refused\n"
+
     def test_send_rejects_bad_schedule_locally(self, capsys):
         rc = main([
             "send", "--connect", "127.0.0.1:1", "--sender", "s1", "--recipient", "r1",

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wandrelay import engine
 from wandrelay.engine import (
+    _cell_units,
     evaluate_sample,
     expire_messages,
     grid_cell,
@@ -194,3 +198,37 @@ def test_grid_neighbours_hold_every_point_within_a_fence_radius(lat, lon, bearin
     if haversine_distance(lat, lon, lat2, lon2) <= reach:
         assert grid_cell(lat2, lon2) in neighbours
         assert grid_cell(lat, lon) in grid_neighbours(lat2, lon2)
+
+
+def product_neighbours(units):
+    """Each axis's pair of cells, half a cell below and half above, in ``itertools.product`` order."""
+    return list(product(*((math.floor(u - 0.5), math.floor(u + 0.5)) for u in units)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(LATITUDES, LONGITUDES)
+def test_grid_neighbours_are_the_product_of_each_axis_pair(lat, lon):
+    """Poles and the antimeridian included."""
+    assert grid_neighbours(lat, lon) == product_neighbours(_cell_units(lat, lon))
+
+
+@pytest.mark.parametrize(
+    "units",
+    [(0.5, -0.5, 1.5), (-2.5, 3.5, 0.0), (199093.5, -199093.5, -0.0), (6221.5, -0.5, 0.5)],
+)
+def test_grid_neighbours_on_half_cell_boundaries(monkeypatch, units):
+    """A coordinate exactly half a cell past a boundary has both its pair's cells one apart too."""
+    monkeypatch.setattr(engine, "_cell_units", lambda lat, lon: units)
+    assert grid_neighbours(0.0, 0.0) == product_neighbours(units)
+
+
+def test_a_coordinate_just_below_half_a_cell_keeps_its_own_cell(monkeypatch):
+    """Below 0.5, ``u + 0.5`` can round up to the next integer; ``floor(u - 0.5) + 1`` cannot.
+
+    There the product form gave cells -1 and 1 on that axis, leaving out
+    cell 0, which holds the point itself.
+    """
+    u = 0.5 - 2.0**-54
+    monkeypatch.setattr(engine, "_cell_units", lambda lat, lon: (u, u, u))
+    assert (0, 0, 0) in grid_neighbours(0.0, 0.0)
+    assert (0, 0, 0) not in product_neighbours((u, u, u))

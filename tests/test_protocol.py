@@ -437,6 +437,21 @@ class TestWireServer:
                 assert answer["kind"] == protocol.ACK
         assert statistics.median(round_trips) < 0.020, round_trips
 
+    def test_a_pipelined_burst_is_answered_without_waiting_on_delayed_acks(self, running_server):
+        """Requests sent in one write are each answered at once, not behind the client's 40 ms delayed ACK."""
+        host, port, _ = running_server
+        hello = protocol.make_frame(protocol.HELLO, {"role": "sender", "principal": "s1"}, sender="s1")
+        burst = protocol.encode_frame(hello) * 32
+        bursts = []
+        with socket.create_connection((host, port)) as sock, sock.makefile("rb") as replies:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                sock.sendall(burst)
+                for _ in range(32):
+                    assert protocol.decode_frame(replies.readline())["kind"] == protocol.ACK
+                bursts.append(time.perf_counter() - t0)
+        assert statistics.median(bursts) < 0.020, bursts
+
     def test_address_in_use(self, running_server):
         host, port, _ = running_server
         with pytest.raises(AddressInUse):
@@ -539,7 +554,7 @@ def test_concurrent_clients_leave_what_a_recovered_service_reads(tmp_path):
 
 
 class CountingSocket:
-    """One end of a socket pair that lists every write made on it."""
+    """One end of a connection that lists every write made on it."""
 
     def __init__(self, sock):
         self._sock = sock
@@ -549,8 +564,16 @@ class CountingSocket:
         self.writes.append(bytes(data))
         self._sock.sendall(data)
 
-    def makefile(self, *args, **kwargs):
-        return self._sock.makefile(*args, **kwargs)
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def loopback_pair() -> tuple[socket.socket, socket.socket]:
+    """Both ends of one TCP connection over the loopback interface."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        end, _ = listener.accept()
+    return client, end
 
 
 def two_deliverable_messages():
@@ -576,7 +599,7 @@ def test_each_request_is_answered_in_one_write():
     expected = [b"".join(map(protocol.encode_frame, responses)) for responses in direct]
     assert [e.count(b"\n") for e in expected] == [1, 3, 2]  # the CONSENT's REACTION_NOTIFY goes to s1
 
-    client, end = socket.socketpair()
+    client, end = loopback_pair()
     with client, end:
         client.sendall(b"".join(protocol.encode_frame(f) for f in frames))
         client.shutdown(socket.SHUT_WR)
@@ -584,5 +607,6 @@ def test_each_request_is_answered_in_one_write():
         _Handler(counting, ("local", 0), SimpleNamespace(service=service, lock=threading.Lock(), sessions={}))
         end.shutdown(socket.SHUT_WR)
         received = client.makefile("rb").read()
+        assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     assert counting.writes == expected
     assert received == b"".join(expected)
