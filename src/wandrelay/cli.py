@@ -108,16 +108,13 @@ def cmd_send(args: argparse.Namespace) -> int:
         args.sender, args.recipient, args.content, args.scale, note, _schedule_from_flags(args)
     )
     try:
-        client = WireClient(host, port)
-    except OSError as exc:  # nobody listens there, or the address leads nowhere
+        with WireClient(host, port) as client:
+            response = client.hello("sender", args.sender)
+            if response["kind"] != protocol.ERROR:
+                submit = {"message": message_to_dict(message)}
+                response = client.request(protocol.make_frame(protocol.SUBMIT, submit, sender=args.sender))
+    except OSError as exc:  # nobody listens there, or the connection closed or reset before the answer
         raise ServerUnreachable(exc.strerror or str(exc)) from None
-    with client:
-        client.hello("sender", args.sender)
-        response = client.request(
-            protocol.make_frame(
-                protocol.SUBMIT, {"message": message_to_dict(message)}, sender=args.sender
-            )
-        )
     if response["kind"] == protocol.ERROR:
         raise _wire_error(response["payload"])
     print(protocol.dumps_canonical(response["payload"]))

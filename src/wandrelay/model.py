@@ -221,16 +221,26 @@ def validate_schedule(schedule: TriggerSchedule, declared_markers: Collection[st
             raise UnknownMarker(schedule.marker.marker_id)
 
 
-def validate_parties_and_scale(sender_id: str, recipient_id: str, scale: float) -> None:
-    """Distinct principals and a scale in range, checked for every new message.
+def check_new_message(
+    sender_id: str,
+    recipient_id: str,
+    content_id: str,
+    scale: float,
+    schedule: TriggerSchedule | None,
+    declared_markers: Collection[str] | None,
+) -> None:
+    """The rule for every new message: catalog content, distinct parties, scale in range, declared markers.
 
-    Not a construction invariant of ``ArMessage``, so messages already stored
+    Not construction invariants of ``ArMessage``, so messages already stored
     keep loading.
     """
+    catalog_item(content_id)  # raises UnknownContent
     if sender_id == recipient_id:
         raise ParseError("sender and recipient must be distinct principals")
     if not (MIN_SCALE <= scale <= MAX_SCALE):
         raise ScaleOutOfRange(f"scale {scale} outside [{MIN_SCALE}, {MAX_SCALE}]")
+    if schedule is not None:
+        validate_schedule(schedule, declared_markers)
 
 
 _default_ids = IdFactory()
@@ -249,10 +259,7 @@ def compose(
     id_factory: Callable[[datetime], str] | None = None,
 ) -> ArMessage:
     """Build a new Pending message, validating every field."""
-    catalog_item(content_id)  # raises UnknownContent
-    validate_parties_and_scale(sender_id, recipient_id, scale)
-    if schedule is not None:
-        validate_schedule(schedule, declared_markers)
+    check_new_message(sender_id, recipient_id, content_id, scale, schedule, declared_markers)
     created_at = now if now is not None else datetime.now(UTC)
     make_id = id_factory if id_factory is not None else _default_ids
     return ArMessage(

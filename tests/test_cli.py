@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,14 +9,20 @@ import random
 import signal
 import statistics
 import socket
+import struct
 import subprocess
 import sys
+import tempfile
+import threading
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wandrelay import protocol
+from wandrelay import protocol, sim
 from wandrelay.cli import main
 from wandrelay.engine import ContextSample, sample_to_dict
 from wandrelay.ids import IdFactory
@@ -22,10 +30,12 @@ from wandrelay.model import (
     Geofence, MarkerCondition, Specificity, TriggerSchedule, VoiceNote, compose, message_to_dict,
 )
 from wandrelay.server import WireClient
+from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
 from conftest import FIXTURE_PATHS, at
-from genrandom import lat_off, lon_off
+from genrandom import lat_off, lon_off, random_scenario_dict
+from test_protocol import serving
 
 
 def mini_scenario_file(tmp_path: Path, scale=1.0) -> Path:
@@ -88,6 +98,57 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(f"error: ParseError: {path}: tick must be a finite number")
         path.write_text(path.read_text().replace(f'"tick": {json.dumps(tick)}', '"tick": 1e-06'))
         assert main(["validate", "--scenario", str(path)]) == 0
+
+
+    @pytest.mark.parametrize(
+        "mutate, element",
+        [
+            (lambda d: d.update(recipients=[5]), "recipients[0]: "),
+            (lambda d: d.update(recipients=5), "recipients must be a list"),
+            (lambda d: d.update(markers=[5]), "markers[0]: "),
+            (lambda d: d.update(markers=5), "markers must be a list"),
+            (lambda d: d.update(sender_script=[5]), "sender_script[0]: "),
+            (lambda d: d.update(consent_policy=5), "consent_policy: "),
+            (lambda d: d["consent_policy"].update(by_label=[1]), "consent_policy: "),
+            (lambda d: d["recipients"][0].update(wear_sessions=5), "recipients[0]: wear_sessions must be a list"),
+            (lambda d: d["recipients"][0]["trajectory"][1].update(t="noon"), "recipients[0]: trajectory[1]: "),
+            (lambda d: d.update(end="noon"), "bad timestamp 'noon'"),
+            (lambda d: d.update(end="9999-12-31T23:59:50Z"), "end is after 9999-12-31T23:59:49.999999Z"),
+        ],
+        ids=["recipient-not-object", "recipients-not-list", "marker-not-object", "markers-not-list",
+             "action-not-object", "policy-not-object", "by-label-not-object", "wear-sessions-not-list",
+             "bad-waypoint-time", "bad-end", "end-past-the-last-capture-start"],
+    )
+    def test_a_malformed_scenario_is_a_parse_error_naming_file_and_element(self, tmp_path, capsys, mutate, element):
+        path = mini_scenario_file(tmp_path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParseError: {path}: {element}"), err
+
+    def test_a_scenario_may_end_at_the_last_capture_start(self, tmp_path, capsys):
+        """A capture started there ends at the last datetime; one microsecond later, validate refuses the end."""
+        path = mini_scenario_file(tmp_path)
+        doc = json.loads(path.read_text())
+        end = "9999-12-31T23:59:49.999999Z"
+        doc.update(end=end, tick=0.5)
+        doc["recipients"][0]["wear_sessions"] = [{"start": "9999-12-31T23:59:40Z", "end": end}]
+        doc["recipients"][0]["trajectory"] = [
+            {"t": "9999-12-31T23:59:40Z", "lat": 40.0, "lon": -100.0}, {"t": end, "lat": 40.0, "lon": -100.0},
+        ]
+        doc["sender_script"][0]["at"] = "9999-12-31T23:59:45Z"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run.ndjson"
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+        (start,) = [f["payload"] for f in protocol.read_frames(out) if f["kind"] == protocol.REACTION_START]
+        assert (start["started_at"], start["deadline"]) == ("9999-12-31T23:59:45Z", "9999-12-31T23:59:55Z")
+        capsys.readouterr()
+        path.write_text(json.dumps({**doc, "end": "9999-12-31T23:59:50Z"}))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ParseError: {path}: end is after")
 
 
 class TestSimulate:
@@ -436,3 +497,85 @@ def test_a_port_outside_0_to_65535_is_an_input_error(tmp_path, capsys, port):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ParseError: expected HOST:PORT with a port in 0-65535")
     assert not data.exists()
+
+
+@pytest.mark.parametrize("drop", ["close", "reset"])
+def test_send_to_a_server_that_drops_the_connection_is_an_input_error(capsys, drop):
+    """A server that accepts and then closes or resets the connection is unreachable, not an internal error."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def accept_and_drop():
+            conn, _ = listener.accept()
+            if drop == "reset":  # close with an RST rather than a FIN
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+
+        thread = threading.Thread(target=accept_and_drop)
+        thread.start()
+        port = listener.getsockname()[1]
+        rc = main(["send", "--connect", f"127.0.0.1:{port}", "--sender", "s1", "--recipient", "r1", "--content", "dog"])
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ServerUnreachable: ")
+
+
+def test_send_reports_a_refused_hello_by_its_own_error(capsys):
+    server = serving(DeliveryService())
+    try:
+        port = server.server_address[1]
+        rc = main([
+            "send", "--connect", f"127.0.0.1:{port}", "--sender", "s" * 300, "--recipient", "r1", "--content", "dog",
+        ])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ParseError: principal id must be 1 to 245 bytes")
+
+
+# One strategy per JSON type, so a swap can always pick a type other than the value's own.
+JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.one_of(st.integers(), st.floats()),  # NaN and Infinity too, which json.loads reads
+    "string": st.text(max_size=8),
+    "array": st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=3)), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+JSON_TYPE = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+             dict: "object"}
+
+
+def slots(node):
+    """Every (container, key) of a JSON document, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from slots(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_what_validate_accepts_simulate_runs(seed, data):
+    """A random scenario, mutated once at any depth: ``validate`` exits 0 or 1, and on 0 ``simulate`` exits 0."""
+    doc = random_scenario_dict(random.Random(seed), "mutant")
+    container, key = data.draw(st.sampled_from(list(slots(doc))))
+    if isinstance(container, dict) and data.draw(st.booleans()):
+        del container[key]
+    else:
+        other = data.draw(st.sampled_from([t for t in JSON_VALUES if t != JSON_TYPE[type(container[key])]]))
+        container[key] = data.draw(JSON_VALUES[other])
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / "mutant.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["validate", "--scenario", str(path)])
+        assert rc in (0, 1), err.getvalue()
+        if rc == 0:
+            scenario = sim.load_scenario(path)
+            tick = timedelta(seconds=scenario.tick)
+            assume(all((scenario.end - r.trajectory[0].t) / tick <= 2_000 for r in scenario.recipients))
+            out = Path(tmp) / "run.ndjson"
+            assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0, err.getvalue()

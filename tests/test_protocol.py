@@ -18,6 +18,7 @@ from wandrelay import protocol
 from wandrelay.errors import AddressInUse, ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
+from wandrelay.reaction import LAST_CAPTURE_START
 from wandrelay.server import MAX_LINE_BYTES, WandRelayServer, WireClient, _Handler
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore, MemoryStore
@@ -390,6 +391,19 @@ class TestWireServer:
                 refused = recipient.request(protocol.make_frame(protocol.CONTEXT, off_the_globe(lat, lon)))
                 assert (refused["kind"], refused["payload"]["code"]) == (protocol.ERROR, "InvalidCoordinates")
             playback = recipient.request(context_frame("r1", at("09:00:00")))
+            assert (playback["kind"], playback["payload"]["message_id"]) == (protocol.PLAYBACK, message.message_id)
+
+    def test_a_sample_too_late_for_a_capture_is_answered_and_the_connection_stays_open(self, running_server):
+        host, port, _ = running_server
+        message = fenced()
+        with WireClient(host, port) as recipient, WireClient(host, port) as sender:
+            recipient.hello("recipient", "r1")
+            sender.hello("sender", "s1")
+            frame = protocol.make_frame(protocol.SUBMIT, {"message": message_to_dict(message)})
+            assert sender.request(frame)["kind"] == protocol.ACK
+            refused = recipient.request(context_frame("r1", LAST_CAPTURE_START + timedelta(seconds=5)))
+            assert (refused["kind"], refused["payload"]["code"]) == (protocol.ERROR, "ParseError")
+            playback = recipient.request(context_frame("r1", LAST_CAPTURE_START))
             assert (playback["kind"], playback["payload"]["message_id"]) == (protocol.PLAYBACK, message.message_id)
 
     def test_a_superseded_connection_leaves_the_live_session_open(self, wire_server):

@@ -18,8 +18,10 @@ from wandrelay.model import (
     compose,
     message_to_dict,
 )
+from wandrelay.reaction import LAST_CAPTURE_START
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
+from wandrelay.timeutil import format_rfc3339
 
 from client import consent, error_code, ids_of, push, request, submit, utter, view_of
 from conftest import at
@@ -137,6 +139,32 @@ def test_a_position_off_the_globe_is_refused(tmp_path, lat, lon):
     assert error_code(request(service, protocol.CONTEXT, off_the_globe(lat, lon), "r1")) == "InvalidCoordinates"
     assert observed() == before
     assert ids_of(push(service, sample()), protocol.PLAYBACK) == [fence.message_id]
+
+
+@pytest.mark.parametrize("t", ["9999-12-31T23:59:50Z", "9999-12-31T23:59:55Z", "9999-12-31T23:59:59.999999Z"])
+def test_a_sample_too_late_for_a_capture_is_refused(tmp_path, t):
+    """One ERROR that changes nothing: a capture started then would end past the last datetime.
+
+    A sample at the last instant that leaves room for a capture still fires, and one past it is refused
+    while that capture records.
+    """
+    service = durable(tmp_path)
+    fence = fenced()
+    submit(service, fence)
+
+    def observed():
+        stored = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        return service.message_states(), view_of(service, "s1"), stored
+
+    late = {"sample": {**sample_to_dict(sample()), "t": t}}
+    before = observed()
+    assert error_code(request(service, protocol.CONTEXT, late, "r1")) == "ParseError"
+    assert observed() == before
+    bound = {**sample_to_dict(sample()), "t": format_rfc3339(LAST_CAPTURE_START)}
+    frames = request(service, protocol.CONTEXT, {"sample": bound}, "r1")
+    assert [f["kind"] for f in frames] == [protocol.PLAYBACK, protocol.REACTION_START]
+    assert frames[1]["payload"]["deadline"] == "9999-12-31T23:59:59.999999Z"
+    assert error_code(request(service, protocol.CONTEXT, late, "r1")) == "ParseError"
 
 
 def capture(service, message_id):

@@ -123,7 +123,7 @@ class TestLoadScenario:
                 sim.scenario_from_dict(doc)
             doc = minimal_scenario()
             doc["sender_script"][0]["sender_id"] = bad
-            with pytest.raises(ParseError, match=r"sender_script\[0\]: ParseError: principal id must be"):
+            with pytest.raises(ParseError, match=r"sender_script\[0\]: principal id must be"):
                 sim.scenario_from_dict(doc)
 
     def test_overlapping_wear_sessions_rejected(self):
