@@ -116,15 +116,10 @@ def cmd_send(args: argparse.Namespace) -> int:
     except OSError as exc:  # nobody listens there, or the connection closed or reset before the answer
         raise ServerUnreachable(exc.strerror or str(exc)) from None
     if response["kind"] == protocol.ERROR:
-        raise _wire_error(response["payload"])
+        error = response["payload"]
+        raise WandRelayError(error.get("detail", ""), code=error.get("code", "InternalError"))
     print(protocol.dumps_canonical(response["payload"]))
     return 0
-
-
-def _wire_error(payload: dict) -> WandRelayError:
-    err = WandRelayError(payload.get("detail", ""))
-    err.code = payload.get("code", "InternalError")
-    return err
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

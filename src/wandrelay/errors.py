@@ -12,7 +12,9 @@ class WandRelayError(Exception):
 
     code = "InternalError"
 
-    def __init__(self, detail: str = ""):
+    def __init__(self, detail: str = "", *, code: str | None = None):
+        if code is not None:  # a code read off the wire, such as an ERROR frame's
+            self.code = code
         self.detail = detail
         super().__init__(f"{self.code}: {detail}" if detail else self.code)
 

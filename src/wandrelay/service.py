@@ -424,7 +424,10 @@ class DeliveryService:
             )
         next_id = self._captures.finish(recipient_id)
         if next_id is not None:
-            session = self._captures.begin_capture(recipient_id, at, self._messages[next_id].voice_note)
+            # An answer given after the last capture start starts the next
+            # capture at that start, so its deadline is still a datetime.
+            started_at = min(at, LAST_CAPTURE_START)
+            session = self._captures.begin_capture(recipient_id, started_at, self._messages[next_id].voice_note)
             frames.append(_reaction_start(session, recipient_id))
         return frames
 

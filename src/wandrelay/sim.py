@@ -10,6 +10,7 @@ and time never comes from the wall clock.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
@@ -353,85 +354,100 @@ def run(
     that recipient's next one. Samples due at one instant therefore go in
     recipient order, and the queue never holds more samples than there are
     recipients.
+
+    A request the service refuses ends the run with a WandRelayError
+    carrying the ERROR frame's code.
+
+    Automatic garbage collection is paused for the run, in the whole
+    process, and resumed as the caller had it. A run makes no reference
+    cycles, so the collector would free nothing, yet every frame the log
+    keeps holds tracked containers that full collections would walk again
+    and again. On the way out one young collection pays for what the run
+    allocated, so the caller's next allocation does not.
     """
     recorder = protocol.FrameRecorder(log_path)
-    service = DeliveryService(store, declared_markers=scenario.marker_ids, recorder=recorder)
-    for principal in sorted(set(scenario.sender_ids) | {r.principal for r in scenario.recipients}):
-        service.register_principal(principal)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        service = DeliveryService(store, declared_markers=scenario.marker_ids, recorder=recorder)
+        for principal in sorted(set(scenario.sender_ids) | {r.principal for r in scenario.recipients}):
+            service.register_principal(principal)
 
-    def send(kind: str, payload: dict[str, Any], sender: str) -> list[dict[str, Any]]:
-        responses = service.handle_frame(protocol.make_frame(kind, payload, sender=sender))
-        for response in responses:
-            if response["kind"] == protocol.ERROR:
-                error = response["payload"]
-                raise RuntimeError(
-                    f"scenario {scenario.name}: {kind} from {sender} rejected: "
-                    f"{error['code']}: {error['detail']}"
-                )
-        return responses
+        def send(kind: str, payload: dict[str, Any], sender: str) -> list[dict[str, Any]]:
+            responses = service.handle_frame(protocol.make_frame(kind, payload, sender=sender))
+            for response in responses:
+                if response["kind"] == protocol.ERROR:
+                    error = response["payload"]
+                    detail = f"scenario {scenario.name}: {kind} from {sender} rejected: {error['detail']}"
+                    raise WandRelayError(detail, code=error["code"])
+            return responses
 
-    # (due, priority, tie, kind, payload, sender): a sample's tie is its
-    # recipient's index, any other frame's the order it was queued in.
-    heap: list[tuple[datetime, int, int, str, dict[str, Any], str]] = []
-    seq = count()
+        # (due, priority, tie, kind, payload, sender): a sample's tie is its
+        # recipient's index, any other frame's the order it was queued in.
+        heap: list[tuple[datetime, int, int, str, dict[str, Any], str]] = []
+        seq = count()
 
-    def push(t: datetime, kind: str, payload: dict[str, Any], sender: str) -> None:
-        heapq.heappush(heap, (t, _PRIORITY[kind], next(seq), kind, payload, sender))
+        def push(t: datetime, kind: str, payload: dict[str, Any], sender: str) -> None:
+            heapq.heappush(heap, (t, _PRIORITY[kind], next(seq), kind, payload, sender))
 
-    def pull(index: int) -> None:
-        """Queue the next sample of the recipient at ``index``, if it has one."""
-        sample = next(streams[index], None)
-        if sample is not None:
-            payload = {"sample": sample_to_dict(sample)}
-            entry = (sample.t, _PRIORITY[protocol.CONTEXT], index, protocol.CONTEXT, payload, sample.recipient_id)
-            heapq.heappush(heap, entry)
+        def pull(index: int) -> None:
+            """Queue the next sample of the recipient at ``index``, if it has one."""
+            sample = next(streams[index], None)
+            if sample is not None:
+                payload = {"sample": sample_to_dict(sample)}
+                entry = (sample.t, _PRIORITY[protocol.CONTEXT], index, protocol.CONTEXT, payload, sample.recipient_id)
+                heapq.heappush(heap, entry)
 
-    ids = IdFactory(scenario.seed)
-    answers: dict[str, str] = {}  # message_id -> the recipient's consent answer
-    for action in sorted(scenario.sender_script, key=attrgetter("at")):
-        message = compose(
-            action.sender_id,
-            action.recipient_id,
-            action.content_id,
-            action.scale,
-            action.voice_note,
-            action.schedule,
-            declared_markers=scenario.marker_ids,
-            now=action.at,
-            id_factory=ids,
-        )
-        answers[message.message_id] = "yes" if scenario.consent_policy.answer_for(action.label) else "no"
-        push(action.at, protocol.SUBMIT, {"message": message_to_dict(message)}, action.sender_id)
-    streams = [sample_stream(scenario, recipient) for recipient in scenario.recipients]
-    for index, recipient in enumerate(scenario.recipients):
-        send(protocol.HELLO, {"role": "recipient", "principal": recipient.principal}, recipient.principal)
-        pull(index)
+        ids = IdFactory(scenario.seed)
+        answers: dict[str, str] = {}  # message_id -> the recipient's consent answer
+        for action in sorted(scenario.sender_script, key=attrgetter("at")):
+            message = compose(
+                action.sender_id,
+                action.recipient_id,
+                action.content_id,
+                action.scale,
+                action.voice_note,
+                action.schedule,
+                declared_markers=scenario.marker_ids,
+                now=action.at,
+                id_factory=ids,
+            )
+            answers[message.message_id] = "yes" if scenario.consent_policy.answer_for(action.label) else "no"
+            push(action.at, protocol.SUBMIT, {"message": message_to_dict(message)}, action.sender_id)
+        streams = [sample_stream(scenario, recipient) for recipient in scenario.recipients]
+        for index, recipient in enumerate(scenario.recipients):
+            send(protocol.HELLO, {"role": "recipient", "principal": recipient.principal}, recipient.principal)
+            pull(index)
 
-    while heap:
-        t, _priority, tie, kind, payload, sender = heapq.heappop(heap)
-        if t > scenario.end:
-            break
-        if kind == protocol.CONTEXT:
-            pull(tie)
-        for response in send(kind, payload, sender):
-            if response["kind"] != protocol.REACTION_START:
-                continue
-            start, recipient_id = response["payload"], response["to"]
-            message_id, deadline = start["message_id"], parse_rfc3339(start["deadline"])
-            utter_at = parse_rfc3339(start["started_at"]) + timedelta(seconds=UTTERANCE_DELAY_S)
-            if utter_at <= deadline:
-                utterance = {
-                    "message_id": message_id,
-                    "t": format_rfc3339(utter_at),
-                    "transcript": f"utt::{message_id}",
-                }
-                push(utter_at, protocol.REACTION_FRAME, utterance, recipient_id)
-            consent = {"message_id": message_id, "answer": answers[message_id], "t": start["deadline"]}
-            push(deadline, protocol.CONSENT, consent, recipient_id)
+        while heap:
+            t, _priority, tie, kind, payload, sender = heapq.heappop(heap)
+            if t > scenario.end:
+                break
+            if kind == protocol.CONTEXT:
+                pull(tie)
+            for response in send(kind, payload, sender):
+                if response["kind"] != protocol.REACTION_START:
+                    continue
+                start, recipient_id = response["payload"], response["to"]
+                message_id, deadline = start["message_id"], parse_rfc3339(start["deadline"])
+                utter_at = parse_rfc3339(start["started_at"]) + timedelta(seconds=UTTERANCE_DELAY_S)
+                if utter_at <= deadline:
+                    utterance = {
+                        "message_id": message_id,
+                        "t": format_rfc3339(utter_at),
+                        "transcript": f"utt::{message_id}",
+                    }
+                    push(utter_at, protocol.REACTION_FRAME, utterance, recipient_id)
+                consent = {"message_id": message_id, "answer": answers[message_id], "t": start["deadline"]}
+                push(deadline, protocol.CONSENT, consent, recipient_id)
 
-    service.end_of_run(scenario.end)
-    for sender_id in sorted(scenario.sender_ids):
-        send(protocol.SENDER_VIEW_REQ, {"sender_id": sender_id}, sender_id)
-    service.close()
-    recorder.close()
-    return RunResult(frames=recorder.frames, final_states=service.message_states())
+        service.end_of_run(scenario.end)
+        for sender_id in sorted(scenario.sender_ids):
+            send(protocol.SENDER_VIEW_REQ, {"sender_id": sender_id}, sender_id)
+        service.close()
+        return RunResult(frames=recorder.frames, final_states=service.message_states())
+    finally:
+        recorder.close()
+        if collecting:
+            gc.enable()
+            gc.collect(0)

@@ -15,7 +15,8 @@ bench_report = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_report)
 
 
-def write_result(directory: Path, workload: str, seed: int, sha: str, values: dict[str, float], trace: int = 0):
+def write_result(directory: Path, workload: str, seed: int, sha: str, values: dict[str, float], trace: int = 0,
+                 raw: dict[str, float] | None = None, slice_ms: float | None = None):
     units = {"context_samples_per_s": "1/s", "restart_s": "s"}
     doc = {
         "result": {
@@ -27,6 +28,10 @@ def write_result(directory: Path, workload: str, seed: int, sha: str, values: di
         "meta": {"workload": workload, "seed": seed, "seconds": 30.0, "trace": trace,
                  "git_sha": sha, "src_sha256": sha * 2, "nproc": 2, "python": "3.11.7"},
     }
+    if raw is not None:
+        doc["meta"]["raw"] = raw
+    if slice_ms is not None:
+        doc["meta"]["speed"] = {"slices": 40, "slice_p50_ms": slice_ms}
     directory.mkdir(exist_ok=True)
     (directory / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(doc))
 
@@ -53,6 +58,33 @@ def test_medians_units_wins_and_identity(tmp_path):
     assert rate["pairs"] == 3 and rate["change_wins"] == 2
     restart = summary["workloads"]["deep_queue"]["restart_s"]
     assert restart["unit"] == "s" and restart["change_wins"] == 3  # lower is better
+
+
+def test_raw_figures_and_reference_slices_stand_beside_the_scaled_ones(tmp_path, capsys):
+    """A scaled gain that the raw figures do not show comes with slower reference slices."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        raw = {"context_samples_per_s": 100.0 + seed, "restart_s": 0.2}
+        write_result(parent, "pairs12", seed, "aaa", {"context_samples_per_s": 100.0, "restart_s": 0.2},
+                     raw=raw, slice_ms=9.0 + seed)
+        write_result(change, "pairs12", seed, "bbb", {"context_samples_per_s": 120.0, "restart_s": 0.2},
+                     raw=raw, slice_ms=11.0 + seed)
+    write_result(parent, "deep_queue", 1, "aaa", {"restart_s": 0.3})  # no raw figures, no slices
+    write_result(change, "deep_queue", 1, "bbb", {"restart_s": 0.3})
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 0
+
+    summary = json.loads(out.read_text())
+    rate = summary["workloads"]["pairs12"]["context_samples_per_s"]
+    assert rate["parent"]["median"] == 100.0 and rate["change"]["median"] == 120.0 and rate["change_wins"] == 3
+    assert rate["parent_raw"] == rate["change_raw"] == {"median": 102.0, "q1": 101.5, "q3": 102.5, "runs": 3}
+    assert summary["slice_p50_ms"]["pairs12"] == {"parent": 11.0, "change": 13.0}
+    assert "parent_raw" not in summary["workloads"]["deep_queue"]["restart_s"]
+    assert summary["slice_p50_ms"]["deep_queue"] == {"parent": None, "change": None}
+    printed = capsys.readouterr().out
+    assert "raw 102 -> 102" in printed
+    assert any(line.split()[:5] == ["pairs12", "slice_p50_ms", "11", "->", "13"] for line in printed.splitlines())
 
 
 def test_directory_without_results_is_an_error(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -183,6 +185,22 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
         kinds = [f["kind"] for f in protocol.read_frames(out)]
         assert kinds.count(protocol.CONTEXT) == 1 and protocol.PLAYBACK in kinds
+
+    def test_a_reused_data_dir_refuses_the_rerun_and_closes_its_log(self, tmp_path, capsys):
+        """The second run's SUBMITs meet the first run's messages: exit 1 with the refusal's code."""
+        scenario, data = mini_scenario_file(tmp_path), tmp_path / "data"
+        args = ["simulate", "--scenario", str(scenario), "--data-dir", str(data), "--out"]
+        assert main(args + [str(tmp_path / "run1.ndjson")]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args + [str(tmp_path / "run2.ndjson")]) == 1
+            gc.collect()
+        assert capsys.readouterr().err.startswith(
+            "error: DuplicateMessageId: scenario cli-mini: SUBMIT from s1 rejected: "
+        )
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert protocol.SUBMIT in [f["kind"] for f in protocol.read_frames(tmp_path / "run2.ndjson")]
 
     def test_bad_scenario_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

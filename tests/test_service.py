@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from datetime import datetime
 
 import pytest
 
@@ -21,7 +22,7 @@ from wandrelay.model import (
 from wandrelay.reaction import LAST_CAPTURE_START
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
-from wandrelay.timeutil import format_rfc3339
+from wandrelay.timeutil import UTC, format_rfc3339, parse_rfc3339
 
 from client import consent, error_code, ids_of, push, request, submit, utter, view_of
 from conftest import at
@@ -241,6 +242,32 @@ class TestReactionFlow:
         assert ids_of(frames, protocol.REACTION_START) == [second.message_id]
         push(service, sample("09:00:30"))
         assert capture(service, second.message_id).frames == []
+
+    def test_an_answer_after_the_last_capture_start_starts_the_next_capture_at_it(self, service):
+        """Two messages delivered by one sample, each answered "yes" in the last second of year 9999.
+
+        Every answer is answered, never raised: the next capture starts at the last capture start,
+        so its deadline is a datetime, and answered at that deadline the message leaves Delivered.
+        """
+        first = make_message(seed=1, created="08:50:00")
+        second = make_message(seed=2, created="08:51:00")
+        submit(service, first)
+        submit(service, second)
+        push(service, sample("09:00:00"))
+        late = datetime(9999, 12, 31, 23, 59, 59, tzinfo=UTC)
+        frames = consent(service, first.message_id, "yes", late)
+        assert [f["kind"] for f in frames] == [protocol.ACK, protocol.REACTION_NOTIFY, protocol.REACTION_START]
+        start = frames[2]["payload"]
+        assert start["message_id"] == second.message_id
+        deadline = parse_rfc3339(start["deadline"])
+        assert deadline <= parse_rfc3339("9999-12-31T23:59:59.999999Z")
+        assert error_code(consent(service, second.message_id, "yes", late)) == "NotAwaitingConsent"
+        frames = consent(service, second.message_id, "yes", deadline)
+        assert [f["kind"] for f in frames] == [protocol.ACK, protocol.REACTION_NOTIFY]
+        assert service.message_states() == {
+            first.message_id: MessageState.REACTED,
+            second.message_id: MessageState.REACTED,
+        }
 
 
 class TestSenderView:

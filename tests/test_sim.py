@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import math
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 
 from wandrelay import protocol, sim
 from wandrelay.engine import haversine_distance
-from wandrelay.errors import ParseError
+from wandrelay.errors import ParseError, WandRelayError
 from wandrelay.model import MessageState, TimeWindow
+from wandrelay.storage import FileStore
 
-from conftest import at
+from conftest import FIXTURE_PATHS, at
 from genrandom import destination, lat_off, lon_off, random_scenario_dict
 from oracles import bisect_position, oracle_interpolate, recount_pairs, worn
 from test_engine_properties import LATITUDES, LONGITUDES
@@ -385,3 +387,37 @@ class TestRun:
             delivered for cats in recount.values() for (_, delivered) in cats.values()
         )
         assert delivered_by_state == delivered_by_frames
+
+
+class TestCollector:
+    """``run`` pauses automatic garbage collection, which is safe only while a run makes no cycles."""
+
+    def test_a_run_leaves_nothing_for_the_collector(self, tmp_path):
+        rng = random.Random(19)
+        scenarios = [sim.load_scenario(path) for path in FIXTURE_PATHS]
+        scenarios += [sim.scenario_from_dict(random_scenario_dict(rng, f"gc{i}")) for i in range(6)]
+        gc.collect()
+        gc.disable()
+        try:
+            for i, scenario in enumerate(scenarios):
+                store = FileStore(tmp_path / f"data{i}") if i % 2 else None
+                sim.run(scenario, store=store, log_path=tmp_path / f"run{i}.ndjson")
+                assert gc.collect() == 0, scenario.name
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_run_leaves_collection_as_it_found_it(self, tmp_path, enabled):
+        scenario = sim.scenario_from_dict(minimal_scenario())
+        store = FileStore(tmp_path / "data")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            sim.run(scenario, store=store)
+            assert gc.isenabled() is enabled
+            with pytest.raises(WandRelayError) as refused:  # the stored messages refuse the rerun's SUBMITs
+                sim.run(scenario, store=FileStore(tmp_path / "data"))
+            assert refused.value.code == "DuplicateMessageId"
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -5,9 +5,14 @@ Each directory holds the ``result-<workload>-seed<N>-trace0.json`` files that
 ``bench/run.py`` writes to ``bench/out/``, one set from the parent commit and
 one from the change, run with the same seeds. For every workload and
 end-to-end metric of ``BENCHMARK.json`` the summary gives each side's median
-and quartiles with the unit, and how many same-seed pairs the change won. It
-also records the seeds, ``nproc``, the Python version, and both sides' git
-sha and ``src_sha256`` (bench/run.py's digest of ``src/wandrelay``).
+and quartiles with the unit, and how many same-seed pairs the change won.
+Beside those scaled figures it gives the same spread of the raw wall-clock
+values (``meta["raw"]``, as ``parent_raw`` and ``change_raw``), and for each
+workload each side's median reference slice (``meta["speed"]["slice_p50_ms"]``):
+a gain that comes only from slower reference slices shows as a scaled gain
+with no raw one and a longer slice. It also records the seeds, ``nproc``, the
+Python version, and both sides' git sha and ``src_sha256`` (bench/run.py's
+digest of ``src/wandrelay``).
 Traced runs (``trace1``) are left out: their per-layer figures are not
 end-to-end metrics. Standard library only.
 
@@ -57,23 +62,40 @@ def side(runs: list[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
+def slice_p50_ms(runs: list[dict[str, Any]]) -> float | None:
+    """The median of the runs' median reference slices, if they recorded any."""
+    slices = [run["meta"]["speed"]["slice_p50_ms"] for run in runs if "speed" in run["meta"]]
+    return statistics.median(slices) if slices else None
+
+
+def scaled(run: dict[str, Any], name: str) -> float | None:
+    return run["result"]["metrics"].get(name, {}).get("value")
+
+
+def raw(run: dict[str, Any], name: str) -> float | None:
+    return run["meta"].get("raw", {}).get(name)
+
+
 def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark: dict[str, Any]) -> dict[str, Any]:
     def by_seed(runs: list[dict[str, Any]], workload: str) -> dict[int, dict[str, Any]]:
-        return {run["meta"]["seed"]: run["result"]["metrics"] for run in runs if run["meta"]["workload"] == workload}
+        return {run["meta"]["seed"]: run for run in runs if run["meta"]["workload"] == workload}
 
     workloads: dict[str, Any] = {}
+    slices: dict[str, Any] = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         before, after = by_seed(parent, workload), by_seed(change, workload)
         if not before or not after:
             continue
+
+        def paired(figure, name: str) -> list[tuple[float, float]]:
+            """(parent, change) for every seed both sides report the figure for."""
+            both = [(figure(before[s], name), figure(after[s], name)) for s in sorted(before.keys() & after.keys())]
+            return [(p, c) for p, c in both if p is not None and c is not None]
+
         metrics = {}
         for metric in benchmark["end_to_end"]:
             name, higher = metric["name"], metric["better"] == "higher"
-            pairs = [
-                (before[s][name]["value"], after[s][name]["value"])
-                for s in sorted(before.keys() & after.keys())
-                if name in before[s] and name in after[s]
-            ]
+            pairs = paired(scaled, name)
             if not pairs:
                 continue
             metrics[name] = {
@@ -85,7 +107,12 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
                 "pairs": len(pairs),
                 "change_wins": sum((c > p) if higher else (c < p) for p, c in pairs),
             }
+            raws = paired(raw, name)
+            if raws:
+                metrics[name]["parent_raw"] = spread([p for p, _ in raws])
+                metrics[name]["change_raw"] = spread([c for _, c in raws])
         workloads[workload] = metrics
+        slices[workload] = {"parent": slice_p50_ms(list(before.values())), "change": slice_p50_ms(list(after.values()))}
     everything = parent + change
     return {
         "parent": side(parent),
@@ -94,7 +121,12 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
         "python": one_of(everything, "python"),
         "seconds": one_of(everything, "seconds"),
         "workloads": workloads,
+        "slice_p50_ms": slices,
     }
+
+
+def fmt(value: float | None) -> str:
+    return "-" if value is None else f"{value:.6g}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,8 +140,11 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     for workload, metrics in summary["workloads"].items():
         for name, m in metrics.items():
+            raw = f"raw {m['parent_raw']['median']:.6g} -> {m['change_raw']['median']:.6g}" if "change_raw" in m else ""
             print(f"{workload:14s} {name:22s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g} "
-                  f"{m['unit']:4s} change won {m['change_wins']}/{m['pairs']}")
+                  f"{m['unit']:4s} change won {m['change_wins']}/{m['pairs']}  {raw}")
+        speed = summary["slice_p50_ms"][workload]
+        print(f"{workload:14s} {'slice_p50_ms':22s} {fmt(speed['parent']):>12s} -> {fmt(speed['change']):>12s} ms")
     return 0
 
 
