@@ -345,30 +345,57 @@ class TriggerIndex:
 
 # -- canonical encoding -----------------------------------------------------------
 
-def sample_to_dict(sample: ContextSample) -> dict[str, Any]:
+def sample_payload(
+    recipient_id: str, t: datetime, lat: float, lon: float, wearing: bool, markers: list[str]
+) -> dict[str, Any]:
+    """A CONTEXT sample's canonical document: every one is built here.
+
+    ``markers`` is the sorted list of visible marker ids; the document holds
+    that list itself, so a caller may share one list between documents.
+    """
     return {
-        "recipient_id": sample.recipient_id,
-        "t": format_rfc3339(sample.t),
-        "position": {"lat": sample.lat, "lon": sample.lon},
-        "wearing": sample.wearing,
-        "visible_markers": sorted(sample.visible_markers),
+        "recipient_id": recipient_id,
+        "t": format_rfc3339(t),
+        "position": {"lat": lat, "lon": lon},
+        "wearing": wearing,
+        "visible_markers": markers,
     }
 
 
-def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
-    """A sample from its canonical form; a position off the globe (NaN too) is refused."""
-    try:
-        position = d["position"]
-        sample = ContextSample(
-            recipient_id=str(d["recipient_id"]),
-            t=parse_rfc3339(d["t"]),
-            lat=float(position["lat"]),
-            lon=float(position["lon"]),
-            wearing=bool(d["wearing"]),
-            visible_markers=frozenset(map(str, d.get("visible_markers", ()))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad context sample: {exc}") from None
-    check_position(sample.lat, sample.lon)
-    return sample
+def sample_to_dict(sample: ContextSample) -> dict[str, Any]:
+    return sample_payload(
+        sample.recipient_id, sample.t, sample.lat, sample.lon, sample.wearing, sorted(sample.visible_markers)
+    )
 
+
+def _wrong_type(name: str, value: Any, kind: str) -> ParseError:
+    return ParseError(f"bad context sample: {name} must be {kind}, got {type(value).__name__}")
+
+
+def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
+    """A sample from its canonical form; a field of the wrong JSON type or a position off the globe is refused.
+
+    ``recipient_id`` is a string, ``wearing`` a boolean, ``lat`` and ``lon``
+    numbers (a boolean is not one), and ``visible_markers``, when present, a
+    list of strings. NaN is a number but fails the position check.
+    """
+    try:
+        recipient_id, position, wearing = d["recipient_id"], d["position"], d["wearing"]
+        lat, lon = position["lat"], position["lon"]
+        markers = d.get("visible_markers", [])
+        t = parse_rfc3339(d["t"])
+        if not isinstance(recipient_id, str):
+            raise _wrong_type("recipient_id", recipient_id, "a string")
+        if not isinstance(wearing, bool):
+            raise _wrong_type("wearing", wearing, "a boolean")
+        if isinstance(lat, bool) or not isinstance(lat, (int, float)):
+            raise _wrong_type("lat", lat, "a number")
+        if isinstance(lon, bool) or not isinstance(lon, (int, float)):
+            raise _wrong_type("lon", lon, "a number")
+        if not isinstance(markers, list) or (markers and not all(isinstance(m, str) for m in markers)):
+            raise _wrong_type("visible_markers", markers, "a list of strings")
+        lat, lon = float(lat), float(lon)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the largest float
+        raise ParseError(f"bad context sample: {exc}") from None
+    check_position(lat, lon)
+    return ContextSample(recipient_id, t, lat, lon, wearing, frozenset(markers))

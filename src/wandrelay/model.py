@@ -355,12 +355,15 @@ def message_from_dict(d: Mapping[str, Any]) -> ArMessage:
         raise ParseError(f"unsupported message encoding version {d.get('v')!r}")
     try:
         schedule = schedule_from_dict(d["schedule"]) if d.get("schedule") is not None else None
+        scale = d["scale"]
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+            raise ParseError(f"scale must be a number, got {type(scale).__name__}")
         return ArMessage(
             message_id=str(d["message_id"]),
             sender_id=str(d["sender_id"]),
             recipient_id=str(d["recipient_id"]),
             content_id=str(d["content_id"]),
-            scale=float(d["scale"]),
+            scale=float(scale),
             voice_note=voice_note_from_dict(d["voice_note"]),
             schedule=schedule,
             created_at=parse_rfc3339(d["created_at"]),
@@ -368,5 +371,5 @@ def message_from_dict(d: Mapping[str, Any]) -> ArMessage:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the largest float
         raise ParseError(f"bad message document: {exc}") from None

@@ -6,6 +6,11 @@ delivery service, sends it every request frame in global timestamp order as
 a scripted client would, and returns the complete frame log. Two runs of the
 same scenario produce byte-identical logs: ids derive from the scenario seed
 and time never comes from the wall clock.
+
+One walk of a recipient's trajectory, ``_track``, feeds both views of its
+samples: ``run`` builds each CONTEXT document straight from it through
+``engine.sample_payload``, and ``sample_stream`` yields the same samples as
+``ContextSample`` values for callers that read their fields.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from . import protocol
-from .engine import ContextSample, grid_cell, grid_neighbours, haversine_distance, sample_to_dict
+from .engine import ContextSample, grid_cell, grid_neighbours, haversine_distance, sample_payload
+from .engine import sample_to_dict  # unused here: the benchmark's tracer wraps it by this name
 from .errors import ParseError, WandRelayError
 from .ids import IdFactory
 from .model import (
@@ -274,26 +280,31 @@ def load_scenario(path: str | Path) -> Scenario:
 # -- context stream -------------------------------------------------------------------
 
 
-def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[ContextSample]:
-    """One sample per tick from the trajectory start to the scenario end.
+def _track(
+    scenario: Scenario, recipient: RecipientSpec
+) -> Iterator[tuple[datetime, float, float, bool, frozenset[str], list[str]]]:
+    """The trajectory walk: ``(t, lat, lon, wearing, visible, markers)`` per tick.
 
-    The position is piecewise linear between waypoints and clamped at both
+    One item per tick from the trajectory start to the scenario end. The
+    position is piecewise linear between waypoints and clamped at both
     ends; the glasses are worn inside any wear session, both bounds
     included. Sample times only increase, so a cursor into the waypoints and
     one into the wear sessions (sorted and disjoint, as
-    ``scenario_from_dict`` checks) only move forward. A sample at the
-    previous sample's position sees the same markers, so it reuses that set.
+    ``scenario_from_dict`` checks) only move forward. ``visible`` is the set
+    of marker ids in view and ``markers`` the same ids sorted; both are
+    computed when the position moves and reused, as the same objects, while
+    it holds.
     """
     trajectory, sessions = recipient.trajectory, recipient.wear_sessions
     start, last = trajectory[0].t, len(trajectory) - 1
     # Each marker under its 8 neighbouring cells: a sample within range of
     # it lies in one of them, so one probe of the sample's own cell finds it.
-    markers: dict[tuple[int, int, int], list[MarkerSpec]] = {}
+    cells: dict[tuple[int, int, int], list[MarkerSpec]] = {}
     for m in scenario.markers:
         for cell in grid_neighbours(m.lat, m.lon):
-            markers.setdefault(cell, []).append(m)
+            cells.setdefault(cell, []).append(m)
     i = w = 0  # the waypoint at or before t, and the first session not over before t
-    position, visible = None, frozenset()
+    position, visible, markers = None, frozenset(), []
     k = 0
     while True:
         try:
@@ -318,18 +329,24 @@ def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[Cont
             position = lat, lon
             visible = frozenset(
                 m.marker_id
-                for m in markers.get(grid_cell(lat, lon), ())
+                for m in cells.get(grid_cell(lat, lon), ())
                 if haversine_distance(m.lat, m.lon, lat, lon) <= MARKER_VISIBILITY_M
             )
-        yield ContextSample(
-            recipient_id=recipient.principal,
-            t=t,
-            lat=lat,
-            lon=lon,
-            wearing=wearing,
-            visible_markers=visible,
-        )
+            markers = sorted(visible)
+        yield t, lat, lon, wearing, visible, markers
         k += 1
+
+
+def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[ContextSample]:
+    """The recipient's samples, one per tick of ``_track``'s walk.
+
+    ``run`` builds its CONTEXT documents from the same walk, so
+    ``engine.sample_to_dict`` of each sample here equals the document
+    ``run`` sends at that tick.
+    """
+    principal = recipient.principal
+    for t, lat, lon, wearing, visible, _markers in _track(scenario, recipient):
+        yield ContextSample(principal, t, lat, lon, wearing, visible)
 
 
 # -- the run loop ------------------------------------------------------------------------
@@ -353,7 +370,9 @@ def run(
     time and the recipient's place in the scenario, and sending it queues
     that recipient's next one. Samples due at one instant therefore go in
     recipient order, and the queue never holds more samples than there are
-    recipients.
+    recipients. Each sample's CONTEXT document is built once, from
+    ``_track``'s item, and consecutive documents at one position share
+    one marker list; nothing mutates a recorded frame.
 
     A request the service refuses ends the run with a WandRelayError
     carrying the ERROR frame's code.
@@ -392,11 +411,12 @@ def run(
 
         def pull(index: int) -> None:
             """Queue the next sample of the recipient at ``index``, if it has one."""
-            sample = next(streams[index], None)
-            if sample is not None:
-                payload = {"sample": sample_to_dict(sample)}
-                entry = (sample.t, _PRIORITY[protocol.CONTEXT], index, protocol.CONTEXT, payload, sample.recipient_id)
-                heapq.heappush(heap, entry)
+            item = next(tracks[index], None)
+            if item is not None:
+                t, lat, lon, wearing, _visible, markers = item
+                principal = principals[index]
+                payload = {"sample": sample_payload(principal, t, lat, lon, wearing, markers)}
+                heapq.heappush(heap, (t, _PRIORITY[protocol.CONTEXT], index, protocol.CONTEXT, payload, principal))
 
         ids = IdFactory(scenario.seed)
         answers: dict[str, str] = {}  # message_id -> the recipient's consent answer
@@ -414,7 +434,8 @@ def run(
             )
             answers[message.message_id] = "yes" if scenario.consent_policy.answer_for(action.label) else "no"
             push(action.at, protocol.SUBMIT, {"message": message_to_dict(message)}, action.sender_id)
-        streams = [sample_stream(scenario, recipient) for recipient in scenario.recipients]
+        tracks = [_track(scenario, recipient) for recipient in scenario.recipients]
+        principals = [recipient.principal for recipient in scenario.recipients]
         for index, recipient in enumerate(scenario.recipients):
             send(protocol.HELLO, {"role": "recipient", "principal": recipient.principal}, recipient.principal)
             pull(index)

@@ -168,6 +168,37 @@ def test_a_sample_too_late_for_a_capture_is_refused(tmp_path, t):
     assert error_code(request(service, protocol.CONTEXT, late, "r1")) == "ParseError"
 
 
+# Sample fields of the wrong JSON type, as (field, value); lat and lon sit in the position.
+# 10**400 is a JSON number, but no float holds it.
+MISTYPED_SAMPLE_FIELDS = [
+    ("wearing", "no"), ("wearing", 1), ("wearing", None), ("recipient_id", 5),
+    ("lat", True), ("lon", "2"), pytest.param("lat", 10**400, id="lat-10**400"),
+    ("visible_markers", "abc"), ("visible_markers", ["mk-desk", 1]), ("visible_markers", None),
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_SAMPLE_FIELDS)
+def test_a_sample_field_of_the_wrong_type_is_refused(tmp_path, field, value):
+    """One ParseError that changes nothing; the value is not coerced ("no" is not worn), and the same t still fires."""
+    service = durable(tmp_path)
+    direct = make_message()
+    submit(service, direct)
+
+    def observed():
+        stored = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        return service.message_states(), view_of(service, "s1"), stored
+
+    doc = sample_to_dict(sample())
+    if field in ("lat", "lon"):
+        doc["position"] = {**doc["position"], field: value}
+    else:
+        doc[field] = value
+    before = observed()
+    assert error_code(request(service, protocol.CONTEXT, {"sample": doc}, "r1")) == "ParseError"
+    assert observed() == before
+    assert ids_of(push(service, sample()), protocol.PLAYBACK) == [direct.message_id]
+
+
 def capture(service, message_id):
     """The capture session buffering a message's reaction; no frame shows its buffers."""
     return service._captures.get(message_id)
@@ -471,6 +502,16 @@ class TestFrameDispatch:
         (dup,) = service.handle_frame(good)
         assert dup["kind"] == protocol.ERROR
         assert dup["payload"]["code"] == "DuplicateMessageId"
+
+    @pytest.mark.parametrize("scale", [True, "2", None, [1.0], pytest.param(10**400, id="10**400")])
+    def test_a_scale_that_is_not_a_number_is_a_parse_error(self, service, scale):
+        """Not coerced (``true`` is not 1.0) nor out of range: a ParseError, and the message is not queued."""
+        doc = message_to_dict(make_message())
+        (response,) = request(service, protocol.SUBMIT, {"message": {**doc, "scale": scale}}, "s1")
+        assert response["kind"] == protocol.ERROR
+        assert response["payload"]["code"] == "ParseError"
+        assert service.message_states() == {}
+        assert error_code(request(service, protocol.SUBMIT, {"message": doc}, "s1")) is None
 
     @pytest.mark.parametrize("t", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
     def test_timestamps_past_the_datetime_range_are_parse_errors(self, service, t):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wandrelay import protocol, sim
-from wandrelay.engine import haversine_distance
+from wandrelay import analytics, protocol, sim
+from wandrelay.engine import haversine_distance, sample_to_dict
 from wandrelay.errors import ParseError, WandRelayError
 from wandrelay.model import MessageState, TimeWindow
 from wandrelay.storage import FileStore
@@ -22,6 +22,7 @@ from conftest import FIXTURE_PATHS, at
 from genrandom import destination, lat_off, lon_off, random_scenario_dict
 from oracles import bisect_position, oracle_interpolate, recount_pairs, worn
 from test_engine_properties import LATITUDES, LONGITUDES
+from test_golden import multi_recipient_docs
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -387,6 +388,35 @@ class TestRun:
             delivered for cats in recount.values() for (_, delivered) in cats.values()
         )
         assert delivered_by_state == delivered_by_frames
+
+
+class TestOneWalk:
+    """``run`` and ``sample_stream`` read one trajectory walk; ``run``'s documents share marker lists safely."""
+
+    def test_run_sends_the_documents_of_sample_stream(self):
+        """Per recipient, the CONTEXT documents ``run`` sends are ``sample_stream``'s samples, in order and count."""
+        rng = random.Random(21)
+        scenarios = [sim.load_scenario(path) for path in FIXTURE_PATHS]
+        scenarios += [sim.scenario_from_dict(doc) for doc in multi_recipient_docs()]
+        scenarios += [sim.scenario_from_dict(random_scenario_dict(rng, f"walk{i}")) for i in range(4)]
+        for scenario in scenarios:
+            sent: dict[str, list[dict]] = {recipient.principal: [] for recipient in scenario.recipients}
+            for frame in sim.run(scenario).frames:
+                if frame["kind"] == protocol.CONTEXT:
+                    sent[frame["from"]].append(frame["payload"]["sample"])
+            for recipient in scenario.recipients:
+                streamed = [sample_to_dict(s) for s in sim.sample_stream(scenario, recipient)]
+                assert sent[recipient.principal] == streamed, (scenario.name, recipient.principal)
+
+    def test_nothing_mutates_a_recorded_frame(self, tmp_path):
+        """Reading a run's frames back, the report included, leaves each one as its log line says."""
+        log_path = tmp_path / "run.ndjson"
+        frames = sim.run(sim.load_scenario(FIXTURE_PATHS[0]), log_path=log_path).frames
+        lists = [f["payload"]["sample"]["visible_markers"] for f in frames if f["kind"] == protocol.CONTEXT]
+        assert any(a and a is b for a, b in zip(lists, lists[1:]))  # documents at one position share a list
+        analytics.render_text(analytics.summarize_frames_groups([frames]))
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        assert [protocol.dumps_canonical(frame) for frame in frames] == lines
 
 
 class TestCollector:
