@@ -142,22 +142,30 @@ def summarize_data_dirs(roots: Sequence[str | Path]) -> Report:
     """
     outcomes = []
     for root in roots:
-        found: dict[str, list[Any]] = {}  # message_id -> [message, received]
-        for recipient_id, events in read_journal(Path(root))[1].items():
-            try:
-                for event in events:
-                    kind = event["ev"]
-                    if kind == "enqueued":
-                        message = message_from_dict(event["message"])
-                        found[message.message_id] = [message, False]
-                    elif kind == "delivered":
-                        found[event["message_id"]][1] = True
-                    elif kind not in ("expired", "reacted", "declined"):
-                        raise ValueError(f"unknown stored event kind {kind!r}")
-            except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
-                raise ParseError(f"{root}: queue {recipient_id}: bad stored event: {exc!r}") from None
+        found = _data_dir_messages(Path(root))
         outcomes += sorted(found.values(), key=lambda item: (item[0].created_at, item[0].message_id))
     return _summarize(outcomes)
+
+
+def _data_dir_messages(root: Path) -> dict[str, list[Any]]:
+    """message_id -> [message, received] for every message in a data dir, counted as the journal is read."""
+    found: dict[str, list[Any]] = {}
+
+    def take(recipient_id: str, event: Any) -> None:
+        try:
+            kind = event["ev"]
+            if kind == "enqueued":
+                message = message_from_dict(event["message"])
+                found[message.message_id] = [message, False]
+            elif kind == "delivered":
+                found[event["message_id"]][1] = True
+            elif kind not in ("expired", "reacted", "declined"):
+                raise ValueError(f"unknown stored event kind {kind!r}")
+        except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"{root}: queue {recipient_id}: bad stored event: {exc!r}") from None
+
+    read_journal(root, take)
+    return found
 
 
 def _summarize(outcomes: Iterable[Sequence[Any]]) -> Report:

@@ -280,10 +280,25 @@ def voice_note_to_dict(note: VoiceNote) -> dict[str, Any]:
     return {"duration": note.duration, "transcript": note.transcript}
 
 
+def _number(value: Any, name: str) -> float:
+    """A JSON number as a float: a boolean is not one, nor is a string of digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _string(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
 def voice_note_from_dict(d: Mapping[str, Any]) -> VoiceNote:
+    """A voice note from its canonical form; a field of the wrong JSON type is refused, not coerced."""
     try:
-        return VoiceNote(duration=float(d["duration"]), transcript=str(d["transcript"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        duration = _number(d["duration"], "duration")
+        return VoiceNote(duration=duration, transcript=_string(d["transcript"], "transcript"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad voice note: {exc}") from None
 
 
@@ -306,6 +321,7 @@ def schedule_to_dict(schedule: TriggerSchedule) -> dict[str, Any]:
 
 
 def schedule_from_dict(d: Mapping[str, Any]) -> TriggerSchedule:
+    """A schedule from its canonical form; a field of the wrong JSON type is refused, not coerced."""
     if not isinstance(d, Mapping):
         raise ParseError(f"schedule must be an object, got {type(d).__name__}")
     geofence = window = marker = None
@@ -313,13 +329,14 @@ def schedule_from_dict(d: Mapping[str, Any]) -> TriggerSchedule:
         if "geofence" in d and d["geofence"] is not None:
             g = d["geofence"]
             center = g["center"]
-            geofence = Geofence(lat=float(center["lat"]), lon=float(center["lon"]), radius=float(g["radius"]))
+            lat, lon = _number(center["lat"], "lat"), _number(center["lon"], "lon")
+            geofence = Geofence(lat=lat, lon=lon, radius=_number(g["radius"], "radius"))
         if "window" in d and d["window"] is not None:
             w = d["window"]
             window = TimeWindow(start=parse_rfc3339(w["start"]), end=parse_rfc3339(w["end"]))
         if "marker" in d and d["marker"] is not None:
-            marker = MarkerCondition(marker_id=str(d["marker"]["marker_id"]))
-    except (KeyError, TypeError) as exc:
+            marker = MarkerCondition(marker_id=_string(d["marker"]["marker_id"], "marker_id"))
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer past the largest float
         raise ParseError(f"bad schedule: {exc}") from None
     present = sum(c is not None for c in (geofence, window, marker))
     spec_raw = d.get("specificity")
@@ -355,15 +372,12 @@ def message_from_dict(d: Mapping[str, Any]) -> ArMessage:
         raise ParseError(f"unsupported message encoding version {d.get('v')!r}")
     try:
         schedule = schedule_from_dict(d["schedule"]) if d.get("schedule") is not None else None
-        scale = d["scale"]
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise ParseError(f"scale must be a number, got {type(scale).__name__}")
         return ArMessage(
             message_id=str(d["message_id"]),
             sender_id=str(d["sender_id"]),
             recipient_id=str(d["recipient_id"]),
             content_id=str(d["content_id"]),
-            scale=float(scale),
+            scale=_number(d["scale"], "scale"),
             voice_note=voice_note_from_dict(d["voice_note"]),
             schedule=schedule,
             created_at=parse_rfc3339(d["created_at"]),

@@ -188,14 +188,15 @@ class DeliveryService:
         self._apply(recipient_id, event)
 
     def _recover(self) -> None:
-        principals, journal = self._store.recover()
-        self._principals.update(principals)
-        for recipient_id, events in journal.items():
+        """Apply each stored event as the store reads it, so no queue's events are held."""
+
+        def apply(recipient_id: str, event: Any) -> None:
             try:
-                for event in events:
-                    self._apply(recipient_id, event)
+                self._apply(recipient_id, event)
             except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
                 raise ParseError(f"queue {recipient_id}: stored event cannot be applied: {exc!r}") from None
+
+        self._principals.update(self._store.replay(apply))
 
     def close(self) -> None:
         """Release the store, which snapshots what it holds."""

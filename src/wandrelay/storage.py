@@ -17,16 +17,21 @@ old snapshot's events and then the log's lines, and removes the log only
 once the snapshot is durable; recovery is the snapshot's events, then the
 log's.
 
-``read_journal`` reads a data dir and writes nothing, so ``report`` can read
-a live server's; ``FileStore.recover()`` then repairs what a crash can leave
-behind. An unterminated last line is an append cut short, never
-acknowledged: it is dropped, and recovery cuts it off the file. A log whose
-snapshot is no longer the size its first line names is one a crash left
-between the snapshot's rename and the log's removal: its events are in the
-snapshot, and recovery removes it. (A log written before
-logs named their snapshot counts as folded when its events end the
-snapshot.) A bad line anywhere else, or a file that is not what it should
-hold, is corruption and raises ParseError naming the file.
+Recovery keeps none either. ``read_journal`` hands each stored event to its
+caller's ``apply`` as it parses it: it walks the snapshot's array in place
+with ``json.JSONDecoder.raw_decode`` and reads the log line by line, so the
+most it holds beyond what ``apply`` keeps is one snapshot's text. It writes
+nothing, so ``report`` can read a live server's data dir;
+``FileStore.replay()`` then repairs what a crash can leave behind, once the
+last event is applied, so a recovery that fails writes nothing. An
+unterminated last line is an append cut short, never acknowledged: it is
+dropped, and the repair cuts it off the file. A log whose snapshot is no
+longer the size its first line names is one a crash left between the
+snapshot's rename and the log's removal: its events are in the snapshot,
+and the repair removes it. (A log written before logs named their snapshot
+counts as folded when its events end the snapshot.) A bad line anywhere
+else, or a file that is not what it should hold, is corruption and raises
+ParseError naming the file.
 
 Reaction capture buffers are deliberately NOT stored here; only consented,
 composed reaction records ever reach disk.
@@ -35,10 +40,11 @@ composed reaction records ever reach disk.
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 from urllib.parse import quote, unquote
 
 from .errors import DataDirUnwritable, ParseError
@@ -50,8 +56,11 @@ _MAX_STEM = 255 - len(_SNAP)  # 255 bytes: the common file-name limit
 # A snapshot is its events' log lines joined by "," between these two: what
 # json.dumps writes for {"v": 1, "events": [...]} with _line's separators.
 _SNAP_HEAD, _SNAP_TAIL = b'{"v":1,"events":[', b"]}"
+_HEAD, _TAIL = _SNAP_HEAD.decode(), _SNAP_TAIL.decode()
+_DECODER = json.JSONDecoder()
 
 Queues = dict[str, list[dict[str, Any]]]  # recipient -> its queue's events, oldest first
+Apply = Callable[[str, Any], None]  # takes (recipient id, stored event), one event at a time
 
 
 def _line(obj: dict[str, Any]) -> bytes:
@@ -94,8 +103,8 @@ class MemoryStore:
     def record_event(self, recipient_id: str, event: dict[str, Any]) -> None:
         pass
 
-    def recover(self) -> tuple[set[str], Queues]:
-        return set(), {}
+    def replay(self, apply: Apply) -> set[str]:
+        return set()
 
     def close(self) -> None:
         pass
@@ -197,67 +206,137 @@ class FileStore:
 
     # -- recovery --
 
-    def recover(self) -> tuple[set[str], Queues]:
-        """Return (principals, per-recipient ordered event lists), after the repairs ``read_journal`` names."""
-        principals, queues, torn, folded = read_journal(self.root)
+    def replay(self, apply: Apply) -> set[str]:
+        """Hand every stored event to ``apply`` as it is read, then make the repairs ``read_journal`` names.
+
+        Returns the principals. A recovery that fails, in the reading or
+        in ``apply``, has written nothing.
+        """
+        principals, torn, folded = read_journal(self.root, apply)
         for path, size in torn:
             with open(path, "r+b") as fh:
                 fh.truncate(size)
                 os.fsync(fh.fileno())
         for path in folded:
             path.unlink()
+        return principals
+
+    def recover(self) -> tuple[set[str], Queues]:
+        """Return (principals, per-recipient ordered event lists): ``replay`` collected into lists.
+
+        For callers that want a whole journal at once: the storage tests and
+        the benchmark's tracer. The service recovers through ``replay``.
+        """
+        queues: Queues = {}
+        principals = self.replay(lambda recipient_id, event: queues.setdefault(recipient_id, []).append(event))
         return principals, queues
 
 
-def _read_lines(path: Path, torn: list[tuple[Path, int]]) -> list[dict[str, Any]]:
-    """Parse a log; an unterminated last line is dropped and noted in ``torn`` as (path, size to keep)."""
-    if not path.exists():
-        return []
-    data = path.read_bytes()
-    body, _, tail = data.rpartition(b"\n")
-    entries = []
-    for lineno, line in enumerate(body.split(b"\n"), start=1):
-        if not line.strip():
-            continue
+def _log_entries(path: Path, torn: list[tuple[Path, int]] | None = None) -> Iterator[Any]:
+    """Parse a log line by line; an unterminated last line is dropped and noted in ``torn``, if given,
+    as (path, size to keep)."""
+    with open(path, "rb") as fh:
+        kept = 0
+        for lineno, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                if torn is not None:
+                    torn.append((path, kept))
+                return
+            kept += len(line)
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line[:-1])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            yield entry
+
+
+def _snapshot_events(path: Path) -> Iterator[Any]:
+    """Walk a snapshot's event array in place, one event at a time.
+
+    A snapshot is its events' log lines joined by "," between ``_SNAP_HEAD``
+    and ``_SNAP_TAIL``, as ``snapshot()`` writes it; anything else is refused.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc!r}") from None
+    if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
+        raise ParseError(f"{path}: a snapshot starts {_HEAD} and ends {_TAIL}")
+    pos, end = len(_HEAD), len(text) - len(_TAIL)
+    while pos < end:
         try:
-            entries.append(json.loads(line))
+            event, pos = _DECODER.raw_decode(text, pos)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if tail:
-        torn.append((path, len(data) - len(tail)))
-    return entries
+            raise ParseError(f"{path}: {exc!r}") from None
+        yield event
+        if pos < end - 1 and text[pos] == ",":
+            pos += 1
+        elif pos != end:
+            raise ParseError(f"{path}: char {pos}: expected ',' and an event, or the end of the events")
 
 
-def read_journal(root: Path) -> tuple[set[str], Queues, list[tuple[Path, int]], list[Path]]:
-    """Read a data dir without writing to it.
+def _ends_snapshot(log: Path, snap: Path) -> bool:
+    """Whether a log's events are the last of its snapshot's: how a log written before logs named
+    their snapshot is known to be folded. It reads both files again, one event at a time."""
+    count = sum(1 for _ in _log_entries(log))
+    total = sum(1 for _ in _snapshot_events(snap)) if snap.exists() else 0
+    if total < count:
+        return False
+    tail = itertools.islice(_snapshot_events(snap), total - count, None)
+    return all(a == b for a, b in zip(tail, _log_entries(log)))
 
-    Returns the principals, each queue's events in order, the torn tails
-    (each log with the size its complete lines take) and the logs already
-    folded into their snapshots; ``FileStore.recover()`` repairs the last two.
+
+def _replay_log(log: Path, snap: Path, recipient_id: str, apply: Apply, torn: list[tuple[Path, int]]) -> bool:
+    """Apply a log's events unless they are already in its snapshot; returns whether they were.
+
+    The first line decides: a ``{"snap":N}`` line against the snapshot's
+    size, or, in a log older than those lines, whether its events end the
+    snapshot. A folded log is still read to its end.
+    """
+    folded = None
+    for entry in _log_entries(log, torn):
+        if folded is None:
+            follows = _follows(entry)
+            folded = follows != _size(snap) if follows is not None else _ends_snapshot(log, snap)
+            if follows is not None:
+                continue
+        if not folded:
+            apply(recipient_id, entry)
+    return bool(folded)
+
+
+def read_journal(root: Path, apply: Apply) -> tuple[set[str], list[tuple[Path, int]], list[Path]]:
+    """Read a data dir without writing to it, calling ``apply(recipient_id, event)`` for each stored
+    event as it is parsed.
+
+    Queues come in the order of their snapshots' file names, then those
+    with only a log in the order of the logs' names; a queue's snapshot
+    events come before its log's. What ``apply`` raises reaches the caller
+    as it is. Returns the principals, the torn tails (each log with the size
+    its complete lines take) and the logs already folded into their
+    snapshots; ``FileStore.replay()`` repairs the last two.
     """
     queues_dir = root / "queues"
     if not queues_dir.is_dir():
         raise ParseError(f"{root}: not a data dir, it has no queues/")
-    states: Queues = {}
-    torn, folded = [], []
-    path = root / "principals.log"  # the file being read, for the error
+    torn: list[tuple[Path, int]] = []
+    folded: list[Path] = []
+    path = root / "principals.log"
     try:
-        principals = {entry["principal"] for entry in _read_lines(path, torn)}
-        for path in sorted(queues_dir.glob(f"*{_SNAP}")):
-            states[unquote(path.name[: -len(_SNAP)])] = list(json.loads(path.read_text())["events"])
-        for path in sorted(queues_dir.glob("*.log")):
-            events = _read_lines(path, torn)
-            journal = states.setdefault(unquote(path.stem), [])
-            follows = _follows(events[0]) if events else None
-            if follows is not None:
-                events = events[1:]
-                is_folded = follows != _size(path.with_name(path.stem + _SNAP))
-            else:  # a log written before logs named their snapshot
-                is_folded = bool(events) and journal[-len(events):] == events
-            if is_folded:
-                folded.append(path)
-            else:
-                journal.extend(events)
-    except (LookupError, TypeError, ValueError) as exc:  # a file that is not what it should hold
+        principals = {entry["principal"] for entry in _log_entries(path, torn)} if path.exists() else set()
+    except (LookupError, TypeError) as exc:  # a line that is not a principal
         raise ParseError(f"{path}: {exc!r}") from None
-    return principals, states, torn, folded
+    snapped = [p.name[: -len(_SNAP)] for p in sorted(queues_dir.glob(f"*{_SNAP}"))]
+    has_snapshot = set(snapped)
+    logged_only = [p.stem for p in sorted(queues_dir.glob("*.log")) if p.stem not in has_snapshot]
+    for stem in snapped + logged_only:
+        recipient_id = unquote(stem)
+        snap, log = queues_dir / f"{stem}{_SNAP}", queues_dir / f"{stem}.log"
+        if snap.exists():
+            for event in _snapshot_events(snap):
+                apply(recipient_id, event)
+        if log.exists() and _replay_log(log, snap, recipient_id, apply, torn):
+            folded.append(log)
+    return principals, torn, folded

@@ -314,6 +314,14 @@ def start_server(data_dir: Path, port: int) -> subprocess.Popen:
     return proc
 
 
+def vm_hwm_kb(pid: int) -> int:
+    """A process's peak resident set size, as Linux reports it."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    raise AssertionError(f"no VmHWM for process {pid}")
+
+
 @pytest.mark.slow
 class TestServe:
     def test_submit_kill_restart_keeps_pending(self, tmp_path):
@@ -451,6 +459,41 @@ class TestServe:
         assert not (data / "frames.ndjson").exists()
         journal = FileStore(data).recover()[1]["r1"]
         assert [e["message"]["message_id"] for e in journal] == sent
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_a_restarted_server_peaks_no_higher_than_the_one_that_took_its_messages(self, tmp_path):
+        """Recovery applies each stored event as it reads it, so a server respawned on the data dir
+        of about 2,000 SUBMITs peaks within 1 MB of the server that took them."""
+        data, port = tmp_path / "data", free_port()
+        parked = TriggerSchedule(marker=MarkerCondition("mk-never"))
+        frames = [
+            protocol.make_frame(protocol.SUBMIT, {"message": message_to_dict(compose(
+                "s1", "r1", "dog", 1.0, VoiceNote(2.0, "hi"), parked, now=at("08:55:00"), id_factory=IdFactory(seed),
+            ))})
+            for seed in range(2000)
+        ]
+        proc = start_server(data, port)
+        try:
+            with WireClient("127.0.0.1", port) as recipient, WireClient("127.0.0.1", port) as sender:
+                assert recipient.hello("recipient", "r1")["kind"] == protocol.ACK
+                assert sender.hello("sender", "s1")["kind"] == protocol.ACK
+                for start in range(0, len(frames), 50):  # a few in flight, never enough to fill a socket buffer
+                    for frame in frames[start : start + 50]:
+                        sender.send(frame)
+                    for _ in frames[start : start + 50]:
+                        assert sender.read_frame()["kind"] == protocol.ACK
+            took = vm_hwm_kb(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            proc.communicate(timeout=10)
+            proc = start_server(data, port)
+            with WireClient("127.0.0.1", port) as sender:
+                assert sender.hello("sender", "s1")["kind"] == protocol.ACK
+            restarted = vm_hwm_kb(proc.pid)
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=10)
+        assert restarted <= took + 1024, f"VmHWM {took} kB, then {restarted} kB after the restart"
 
     @pytest.mark.parametrize(
         "content", [None, b"{not json", b"\xff", b"[]", b"{}", b'{"markers": 5}', b'{"markers": [{}]}']

@@ -13,6 +13,7 @@ from wandrelay.model import (
     Geofence,
     MarkerCondition,
     MessageState,
+    Specificity,
     TimeWindow,
     TriggerSchedule,
     VoiceNote,
@@ -125,6 +126,12 @@ def fenced():
     return make_message(TriggerSchedule(geofence=Geofence(lat=lat_off(0), lon=lon_off(0), radius=10.0)))
 
 
+def observed(service, root):
+    """What a refused request must leave as it was: states, s1's view and every stored byte."""
+    stored = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    return service.message_states(), view_of(service, "s1"), stored
+
+
 @pytest.mark.parametrize("lat, lon", OFF_THE_GLOBE)
 def test_a_position_off_the_globe_is_refused(tmp_path, lat, lon):
     """One ERROR, and nothing changes: states, views, stored bytes, nor the last sample time."""
@@ -132,13 +139,9 @@ def test_a_position_off_the_globe_is_refused(tmp_path, lat, lon):
     fence = fenced()
     submit(service, fence)
 
-    def observed():
-        stored = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-        return service.message_states(), view_of(service, "s1"), stored
-
-    before = observed()
+    before = observed(service, tmp_path)
     assert error_code(request(service, protocol.CONTEXT, off_the_globe(lat, lon), "r1")) == "InvalidCoordinates"
-    assert observed() == before
+    assert observed(service, tmp_path) == before
     assert ids_of(push(service, sample()), protocol.PLAYBACK) == [fence.message_id]
 
 
@@ -153,14 +156,10 @@ def test_a_sample_too_late_for_a_capture_is_refused(tmp_path, t):
     fence = fenced()
     submit(service, fence)
 
-    def observed():
-        stored = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-        return service.message_states(), view_of(service, "s1"), stored
-
     late = {"sample": {**sample_to_dict(sample()), "t": t}}
-    before = observed()
+    before = observed(service, tmp_path)
     assert error_code(request(service, protocol.CONTEXT, late, "r1")) == "ParseError"
-    assert observed() == before
+    assert observed(service, tmp_path) == before
     bound = {**sample_to_dict(sample()), "t": format_rfc3339(LAST_CAPTURE_START)}
     frames = request(service, protocol.CONTEXT, {"sample": bound}, "r1")
     assert [f["kind"] for f in frames] == [protocol.PLAYBACK, protocol.REACTION_START]
@@ -184,19 +183,42 @@ def test_a_sample_field_of_the_wrong_type_is_refused(tmp_path, field, value):
     direct = make_message()
     submit(service, direct)
 
-    def observed():
-        stored = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-        return service.message_states(), view_of(service, "s1"), stored
-
     doc = sample_to_dict(sample())
     if field in ("lat", "lon"):
         doc["position"] = {**doc["position"], field: value}
     else:
         doc[field] = value
-    before = observed()
+    before = observed(service, tmp_path)
     assert error_code(request(service, protocol.CONTEXT, {"sample": doc}, "r1")) == "ParseError"
-    assert observed() == before
+    assert observed(service, tmp_path) == before
     assert ids_of(push(service, sample()), protocol.PLAYBACK) == [direct.message_id]
+
+
+# Message fields of the wrong JSON type, as (dotted path into the message document, value).
+MISTYPED_MESSAGE_FIELDS = [
+    ("schedule.geofence.radius", "10"), ("schedule.geofence.center.lat", True), ("voice_note.duration", "2"),
+    ("voice_note.transcript", 5), ("schedule.marker.marker_id", 5),
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_MESSAGE_FIELDS)
+def test_a_message_field_of_the_wrong_type_is_refused(tmp_path, field, value):
+    """One ParseError that changes nothing: a SUBMIT's fields are checked, not coerced ("10" is no radius)."""
+    service = durable(tmp_path)
+    submit(service, fenced())
+    schedule = TriggerSchedule(
+        geofence=Geofence(lat=lat_off(0), lon=lon_off(0), radius=10.0), marker=MarkerCondition("mk-desk"),
+        specificity=Specificity.FLEXIBLE,
+    )
+    doc = message_to_dict(make_message(schedule, seed=2))
+    *parents, name = field.split(".")
+    inner = doc
+    for key in parents:
+        inner = inner[key]
+    inner[name] = value
+    before = observed(service, tmp_path)
+    assert error_code(request(service, protocol.SUBMIT, {"message": doc}, "s1")) == "ParseError"
+    assert observed(service, tmp_path) == before
 
 
 def capture(service, message_id):

@@ -9,6 +9,7 @@ import json
 import os
 import stat
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -22,7 +23,7 @@ from wandrelay import protocol
 from wandrelay.cli import main
 from wandrelay.errors import ParseError
 from wandrelay.ids import IdFactory
-from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
+from wandrelay.model import MarkerCondition, MessageState, TriggerSchedule, VoiceNote, compose, message_to_dict
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
@@ -411,37 +412,55 @@ def test_hello_refuses_a_principal_too_long_for_a_file_name(tmp_path):
 
 
 DELIVERED_A = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}' % A
+ENQUEUED_A = enqueued(A, "dog", "1.0", '{"duration":2.0,"transcript":"x"}', "null", "08:50:00")
+ENQUEUED_B = enqueued(B, "bee", "1.5", '{"duration":1.0,"transcript":"hi"}', "null", "08:51:00")
+DELIVERED_B = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}' % B
 
 
 @pytest.mark.parametrize(
-    "name, content, named",
+    "files, named",
     [
-        ("principals.log", '{"who":"s1"}\n', "principals.log"),
-        ("principals.log", "5\n", "principals.log"),
-        ("queues/r1.snap.json", "{not json", "r1.snap.json"),
-        ("queues/r1.snap.json", '{"v":1}', "r1.snap.json"),
-        ("queues/r1.snap.json", '{"v":1,"events":5}', "r1.snap.json"),
-        ("queues/r1.snap.json", '{"v":1,"events":[5]}', "queue r1:"),
-        ("queues/r1.log", '{"message_id":"%s"}\n' % A, "queue r1:"),
-        ("queues/r1.log", '{"ev":"teleported","message_id":"%s"}\n' % A, "queue r1:"),
-        ("queues/r1.log", DELIVERED_A + "\n", "queue r1:"),  # a message never enqueued
-        ("queues/r1.log", enqueued(A, "dog", "1.0", "{}", "null", "08:50:00") + "\n", "queue r1:"),
-        ("queues/r1.log", "\n".join([enqueued(A, "dog", "1.0", '{"duration":2.0,"transcript":"x"}',
-                                              "null", "08:50:00"), DELIVERED_A, DELIVERED_A]) + "\n",
+        ({"principals.log": '{"who":"s1"}\n'}, "principals.log"),
+        ({"principals.log": "5\n"}, "principals.log"),
+        ({"queues/r1.snap.json": "{not json"}, "r1.snap.json"),
+        ({"queues/r1.snap.json": '{"v":1}'}, "r1.snap.json"),
+        ({"queues/r1.snap.json": '{"v":1,"events":5}'}, "r1.snap.json"),
+        ({"queues/r1.snap.json": '{"v":1,"events":[5]}'}, "queue r1:"),
+        ({"queues/r1.log": '{"message_id":"%s"}\n' % A}, "queue r1:"),
+        ({"queues/r1.log": '{"ev":"teleported","message_id":"%s"}\n' % A}, "queue r1:"),
+        ({"queues/r1.log": DELIVERED_A + "\n"}, "queue r1:"),  # a message never enqueued
+        ({"queues/r1.log": enqueued(A, "dog", "1.0", "{}", "null", "08:50:00") + "\n"}, "queue r1:"),
+        ({"queues/r1.log": "\n".join([ENQUEUED_A, DELIVERED_A, DELIVERED_A]) + "\n"}, "queue r1:"),
+        # a bad event after good ones, halfway through a snapshot
+        ({"queues/r1.snap.json": '{"v":1,"events":[%s,{"ev":"delivered",,%s]}' % (ENQUEUED_A, DELIVERED_A)},
+         "r1.snap.json"),
+        # r0's log is folded into its snapshot and ends torn, as is principals.log, and r1 cannot be applied
+        ({"principals.log": '{"principal":"s1"}\n{"princ',
+          "queues/r0.snap.json": '{"v":1,"events":[%s,%s]}' % (ENQUEUED_B, DELIVERED_B),
+          "queues/r0.log": '{"snap":0}\n%s\n%s\n{"ev":"decl' % (ENQUEUED_B, DELIVERED_B),
+          "queues/r1.log": "\n".join([ENQUEUED_A, DELIVERED_A, DELIVERED_A]) + "\n"},
          "queue r1:"),
     ],
     ids=["principal-missing", "principal-not-object", "snapshot-not-json", "snapshot-without-events",
          "snapshot-events-not-list", "snapshot-event-not-object", "log-line-not-event", "unknown-ev",
-         "transition-of-unknown-message", "bad-message", "illegal-transition"],
+         "transition-of-unknown-message", "bad-message", "illegal-transition", "snapshot-bad-midway",
+         "illegal-transition-beside-repairs"],
 )
-def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, name, content, named):
+def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, files, named):
     """serve exits 1 with ``error: ParseError:`` naming the file or queue, never with InternalError,
-    and leaves no file open."""
+    leaves no file open and writes nothing: the repairs a recovery makes come after its last event."""
     data = tmp_path / "data"
     (data / "queues").mkdir(parents=True)
-    (data / name).write_text(content)
+    for name, content in files.items():
+        (data / name).write_text(content)
+
+    def stored():
+        return {p: p.is_file() and p.read_bytes() for p in sorted(data.rglob("*"))}
+
+    before = stored()
     with pytest.raises(ParseError, match=named):
         DeliveryService(FileStore(data))
+    assert stored() == before
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["serve", "--listen", "127.0.0.1:0", "--data-dir", str(data)]) == 1
@@ -449,6 +468,43 @@ def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, nam
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: ") and named in err, err
+    assert stored() == before
+
+
+def test_recovery_holds_no_more_than_one_snapshot_beside_the_state_it_builds(tmp_path, monkeypatch):
+    """Recovering about 2,000 messages, pending and settled, from a snapshot and a log peaks at most
+    1.5 times the snapshot's bytes above the state the service keeps: events are applied as they are
+    parsed, and no queue's parsed journal is held."""
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # durability is not what is measured here
+    service = durable(tmp_path)
+    parked = TriggerSchedule(marker=MarkerCondition("mk-never"))
+    settled = [make_message(seed=n) for n in range(900)]
+    for message in settled:
+        submit(service, message)
+    for n in range(900):
+        submit(service, make_message(parked, seed=1000 + n))
+    push(service, sample("09:00:00"))  # delivers the direct ones, one capture after another
+    for message in settled:
+        consent(service, message.message_id, "no", at("09:00:10"))
+    service.close()
+    service = DeliveryService(FileStore(tmp_path))
+    for n in range(200):  # then a crash: these stay in the log
+        submit(service, make_message(parked, seed=2000 + n, created="08:56:00"))
+    del service
+    snapshot_bytes = (tmp_path / "queues" / "r1.snap.json").stat().st_size
+    assert (tmp_path / "queues" / "r1.log").exists()
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        recovered = DeliveryService(FileStore(tmp_path))
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    states = recovered.message_states()
+    assert len(states) == 2000 and sum(s is MessageState.PENDING for s in states.values()) == 1100
+    assert peak - retained <= 1.5 * snapshot_bytes, (peak - retained) / snapshot_bytes
 
 
 RECIPIENTS = ("r1", "r/2", "r\u00e9 3")  # the last two are percent-encoded in their file names
