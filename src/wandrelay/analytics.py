@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from . import protocol
 from .errors import EmptyInput, IncompleteLog, ParseError, WandRelayError
-from .model import ArMessage, MessageState, Specificity, message_from_dict
+from .model import EVENT_TRANSITIONS, ArMessage, MessageState, Specificity, message_from_dict
 from .storage import read_journal
 
 CATEGORIES = ("location", "time", "marker", "specific", "flexible", "direct")
@@ -159,7 +159,7 @@ def _data_dir_messages(root: Path) -> dict[str, list[Any]]:
                 found[message.message_id] = [message, False]
             elif kind == "delivered":
                 found[event["message_id"]][1] = True
-            elif kind not in ("expired", "reacted", "declined"):
+            elif kind not in EVENT_TRANSITIONS:
                 raise ValueError(f"unknown stored event kind {kind!r}")
         except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"{root}: queue {recipient_id}: bad stored event: {exc!r}") from None

@@ -28,7 +28,7 @@ from itertools import count
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import OutOfOrderSample, ParseError
-from .model import ArMessage, Geofence, MessageState, Specificity, TimeWindow, TriggerSchedule, check_position
+from .model import ArMessage, Geofence, Specificity, TimeWindow, TriggerSchedule, check_position
 from .timeutil import format_rfc3339, parse_rfc3339
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -157,8 +157,6 @@ def evaluate_sample(
     """
     check_order(sample.t, last_t)
     for message in pending:
-        if message.state is not MessageState.PENDING:
-            raise ValueError(f"{message.message_id} is {message.state.value}, not Pending")
         if message.recipient_id != sample.recipient_id:
             raise ValueError(f"{message.message_id} is not addressed to {sample.recipient_id}")
 

@@ -1,15 +1,17 @@
 """Message model: content catalog, trigger schedules, lifecycle, encoding.
 
-Everything here is an immutable value; construction validates the type
-invariants, so a successfully built object is valid by definition. The
-canonical JSON encoding (version 1) lives next to the types as
+Everything here is an immutable value except ``MessageRecord``, the one
+mutable record of a message's lifecycle; construction validates the type
+invariants, so a successfully built object is valid by definition. An
+``ArMessage`` is only what was submitted, so every message document is
+Pending. The canonical JSON encoding (version 1) lives next to the types as
 ``*_to_dict`` / ``*_from_dict`` pairs and round-trips exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from functools import cache
@@ -70,6 +72,14 @@ ALLOWED_TRANSITIONS: dict[MessageState, frozenset[MessageState]] = {
     MessageState.REACTED: frozenset(),
     MessageState.REACTION_DECLINED: frozenset(),
     MessageState.EXPIRED: frozenset(),
+}
+
+# Stored event kind -> the state that event moves its message to.
+EVENT_TRANSITIONS: dict[str, MessageState] = {
+    "delivered": MessageState.DELIVERED,
+    "expired": MessageState.EXPIRED,
+    "reacted": MessageState.REACTED,
+    "declined": MessageState.REACTION_DECLINED,
 }
 
 
@@ -172,13 +182,24 @@ class ArMessage:
     voice_note: VoiceNote
     schedule: TriggerSchedule | None
     created_at: datetime
-    state: MessageState = MessageState.PENDING
 
-    def with_state(self, new_state: MessageState) -> "ArMessage":
-        """Return a copy in ``new_state``, enforcing the lifecycle graph."""
-        if new_state not in ALLOWED_TRANSITIONS[self.state]:
-            raise IllegalTransition(f"{self.state.value} -> {new_state.value} for {self.message_id}")
-        return replace(self, state=new_state)
+
+@dataclass(slots=True)
+class MessageRecord:
+    """One message's lifecycle: the message as submitted, its state, delivery time and reaction."""
+
+    message: ArMessage
+    state: MessageState = MessageState.PENDING
+    delivered_at: datetime | None = None
+    reaction: Any = None  # the reaction.ReactionRecord of a Reacted message
+
+    def advance(self, new_state: MessageState) -> MessageState:
+        """Move to ``new_state``, enforcing the lifecycle graph; returns the state left."""
+        old = self.state
+        if new_state not in ALLOWED_TRANSITIONS[old]:
+            raise IllegalTransition(f"{old.value} -> {new_state.value} for {self.message.message_id}")
+        self.state = new_state
+        return old
 
 
 # -- catalog ------------------------------------------------------------------
@@ -363,25 +384,27 @@ def message_to_dict(message: ArMessage) -> dict[str, Any]:
         "voice_note": voice_note_to_dict(message.voice_note),
         "schedule": schedule_to_dict(message.schedule) if message.schedule is not None else None,
         "created_at": format_rfc3339(message.created_at),
-        "state": message.state.value,
+        "state": MessageState.PENDING.value,
     }
 
 
 def message_from_dict(d: Mapping[str, Any]) -> ArMessage:
+    """A message from its canonical form: a document not Pending or with a field of the wrong JSON type is refused."""
     if d.get("v") != ENCODING_VERSION:
         raise ParseError(f"unsupported message encoding version {d.get('v')!r}")
+    if d.get("state") != MessageState.PENDING:
+        raise ParseError(f"a message document must be Pending, got {d.get('state')!r}")
     try:
         schedule = schedule_from_dict(d["schedule"]) if d.get("schedule") is not None else None
         return ArMessage(
-            message_id=str(d["message_id"]),
-            sender_id=str(d["sender_id"]),
-            recipient_id=str(d["recipient_id"]),
-            content_id=str(d["content_id"]),
+            message_id=_string(d["message_id"], "message_id"),
+            sender_id=_string(d["sender_id"], "sender_id"),
+            recipient_id=_string(d["recipient_id"], "recipient_id"),
+            content_id=_string(d["content_id"], "content_id"),
             scale=_number(d["scale"], "scale"),
             voice_note=voice_note_from_dict(d["voice_note"]),
             schedule=schedule,
             created_at=parse_rfc3339(d["created_at"]),
-            state=MessageState(d["state"]),
         )
     except ParseError:
         raise

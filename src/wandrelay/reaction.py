@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 from typing import Any
 
 from .errors import NotAwaitingConsent, ParseError, PastDeadline
-from .model import VoiceNote, voice_note_from_dict, voice_note_to_dict
+from .model import VoiceNote, _string, voice_note_from_dict, voice_note_to_dict
 from .timeutil import UTC, format_rfc3339, parse_rfc3339
 
 CAPTURE_SECONDS = 10.0
@@ -172,15 +172,15 @@ def reaction_from_dict(d: dict[str, Any]) -> ReactionRecord:
     try:
         tracks = d["tracks"]
         return ReactionRecord(
-            message_id=str(d["message_id"]),
+            message_id=_string(d["message_id"], "message_id"),
             started_at=parse_rfc3339(d["started_at"]),
             scene=tuple(parse_rfc3339(f["t"]) for f in tracks["scene"]),
             recipient_audio=tuple(
-                Utterance(t=parse_rfc3339(u["t"]), transcript=str(u["transcript"]))
+                Utterance(t=parse_rfc3339(u["t"]), transcript=_string(u["transcript"], "transcript"))
                 for u in tracks["recipient_audio"]
             ),
             sender_voice_note=voice_note_from_dict(tracks["sender_voice_note"]),
-            consent=str(d.get("consent", "Yes")),
+            consent=_string(d.get("consent", "Yes"), "consent"),
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad reaction record: {exc}") from None

@@ -17,8 +17,9 @@ does not call the engine at all.
 
 Privacy boundary: the only payloads ever addressed to a sender are ACK/ERROR,
 REACTION_NOTIFY, and SENDER_VIEW_RESP, and those are built by
-``_sender_record`` and from consented reaction records, which by construction
-carry no coordinates, marker ids, or trigger-evaluation details.
+``_sender_record``, which reads one message's record (its state, delivery
+time and consented reaction), and from consented reaction records, which by
+construction carry no coordinates, marker ids, or trigger-evaluation details.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from .errors import (
     WandRelayError,
 )
 from .model import (
+    EVENT_TRANSITIONS,
     ArMessage,
+    MessageRecord,
     MessageState,
     catalog_item,
     check_new_message,
@@ -55,7 +58,6 @@ from .reaction import (
     LAST_CAPTURE_START,
     CaptureManager,
     CaptureSession,
-    ReactionRecord,
     Utterance,
     finalize,
     reaction_from_dict,
@@ -65,14 +67,6 @@ from .storage import MemoryStore, check_principal
 from .timeutil import format_rfc3339, parse_rfc3339
 
 FLASH_SECONDS = 0.5
-
-# Stored event kind -> the state that event moves its message to.
-_TRANSITIONS = {
-    "delivered": MessageState.DELIVERED,
-    "expired": MessageState.EXPIRED,
-    "reacted": MessageState.REACTED,
-    "declined": MessageState.REACTION_DECLINED,
-}
 
 
 def _field(payload: dict[str, Any], name: str, kind: type) -> Any:
@@ -115,6 +109,16 @@ def _playback(message: ArMessage, delivered_at: datetime) -> dict[str, Any]:
     )
 
 
+def _sender_record(record: MessageRecord) -> dict[str, Any]:
+    """Everything a sender may learn about one of their messages."""
+    out: dict[str, Any] = {"message_id": record.message.message_id, "state": record.state.value}
+    if record.delivered_at is not None:
+        out["delivered_at"] = format_rfc3339(record.delivered_at)
+    if record.reaction is not None:
+        out["reaction"] = reaction_to_dict(record.reaction)
+    return out
+
+
 def _reaction_start(session: CaptureSession, to: str) -> dict[str, Any]:
     return protocol.make_frame(
         protocol.REACTION_START,
@@ -140,10 +144,8 @@ class DeliveryService:
         self._markers = set(declared_markers) if declared_markers is not None else None
 
         self._principals: set[str] = set()
-        self._messages: dict[str, ArMessage] = {}
-        self._delivered_at: dict[str, datetime] = {}
-        self._reactions: dict[str, ReactionRecord] = {}
-        self._by_sender: dict[str, list[str]] = {}
+        self._records: dict[str, MessageRecord] = {}
+        self._by_sender: dict[str, list[MessageRecord]] = {}
         self._pending: defaultdict[str, TriggerIndex] = defaultdict(TriggerIndex)
         self._last_t: dict[str, datetime] = {}
         self._captures = CaptureManager()
@@ -153,7 +155,7 @@ class DeliveryService:
     # -- events ----------------------------------------------------------------
 
     def _apply(self, recipient_id: str, event: dict[str, Any]) -> None:
-        """Fold one stored event into the message states and queues.
+        """Fold one stored event into the message records and queues.
 
         The only code that changes them: live operations call it once the
         store holds the event, and recovery calls it for every stored event,
@@ -161,24 +163,23 @@ class DeliveryService:
         """
         kind = event["ev"]
         if kind == "enqueued":
-            message = message_from_dict(event["message"])
-            self._messages[message.message_id] = message
-            self._by_sender.setdefault(message.sender_id, []).append(message.message_id)
-            self._pending[recipient_id].add(message)
-        elif kind in _TRANSITIONS:
-            message_id = event["message_id"]
-            message = self._messages[message_id]
-            self._messages[message_id] = message.with_state(_TRANSITIONS[kind])
-            if message.state is MessageState.PENDING:
-                self._pending[recipient_id].remove(message_id)
+            record = MessageRecord(message_from_dict(event["message"]))
+            if self._records.setdefault(record.message.message_id, record) is not record:
+                raise DuplicateMessageId(record.message.message_id)
+            self._by_sender.setdefault(record.message.sender_id, []).append(record)
+            self._pending[recipient_id].add(record.message)
+        elif kind in EVENT_TRANSITIONS:
+            record = self._records[event["message_id"]]
+            if record.advance(EVENT_TRANSITIONS[kind]) is MessageState.PENDING:
+                self._pending[recipient_id].remove(record.message.message_id)
             if kind in ("delivered", "expired"):
                 # A sample caused this event, so no later sample may be older, restart or not.
                 at = parse_rfc3339(event["at"])
                 self._last_t[recipient_id] = at
             if kind == "delivered":
-                self._delivered_at[message_id] = at
+                record.delivered_at = at
             elif kind == "reacted":
-                self._reactions[message_id] = reaction_from_dict(event["reaction"])
+                record.reaction = reaction_from_dict(event["reaction"])
         else:
             raise ParseError(f"unknown stored event kind {kind!r}")
 
@@ -228,15 +229,13 @@ class DeliveryService:
             finalize(session, False)
             for message_id in line:
                 self._record(recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
-        for message in list(self._messages.values()):
-            if message.state is MessageState.DELIVERED:
-                self._record(
-                    message.recipient_id, {"ev": "declined", "message_id": message.message_id, "at": stamp}
-                )
+        for message_id, record in self._records.items():
+            if record.state is MessageState.DELIVERED:
+                self._record(record.message.recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
         return expired_ids
 
     def message_states(self) -> dict[str, MessageState]:
-        return {mid: m.state for mid, m in self._messages.items()}
+        return {message_id: record.state for message_id, record in self._records.items()}
 
     # -- requests ---------------------------------------------------------------------
 
@@ -289,15 +288,13 @@ class DeliveryService:
         _check_origin(origin, message.sender_id)
         if message.recipient_id not in self._principals:
             raise UnknownRecipient(message.recipient_id)
-        if message.message_id in self._messages:
+        if message.message_id in self._records:
             raise DuplicateMessageId(message.message_id)
-        if message.state is not MessageState.PENDING:
-            raise ParseError(f"submitted message must be Pending, got {message.state.value}")
         check_new_message(
             message.sender_id, message.recipient_id, message.content_id, message.scale, message.schedule, self._markers
         )
         self._record(message.recipient_id, {"ev": "enqueued", "message": message_to_dict(message)})
-        ack = {"message_id": message.message_id, "state": message.state.value, "of": protocol.SUBMIT}
+        ack = {"message_id": message.message_id, "state": MessageState.PENDING.value, "of": protocol.SUBMIT}
         return [protocol.make_frame(protocol.ACK, ack, to=message.sender_id)]
 
     def _context(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
@@ -347,7 +344,7 @@ class DeliveryService:
                 # The earlier deliveries are durable and their captures run:
                 # play them. This one stays Pending and fires at a later sample.
                 return playbacks + starts + [protocol.error_frame(exc, to=recipient_id)]
-            message = self._messages[message_id]
+            message = self._records[message_id].message
             playbacks.append(_playback(message, delivery.delivered_at))
             # Behind a running capture, this one starts once that one finalizes.
             if self._captures.join(recipient_id, message_id):
@@ -367,14 +364,14 @@ class DeliveryService:
         UnknownMessage, so no answer tells whether another's message exists.
         One already answered raises ``closed``.
         """
-        message = self._messages.get(message_id)
-        if message is None or message.recipient_id != origin:
+        record = self._records.get(message_id)
+        if record is None or record.message.recipient_id != origin:
             raise UnknownMessage(f"no capture session for {message_id}")
-        if message.state in (MessageState.REACTED, MessageState.REACTION_DECLINED):
-            raise closed(f"session for {message_id} is {message.state.value}")
-        if message.state is not MessageState.DELIVERED or self._captures.queued(message.recipient_id, message_id):
+        if record.state in (MessageState.REACTED, MessageState.REACTION_DECLINED):
+            raise closed(f"session for {message_id} is {record.state.value}")
+        if record.state is not MessageState.DELIVERED or self._captures.queued(origin, message_id):
             raise UnknownMessage(f"no capture session for {message_id}")
-        return message, self._captures.get(message_id)
+        return record.message, self._captures.get(message_id)
 
     def _reaction_frame(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
         """Add a recipient utterance to the message's capture session."""
@@ -428,30 +425,21 @@ class DeliveryService:
             # An answer given after the last capture start starts the next
             # capture at that start, so its deadline is still a datetime.
             started_at = min(at, LAST_CAPTURE_START)
-            session = self._captures.begin_capture(recipient_id, started_at, self._messages[next_id].voice_note)
+            session = self._captures.begin_capture(recipient_id, started_at, self._records[next_id].message.voice_note)
             frames.append(_reaction_start(session, recipient_id))
         return frames
-
-    def _sender_record(self, message_id: str) -> dict[str, Any]:
-        """Everything a sender may learn about one of their messages."""
-        out: dict[str, Any] = {"message_id": message_id, "state": self._messages[message_id].state.value}
-        if message_id in self._delivered_at:
-            out["delivered_at"] = format_rfc3339(self._delivered_at[message_id])
-        if message_id in self._reactions:
-            out["reaction"] = reaction_to_dict(self._reactions[message_id])
-        return out
 
     def _view_request(self, payload: dict[str, Any], origin: str | None) -> list[dict[str, Any]]:
         """One record per message this sender submitted, oldest first."""
         sender_id = _field(payload, "sender_id", str)
         _check_origin(origin, sender_id)
-        message_ids = sorted(
-            self._by_sender.get(sender_id, []), key=lambda mid: (self._messages[mid].created_at, mid)
+        records = sorted(
+            self._by_sender.get(sender_id, []), key=lambda r: (r.message.created_at, r.message.message_id)
         )
         return [
             protocol.make_frame(
                 protocol.SENDER_VIEW_RESP,
-                {"sender_id": sender_id, "records": [self._sender_record(mid) for mid in message_ids]},
+                {"sender_id": sender_id, "records": [_sender_record(r) for r in records]},
                 to=sender_id,
             )
         ]

@@ -19,7 +19,6 @@ from wandrelay.model import (
     ArMessage,
     Geofence,
     MarkerCondition,
-    MessageState,
     Specificity,
     TimeWindow,
     TriggerSchedule,
@@ -236,11 +235,6 @@ class TestExpiry:
 
 
 class TestLifecycleStates:
-    def test_evaluate_rejects_non_pending_messages(self):
-        message = build_message(None).with_state(MessageState.DELIVERED)
-        with pytest.raises(ValueError):
-            evaluate_sample(sample(), [message])
-
     def test_evaluate_rejects_wrong_recipient(self):
         message = build_message(None, recipient="r2")
         with pytest.raises(ValueError):

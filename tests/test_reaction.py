@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from wandrelay.errors import NotAwaitingConsent, PastDeadline
+from wandrelay.errors import NotAwaitingConsent, ParseError, PastDeadline
 from wandrelay.model import VoiceNote
 from wandrelay.reaction import (
     CaptureManager,
@@ -133,3 +133,18 @@ class TestConsent:
     def test_round_trip(self):
         record = finalize(self.recorded_session(), consent_yes=True)
         assert reaction_from_dict(reaction_to_dict(record)) == record
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda d: d.update(message_id=5),
+            lambda d: d["tracks"]["recipient_audio"][0].update(transcript=5),
+            lambda d: d.update(consent=True),  # not coerced to "True"
+        ],
+        ids=["message_id", "transcript", "consent"],
+    )
+    def test_fields_of_the_wrong_json_type_are_refused(self, breakage):
+        doc = reaction_to_dict(finalize(self.recorded_session(), consent_yes=True))
+        breakage(doc)
+        with pytest.raises(ParseError):
+            reaction_from_dict(doc)

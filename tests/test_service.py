@@ -198,12 +198,14 @@ def test_a_sample_field_of_the_wrong_type_is_refused(tmp_path, field, value):
 MISTYPED_MESSAGE_FIELDS = [
     ("schedule.geofence.radius", "10"), ("schedule.geofence.center.lat", True), ("voice_note.duration", "2"),
     ("voice_note.transcript", 5), ("schedule.marker.marker_id", 5),
+    ("message_id", 5), ("sender_id", 7), ("state", "Delivered"),
 ]
 
 
 @pytest.mark.parametrize("field, value", MISTYPED_MESSAGE_FIELDS)
 def test_a_message_field_of_the_wrong_type_is_refused(tmp_path, field, value):
-    """One ParseError that changes nothing: a SUBMIT's fields are checked, not coerced ("10" is no radius)."""
+    """One ParseError that changes nothing: a SUBMIT's fields are checked, not coerced ("10" is no radius,
+    5 is not the id "5"), and a message document is only what was submitted, so it is Pending."""
     service = durable(tmp_path)
     submit(service, fenced())
     schedule = TriggerSchedule(

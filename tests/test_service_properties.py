@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from wandrelay import protocol
 from wandrelay.engine import ContextSample, sample_to_dict
 from wandrelay.ids import IdFactory
-from wandrelay.model import MarkerCondition, TriggerSchedule, VoiceNote, compose, message_to_dict
+from wandrelay.model import MarkerCondition, MessageState, TriggerSchedule, VoiceNote, compose, message_to_dict
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 from wandrelay.timeutil import parse_rfc3339
@@ -250,6 +250,17 @@ class LiveEqualsReplay(RuleBasedStateMachine):
     def sessions_are_the_unanswered_starts(self):
         """A live capture session exists exactly for each REACTION_START not yet answered."""
         assert set(self.service._captures._sessions) == set(self.captures)
+
+    @invariant()
+    def pending_records_are_the_indexed_ones(self):
+        """A record is Pending exactly when its id is in its recipient's trigger index."""
+        indexed = {(r, mid) for r, index in self.service._pending.items() for mid in index.messages}
+        pending = {
+            (record.message.recipient_id, mid)
+            for mid, record in self.service._records.items()
+            if record.state is MessageState.PENDING
+        }
+        assert indexed == pending
 
     @rule()
     def crash(self):

@@ -415,6 +415,11 @@ DELIVERED_A = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}'
 ENQUEUED_A = enqueued(A, "dog", "1.0", '{"duration":2.0,"transcript":"x"}', "null", "08:50:00")
 ENQUEUED_B = enqueued(B, "bee", "1.5", '{"duration":1.0,"transcript":"hi"}', "null", "08:51:00")
 DELIVERED_B = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}' % B
+REACTED_A = (
+    '{"ev":"reacted","message_id":"%s","reaction":{"message_id":"%s","started_at":"2021-06-05T09:00:00Z",' % (A, A)
+    + '"tracks":{"scene":[],"recipient_audio":[{"t":"2021-06-05T09:00:03Z","transcript":"wow"}],'
+    + '"sender_voice_note":{"duration":2.0,"transcript":"x"}},"consent":"Yes"}}'
+)
 
 
 @pytest.mark.parametrize(
@@ -440,11 +445,16 @@ DELIVERED_B = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}'
           "queues/r0.log": '{"snap":0}\n%s\n%s\n{"ev":"decl' % (ENQUEUED_B, DELIVERED_B),
           "queues/r1.log": "\n".join([ENQUEUED_A, DELIVERED_A, DELIVERED_A]) + "\n"},
          "queue r1:"),
+        ({"queues/r1.log": "\n".join([ENQUEUED_A, ENQUEUED_A]) + "\n"}, "queue r1:"),  # one record per message
+        # a stored message is only what was submitted, so it is Pending
+        ({"queues/r1.log": ENQUEUED_A.replace('"state":"Pending"', '"state":"Delivered"') + "\n"}, "queue r1:"),
+        ({"queues/r1.log": "\n".join([ENQUEUED_A, DELIVERED_A, REACTED_A.replace('"transcript":"wow"', '"transcript":5')])
+          + "\n"}, "queue r1:"),
     ],
     ids=["principal-missing", "principal-not-object", "snapshot-not-json", "snapshot-without-events",
          "snapshot-events-not-list", "snapshot-event-not-object", "log-line-not-event", "unknown-ev",
          "transition-of-unknown-message", "bad-message", "illegal-transition", "snapshot-bad-midway",
-         "illegal-transition-beside-repairs"],
+         "illegal-transition-beside-repairs", "enqueued-twice", "enqueued-not-pending", "reaction-transcript-not-string"],
 )
 def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, files, named):
     """serve exits 1 with ``error: ParseError:`` naming the file or queue, never with InternalError,
