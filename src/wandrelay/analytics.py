@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import protocol
-from .errors import EmptyInput, IncompleteLog, ParseError, WandRelayError
+from .errors import DuplicateMessageId, EmptyInput, IncompleteLog, ParseError, WandRelayError
 from .model import EVENT_TRANSITIONS, ArMessage, MessageState, Specificity, message_from_dict
 from .storage import read_journal
 
@@ -148,7 +148,12 @@ def summarize_data_dirs(roots: Sequence[str | Path]) -> Report:
 
 
 def _data_dir_messages(root: Path) -> dict[str, list[Any]]:
-    """message_id -> [message, received] for every message in a data dir, counted as the journal is read."""
+    """message_id -> [message, received] for every message in a data dir, counted as the journal is read.
+
+    A journal that recovery refuses is refused here too, with a ``ParseError``
+    naming the dir and the queue: a second ``enqueued`` event for one id is
+    ``DuplicateMessageId``, as in ``DeliveryService._apply``.
+    """
     found: dict[str, list[Any]] = {}
 
     def take(recipient_id: str, event: Any) -> None:
@@ -156,7 +161,8 @@ def _data_dir_messages(root: Path) -> dict[str, list[Any]]:
             kind = event["ev"]
             if kind == "enqueued":
                 message = message_from_dict(event["message"])
-                found[message.message_id] = [message, False]
+                if found.setdefault(message.message_id, [message, False])[0] is not message:
+                    raise DuplicateMessageId(message.message_id)
             elif kind == "delivered":
                 found[event["message_id"]][1] = True
             elif kind not in EVENT_TRANSITIONS:

@@ -344,26 +344,27 @@ class TriggerIndex:
 # -- canonical encoding -----------------------------------------------------------
 
 def sample_payload(
-    recipient_id: str, t: datetime, lat: float, lon: float, wearing: bool, markers: list[str]
+    recipient_id: str, t: datetime, position: dict[str, float], wearing: bool, markers: list[str]
 ) -> dict[str, Any]:
     """A CONTEXT sample's canonical document: every one is built here.
 
-    ``markers`` is the sorted list of visible marker ids; the document holds
-    that list itself, so a caller may share one list between documents.
+    ``position`` is the ``{"lat": lat, "lon": lon}`` document and ``markers``
+    the sorted list of visible marker ids. The document holds both objects
+    themselves, so a caller may share one position and one list between
+    documents at one position; nothing mutates a recorded frame.
     """
     return {
         "recipient_id": recipient_id,
         "t": format_rfc3339(t),
-        "position": {"lat": lat, "lon": lon},
+        "position": position,
         "wearing": wearing,
         "visible_markers": markers,
     }
 
 
 def sample_to_dict(sample: ContextSample) -> dict[str, Any]:
-    return sample_payload(
-        sample.recipient_id, sample.t, sample.lat, sample.lon, sample.wearing, sorted(sample.visible_markers)
-    )
+    position = {"lat": sample.lat, "lon": sample.lon}
+    return sample_payload(sample.recipient_id, sample.t, position, sample.wearing, sorted(sample.visible_markers))
 
 
 def _wrong_type(name: str, value: Any, kind: str) -> ParseError:

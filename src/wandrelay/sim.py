@@ -282,18 +282,22 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _track(
     scenario: Scenario, recipient: RecipientSpec
-) -> Iterator[tuple[datetime, float, float, bool, frozenset[str], list[str]]]:
-    """The trajectory walk: ``(t, lat, lon, wearing, visible, markers)`` per tick.
+) -> Iterator[tuple[datetime, dict[str, float], bool, frozenset[str], list[str]]]:
+    """The trajectory walk: ``(t, position, wearing, visible, markers)`` per tick.
 
     One item per tick from the trajectory start to the scenario end. The
     position is piecewise linear between waypoints and clamped at both
     ends; the glasses are worn inside any wear session, both bounds
     included. Sample times only increase, so a cursor into the waypoints and
     one into the wear sessions (sorted and disjoint, as
-    ``scenario_from_dict`` checks) only move forward. ``visible`` is the set
-    of marker ids in view and ``markers`` the same ids sorted; both are
-    computed when the position moves and reused, as the same objects, while
-    it holds.
+    ``scenario_from_dict`` checks) only move forward. ``position`` is the
+    ``{"lat": lat, "lon": lon}`` document, ``visible`` the set of marker ids
+    in view and ``markers`` the same ids sorted. All three are built when
+    the position moves and passed on, as the same objects, while it holds,
+    so consecutive CONTEXT documents at one position share them; nothing
+    mutates a recorded frame. A zero's sign is not part of ``==`` but is
+    part of the document, so the document of a position with a zero
+    coordinate is built afresh at every tick.
     """
     trajectory, sessions = recipient.trajectory, recipient.wear_sessions
     start, last = trajectory[0].t, len(trajectory) - 1
@@ -304,7 +308,7 @@ def _track(
         for cell in grid_neighbours(m.lat, m.lon):
             cells.setdefault(cell, []).append(m)
     i = w = 0  # the waypoint at or before t, and the first session not over before t
-    position, visible, markers = None, frozenset(), []
+    position, visible, markers = {}, frozenset(), []
     k = 0
     while True:
         try:
@@ -325,15 +329,17 @@ def _track(
         while w < len(sessions) and sessions[w].end < t:
             w += 1
         wearing = w < len(sessions) and sessions[w].start <= t
-        if (lat, lon) != position:
-            position = lat, lon
+        if lat != position.get("lat") or lon != position.get("lon"):
+            position = {"lat": lat, "lon": lon}
             visible = frozenset(
                 m.marker_id
                 for m in cells.get(grid_cell(lat, lon), ())
                 if haversine_distance(m.lat, m.lon, lat, lon) <= MARKER_VISIBILITY_M
             )
             markers = sorted(visible)
-        yield t, lat, lon, wearing, visible, markers
+        elif not (lat and lon):
+            position = {"lat": lat, "lon": lon}
+        yield t, position, wearing, visible, markers
         k += 1
 
 
@@ -345,8 +351,8 @@ def sample_stream(scenario: Scenario, recipient: RecipientSpec) -> Iterator[Cont
     ``run`` sends at that tick.
     """
     principal = recipient.principal
-    for t, lat, lon, wearing, visible, _markers in _track(scenario, recipient):
-        yield ContextSample(principal, t, lat, lon, wearing, visible)
+    for t, position, wearing, visible, _markers in _track(scenario, recipient):
+        yield ContextSample(principal, t, position["lat"], position["lon"], wearing, visible)
 
 
 # -- the run loop ------------------------------------------------------------------------
@@ -372,7 +378,8 @@ def run(
     recipient order, and the queue never holds more samples than there are
     recipients. Each sample's CONTEXT document is built once, from
     ``_track``'s item, and consecutive documents at one position share
-    one marker list; nothing mutates a recorded frame.
+    one position object and one marker list; nothing mutates a recorded
+    frame.
 
     A request the service refuses ends the run with a WandRelayError
     carrying the ERROR frame's code.
@@ -413,9 +420,9 @@ def run(
             """Queue the next sample of the recipient at ``index``, if it has one."""
             item = next(tracks[index], None)
             if item is not None:
-                t, lat, lon, wearing, _visible, markers = item
+                t, position, wearing, _visible, markers = item
                 principal = principals[index]
-                payload = {"sample": sample_payload(principal, t, lat, lon, wearing, markers)}
+                payload = {"sample": sample_payload(principal, t, position, wearing, markers)}
                 heapq.heappush(heap, (t, _PRIORITY[protocol.CONTEXT], index, protocol.CONTEXT, payload, principal))
 
         ids = IdFactory(scenario.seed)

@@ -92,3 +92,29 @@ def test_directory_without_results_is_an_error(tmp_path):
     write_result(tmp_path / "change", "pairs12", 1, "bbb", {"restart_s": 0.2})
     with pytest.raises(SystemExit, match="no result"):
         bench_report.main([str(tmp_path / "empty"), str(tmp_path / "change"), "--out", str(tmp_path / "o.json")])
+
+
+@pytest.mark.parametrize(
+    "name, before, after, worse",
+    [
+        ("context_samples_per_s", 100.0, 76.0, False),  # higher is better: 24% down is inside 0.25
+        ("context_samples_per_s", 100.0, 74.0, True),
+        ("context_samples_per_s", 100.0, 500.0, False),
+        ("restart_s", 0.2, 0.24, False),  # lower is better: 20% up is inside 0.25
+        ("restart_s", 0.2, 0.26, True),
+        ("restart_s", 0.2, 0.01, False),
+    ],
+)
+def test_worse_beyond_bound_follows_each_metrics_direction_and_bound(tmp_path, capsys, name, before, after, worse):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        write_result(parent, "pairs12", seed, "aaa", {name: before})
+        write_result(change, "pairs12", seed, "bbb", {name: after})
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 0
+
+    metric = json.loads(out.read_text())["workloads"]["pairs12"][name]
+    assert metric["bound"] == 0.25 and metric["worse_beyond_bound"] is worse
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.split()[:2] == ["pairs12", name])
+    assert ("WORSE BEYOND BOUND" in row) is worse and ("within bound" in row) is not worse

@@ -15,7 +15,15 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from wandrelay import protocol
 from wandrelay.engine import ContextSample, sample_to_dict
 from wandrelay.ids import IdFactory
-from wandrelay.model import MarkerCondition, MessageState, TriggerSchedule, VoiceNote, compose, message_to_dict
+from wandrelay.model import (
+    MarkerCondition,
+    MessageState,
+    TimeWindow,
+    TriggerSchedule,
+    VoiceNote,
+    compose,
+    message_to_dict,
+)
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 from wandrelay.timeutil import parse_rfc3339
@@ -49,8 +57,10 @@ def mutated(draw, value):
     return draw(json_values) if draw(st.booleans()) else value
 
 
-def message(seed, sender="s1", marker=False, created=at("08:55:00")):
-    schedule = TriggerSchedule(marker=MarkerCondition("mk-desk")) if marker else None
+def message(seed, sender="s1", marker=False, created=at("08:55:00"), window=None):
+    schedule = None
+    if marker or window:
+        schedule = TriggerSchedule(window=window, marker=MarkerCondition("mk-desk") if marker else None)
     return compose(
         sender, "r1", "dog", 1.0, VoiceNote(2.0, "hey"), schedule,
         now=created, id_factory=IdFactory(seed),
@@ -225,11 +235,19 @@ class LiveEqualsReplay(RuleBasedStateMachine):
         views = {s: view_of(self.service, s) for s in ("s1", "s2")}
         return self.service.message_states(), views
 
-    @rule(sender=st.sampled_from(["s1", "s2"]), marker=st.booleans())
-    def submit(self, sender, marker):
+    @rule(
+        sender=st.sampled_from(["s1", "s2"]),
+        marker=st.booleans(),
+        window=st.none() | st.tuples(st.integers(1, 10), st.integers(1, 5)),
+    )
+    def submit(self, sender, marker, window):
+        """A drawn window opens a few seconds after the clock, so a ``context`` jump can skip past it: expired."""
         self.request(protocol.HELLO, {"role": "sender", "principal": sender}, sender)
         self.seeds += 1
-        doc = message_to_dict(message(self.seeds, sender, marker, created=self.clock))
+        if window is not None:
+            opens = self.clock + timedelta(seconds=window[0])
+            window = TimeWindow(opens, opens + timedelta(seconds=window[1]))
+        doc = message_to_dict(message(self.seeds, sender, marker, created=self.clock, window=window))
         self.request(protocol.SUBMIT, {"message": doc}, sender)
 
     @rule(seconds=st.integers(1, 15), show_marker=st.booleans())

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from datetime import timedelta
 
 import pytest
@@ -391,7 +392,8 @@ class TestRun:
 
 
 class TestOneWalk:
-    """``run`` and ``sample_stream`` read one trajectory walk; ``run``'s documents share marker lists safely."""
+    """``run`` and ``sample_stream`` read one trajectory walk; ``run``'s documents share positions and marker
+    lists safely."""
 
     def test_run_sends_the_documents_of_sample_stream(self):
         """Per recipient, the CONTEXT documents ``run`` sends are ``sample_stream``'s samples, in order and count."""
@@ -412,11 +414,70 @@ class TestOneWalk:
         """Reading a run's frames back, the report included, leaves each one as its log line says."""
         log_path = tmp_path / "run.ndjson"
         frames = sim.run(sim.load_scenario(FIXTURE_PATHS[0]), log_path=log_path).frames
-        lists = [f["payload"]["sample"]["visible_markers"] for f in frames if f["kind"] == protocol.CONTEXT]
-        assert any(a and a is b for a, b in zip(lists, lists[1:]))  # documents at one position share a list
+        documents = [f["payload"]["sample"] for f in frames if f["kind"] == protocol.CONTEXT]
+        for name in ("position", "visible_markers"):  # documents at one position share both objects
+            shared = [d[name] for d in documents]
+            assert any(a and a is b for a, b in zip(shared, shared[1:])), name
         analytics.render_text(analytics.summarize_frames_groups([frames]))
         lines = log_path.read_text(encoding="utf-8").splitlines()
         assert [protocol.dumps_canonical(frame) for frame in frames] == lines
+
+
+    def test_documents_at_one_position_share_one_position_and_one_marker_list(self):
+        for path in FIXTURE_PATHS:
+            scenario = sim.load_scenario(path)
+            documents: dict[str, list[dict]] = {recipient.principal: [] for recipient in scenario.recipients}
+            for frame in sim.run(scenario).frames:
+                if frame["kind"] == protocol.CONTEXT:
+                    documents[frame["from"]].append(frame["payload"]["sample"])
+            for sent in documents.values():
+                held = 0
+                for a, b in zip(sent, sent[1:]):
+                    same = a["position"] == b["position"]
+                    assert (a["position"] is b["position"]) is same, (path.name, b["t"])
+                    assert (a["visible_markers"] is b["visible_markers"]) is same, (path.name, b["t"])
+                    held += same
+                assert held, path.name
+
+    def test_a_zero_keeps_its_sign_in_a_shared_position(self):
+        """-0.0 == 0.0, so a position that holds at a zero coordinate is written with each tick's own sign."""
+        doc = minimal_scenario(end="2021-06-05T09:00:04Z")
+        doc["recipients"][0]["trajectory"] = [
+            {"t": "2021-06-05T09:00:00Z", "lat": -0.0, "lon": 12.5},
+            {"t": "2021-06-05T09:00:04Z", "lat": -0.0, "lon": 12.5},
+        ]
+        doc["markers"][0]["position"] = {"lat": 0.0, "lon": 12.5}
+        scenario = sim.scenario_from_dict(doc)
+        sent = [f["payload"]["sample"] for f in sim.run(scenario).frames if f["kind"] == protocol.CONTEXT]
+        streamed = [sample_to_dict(s) for s in sim.sample_stream(scenario, scenario.recipients[0])]
+        assert [protocol.dumps_canonical(d) for d in sent] == [protocol.dumps_canonical(d) for d in streamed]
+        signs = [math.copysign(1.0, d["position"]["lat"]) for d in sent]
+        assert signs == [-1.0, 1.0, 1.0, 1.0, -1.0]  # the ends are the waypoint's -0.0; -0.0 + 0.0 * frac is 0.0
+        assert all(d["visible_markers"] == ["mk-desk"] for d in sent)
+
+    def test_shared_frames_take_less_memory_than_the_same_frames_unshared(self):
+        """The twelve pairs' frame logs hold at most 0.75 times the memory of the same frames rebuilt by a JSON
+        round trip, which shares nothing between documents; with one position object per sample they read
+        0.78 (Python 3.11), with one per position 0.65. ``copy.deepcopy`` would keep the sharing."""
+        shared = unshared = 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for path in FIXTURE_PATHS:
+                scenario = sim.load_scenario(path)
+                before = tracemalloc.get_traced_memory()[0]
+                frames = sim.run(scenario).frames
+                gc.collect()
+                shared += tracemalloc.get_traced_memory()[0] - before
+                text = json.dumps(frames)
+                before = tracemalloc.get_traced_memory()[0]
+                copies = json.loads(text)
+                unshared += tracemalloc.get_traced_memory()[0] - before
+                assert copies == frames
+                del frames, text, copies
+        finally:
+            tracemalloc.stop()
+        assert shared <= 0.75 * unshared, shared / unshared
 
 
 class TestCollector:

@@ -7,6 +7,7 @@ import errno
 import gc
 import json
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wandrelay import protocol
+from wandrelay.analytics import summarize_data_dirs
 from wandrelay.cli import main
 from wandrelay.errors import ParseError
 from wandrelay.ids import IdFactory
@@ -478,6 +480,26 @@ def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, fil
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: ") and named in err, err
+    assert stored() == before
+
+
+def test_report_refuses_a_message_enqueued_twice_as_recovery_does(tmp_path, capsys):
+    """A queue with two ``enqueued`` events for one id is ``DuplicateMessageId`` to ``report`` as to ``serve``:
+    a ParseError naming the dir and the queue, exit 1, and the dir keeps its bytes."""
+    data = tmp_path / "data"
+    (data / "queues").mkdir(parents=True)
+    (data / "principals.log").write_text('{"principal":"s1"}\n{"principal":"r1"}\n')
+    (data / "queues" / "r1.log").write_text("\n".join([ENQUEUED_A, ENQUEUED_A, DELIVERED_A]) + "\n")
+
+    def stored():
+        return {p: p.is_file() and p.read_bytes() for p in sorted(data.rglob("*"))}
+
+    before = stored()
+    with pytest.raises(ParseError, match=re.escape(f"{data}: queue r1: ") + ".*DuplicateMessageId"):
+        summarize_data_dirs([data])
+    assert main(["report", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and "queue r1:" in err and "DuplicateMessageId" in err, err
     assert stored() == before
 
 

@@ -5,7 +5,11 @@ Each directory holds the ``result-<workload>-seed<N>-trace0.json`` files that
 ``bench/run.py`` writes to ``bench/out/``, one set from the parent commit and
 one from the change, run with the same seeds. For every workload and
 end-to-end metric of ``BENCHMARK.json`` the summary gives each side's median
-and quartiles with the unit, and how many same-seed pairs the change won.
+and quartiles with the unit, how many same-seed pairs the change won, and
+``worse_beyond_bound``: whether the change's median is worse than the
+parent's, in the metric's bad direction, by more than the metric's bound (a
+fraction of the parent's median). That is the regression rule a change is
+held to, and the script prints it beside each row.
 Beside those scaled figures it gives the same spread of the raw wall-clock
 values (``meta["raw"]``, as ``parent_raw`` and ``change_raw``), and for each
 workload each side's median reference slice (``meta["speed"]["slice_p50_ms"]``):
@@ -76,6 +80,11 @@ def raw(run: dict[str, Any], name: str) -> float | None:
     return run["meta"].get("raw", {}).get(name)
 
 
+def worse_beyond_bound(parent: float, change: float, higher: bool, bound: float) -> bool:
+    """Whether ``change`` is worse than ``parent`` by more than ``bound`` times ``parent``."""
+    return change < parent * (1 - bound) if higher else change > parent * (1 + bound)
+
+
 def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark: dict[str, Any]) -> dict[str, Any]:
     def by_seed(runs: list[dict[str, Any]], workload: str) -> dict[int, dict[str, Any]]:
         return {run["meta"]["seed"]: run for run in runs if run["meta"]["workload"] == workload}
@@ -98,14 +107,18 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
             pairs = paired(scaled, name)
             if not pairs:
                 continue
+            before_spread, after_spread = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
             metrics[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                "parent": spread([p for p, _ in pairs]),
-                "change": spread([c for _, c in pairs]),
+                "parent": before_spread,
+                "change": after_spread,
                 "pairs": len(pairs),
                 "change_wins": sum((c > p) if higher else (c < p) for p, c in pairs),
+                "worse_beyond_bound": worse_beyond_bound(
+                    before_spread["median"], after_spread["median"], higher, metric["bound"]
+                ),
             }
             raws = paired(raw, name)
             if raws:
@@ -141,8 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     for workload, metrics in summary["workloads"].items():
         for name, m in metrics.items():
             raw = f"raw {m['parent_raw']['median']:.6g} -> {m['change_raw']['median']:.6g}" if "change_raw" in m else ""
+            verdict = "WORSE BEYOND BOUND" if m["worse_beyond_bound"] else "within bound"
             print(f"{workload:14s} {name:22s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g} "
-                  f"{m['unit']:4s} change won {m['change_wins']}/{m['pairs']}  {raw}")
+                  f"{m['unit']:4s} change won {m['change_wins']}/{m['pairs']}  {verdict}  {raw}")
         speed = summary["slice_p50_ms"][workload]
         print(f"{workload:14s} {'slice_p50_ms':22s} {fmt(speed['parent']):>12s} -> {fmt(speed['change']):>12s} ms")
     return 0
