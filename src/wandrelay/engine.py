@@ -1,9 +1,9 @@
 """Trigger evaluation core.
 
-Pure functions over immutable inputs: given one context sample and a
-recipient's pending messages, decide what fires and what has become
-undeliverable. The caller owns per-recipient sample ordering and passes the
-last processed timestamp for the out-of-order guard.
+Pure functions that read their inputs and change none of them: given one
+context sample and a recipient's pending messages, decide what fires and
+what has become undeliverable. The caller owns per-recipient sample
+ordering and passes the last processed timestamp for the out-of-order guard.
 
 ``TriggerIndex`` keeps one recipient's pending messages by the conditions
 that can fire them, so the caller hands ``expire_messages`` and
@@ -42,9 +42,13 @@ GRID_CELL_M = 32.0
 HEAP_BOUND = 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ContextSample:
-    """One timestamped observation of a recipient."""
+    """One timestamped observation of a recipient.
+
+    Not frozen, so building one does not set each field through
+    ``object.__setattr__``; nothing mutates or hashes a sample.
+    """
 
     recipient_id: str
     t: datetime
@@ -236,8 +240,10 @@ class TriggerIndex:
 
     ``candidates`` probes a sample's markers and its 8 ``grid_neighbours``
     only while the bucket map holds something. It keeps the last probed
-    position with its cells and computes them again only when a sample
-    moves: a recipient standing still pays for its cells once.
+    position with its cells and the buckets found there, and probes the
+    cells again only when a sample moves or ``add`` or ``remove`` has
+    changed the map since: a recipient standing still pays for its cells
+    once.
     """
 
     def __init__(self) -> None:
@@ -250,8 +256,9 @@ class TriggerIndex:
         self._ends: list[tuple[datetime, int, str]] = []
         self._open: set[str] = set()
         self._expiry: list[tuple[datetime, int, str]] = []
-        self._position: tuple[float, float] | None = None  # the last probed sample's, and its cells
+        self._position: tuple[float, float] | None = None  # the last probed sample's, its cells
         self._cells: list[tuple[int, int, int]] = []
+        self._cell_hits: list[set[str]] | None = None  # and their buckets; None once the map changed
 
     @staticmethod
     def _indexed(schedule: TriggerSchedule) -> list[Any]:
@@ -269,6 +276,7 @@ class TriggerIndex:
         message_id, schedule = message.message_id, message.schedule
         seq = self._seq[message_id] = next(self._counter)
         self.messages[message_id] = message
+        self._cell_hits = None
         if schedule is None:
             self._direct.add(message_id)
             return
@@ -283,6 +291,7 @@ class TriggerIndex:
     def remove(self, message_id: str) -> None:
         schedule = self.messages.pop(message_id).schedule
         del self._seq[message_id]
+        self._cell_hits = None
         self._direct.discard(message_id)
         self._open.discard(message_id)
         for condition in self._indexed(schedule) if schedule is not None else ():
@@ -334,8 +343,12 @@ class TriggerIndex:
         if buckets:
             position = sample.lat, sample.lon
             if position != self._position:
-                self._position, self._cells = position, grid_neighbours(*position)
-            hits = [bucket for key in (*sample.visible_markers, *self._cells) if (bucket := buckets.get(key))]
+                self._position, self._cells, self._cell_hits = position, grid_neighbours(*position), None
+            if self._cell_hits is None:
+                self._cell_hits = [bucket for cell in self._cells if (bucket := buckets.get(cell))]
+            hits = self._cell_hits
+            if sample.visible_markers:
+                hits = [bucket for key in sample.visible_markers if (bucket := buckets.get(key))] + hits
         if not (self._direct or self._open or hits):
             return []
         return self._in_order(self._direct.union(self._open, *hits))
@@ -387,13 +400,16 @@ def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
             raise _wrong_type("recipient_id", recipient_id, "a string")
         if not isinstance(wearing, bool):
             raise _wrong_type("wearing", wearing, "a boolean")
-        if isinstance(lat, bool) or not isinstance(lat, (int, float)):
-            raise _wrong_type("lat", lat, "a number")
-        if isinstance(lon, bool) or not isinstance(lon, (int, float)):
-            raise _wrong_type("lon", lon, "a number")
+        if type(lat) is not float:  # a JSON number is usually a float; the other kinds are checked here
+            if isinstance(lat, bool) or not isinstance(lat, (int, float)):
+                raise _wrong_type("lat", lat, "a number")
+            lat = float(lat)
+        if type(lon) is not float:
+            if isinstance(lon, bool) or not isinstance(lon, (int, float)):
+                raise _wrong_type("lon", lon, "a number")
+            lon = float(lon)
         if not isinstance(markers, list) or (markers and not all(isinstance(m, str) for m in markers)):
             raise _wrong_type("visible_markers", markers, "a list of strings")
-        lat, lon = float(lat), float(lon)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the largest float
         raise ParseError(f"bad context sample: {exc}") from None
     check_position(lat, lon)

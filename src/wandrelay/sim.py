@@ -299,7 +299,7 @@ def _track(
     part of the document, so the document of a position with a zero
     coordinate is built afresh at every tick.
     """
-    trajectory, sessions = recipient.trajectory, recipient.wear_sessions
+    trajectory, sessions, tick, end = recipient.trajectory, recipient.wear_sessions, scenario.tick, scenario.end
     start, last = trajectory[0].t, len(trajectory) - 1
     # Each marker under its 8 neighbouring cells: a sample within range of
     # it lies in one of them, so one probe of the sample's own cell finds it.
@@ -307,15 +307,18 @@ def _track(
     for m in scenario.markers:
         for cell in grid_neighbours(m.lat, m.lon):
             cells.setdefault(cell, []).append(m)
+    # Each segment's length in seconds, computed once rather than at every tick in it.
+    lengths = [(b.t - a.t).total_seconds() for a, b in zip(trajectory, trajectory[1:])]
     i = w = 0  # the waypoint at or before t, and the first session not over before t
     position, visible, markers = {}, frozenset(), []
+    last_lat = last_lon = None
     k = 0
     while True:
         try:
-            t = start + timedelta(seconds=k * scenario.tick)
+            t = start + timedelta(0, k * tick)  # (days, seconds): positional is the cheaper call
         except OverflowError:  # past the last datetime, so past the end
             return
-        if t > scenario.end:
+        if t > end:
             return
         while i < last and trajectory[i + 1].t <= t:
             i += 1
@@ -324,12 +327,13 @@ def _track(
             lat, lon = a.lat, a.lon
         else:
             b = trajectory[i + 1]
-            frac = (t - a.t).total_seconds() / (b.t - a.t).total_seconds()
+            frac = (t - a.t).total_seconds() / lengths[i]
             lat, lon = a.lat + (b.lat - a.lat) * frac, a.lon + (b.lon - a.lon) * frac
         while w < len(sessions) and sessions[w].end < t:
             w += 1
         wearing = w < len(sessions) and sessions[w].start <= t
-        if lat != position.get("lat") or lon != position.get("lon"):
+        if lat != last_lat or lon != last_lon:
+            last_lat, last_lon = lat, lon
             position = {"lat": lat, "lon": lon}
             visible = frozenset(
                 m.marker_id

@@ -14,25 +14,33 @@ from .errors import ParseError
 
 UTC = timezone.utc
 
-_FRACTION = re.compile(r"\.(\d+)")
+# RFC 3339's date-time: seconds required, an optional "." fraction, then "Z"
+# or a numeric offset; "T" and "Z" may be lower case.
+_DATE_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?([Zz]|[+-][0-9]{2}:[0-9]{2})")
 
 
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
+    """Parse an RFC 3339 date-time into an aware UTC datetime.
+
+    Only that form is accepted, whatever ``datetime.fromisoformat`` of the
+    running Python would take: no spaces around it, no ISO 8601 basic or
+    week forms, no missing seconds, no "," fraction. Digits past the
+    microsecond are dropped.
+    """
     if not isinstance(text, str):
         raise ParseError(f"timestamp must be a string, got {type(text).__name__}")
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
+    match = _DATE_TIME.fullmatch(text)
+    if match is None:
+        raise ParseError(f"bad timestamp {text!r}: not an RFC 3339 date-time")
+    fraction, offset = match.groups()
+    # datetime.fromisoformat (3.10) takes neither a fraction of other than 3 or 6 digits nor "Z".
+    raw = text[:19] + fraction[:7].ljust(7, "0") + offset if fraction else text
+    if offset in ("Z", "z"):
         raw = raw[:-1] + "+00:00"
-    if "." in raw:
-        # datetime.fromisoformat (3.10) wants exactly 3 or 6 fractional digits.
-        raw = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), raw, count=1)
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}") from None
-    if dt.tzinfo is None:
-        raise ParseError(f"timestamp {text!r} lacks a UTC offset")
     try:
         return dt.astimezone(UTC)
     except OverflowError:  # an offset that takes it past year 1 or 9999
@@ -41,8 +49,9 @@ def parse_rfc3339(text: str) -> datetime:
 
 def format_rfc3339(dt: datetime) -> str:
     """Render an aware datetime in the canonical UTC form."""
-    if dt.tzinfo is None:
-        raise ValueError("naive datetime cannot be serialized")
-    dt = dt.astimezone(UTC)
+    if dt.tzinfo is not UTC:
+        if dt.tzinfo is None:
+            raise ValueError("naive datetime cannot be serialized")
+        dt = dt.astimezone(UTC)
     text = dt.isoformat()[:-6]  # without its "+00:00"
     return (text.rstrip("0") if dt.microsecond else text) + "Z"

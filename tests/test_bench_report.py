@@ -16,11 +16,11 @@ _spec.loader.exec_module(bench_report)
 
 
 def write_result(directory: Path, workload: str, seed: int, sha: str, values: dict[str, float], trace: int = 0,
-                 raw: dict[str, float] | None = None, slice_ms: float | None = None):
+                 raw: dict[str, float] | None = None, slice_ms: float | None = None, correct: bool = True):
     units = {"context_samples_per_s": "1/s", "restart_s": "s"}
     doc = {
         "result": {
-            "correct": True,
+            "correct": correct,
             "attempted": 10,
             "failed": 0,
             "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()},
@@ -112,9 +112,32 @@ def test_worse_beyond_bound_follows_each_metrics_direction_and_bound(tmp_path, c
         write_result(change, "pairs12", seed, "bbb", {name: after})
     out = tmp_path / "BENCH.json"
 
-    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 0
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == (1 if worse else 0)
 
     metric = json.loads(out.read_text())["workloads"]["pairs12"][name]
     assert metric["bound"] == 0.25 and metric["worse_beyond_bound"] is worse
-    row = next(line for line in capsys.readouterr().out.splitlines() if line.split()[:2] == ["pairs12", name])
+    printed = capsys.readouterr().out.splitlines()
+    row = next(line for line in printed if line.split()[:2] == ["pairs12", name])
     assert ("WORSE BEYOND BOUND" in row) is worse and ("within bound" in row) is not worse
+    assert [line for line in printed if line.startswith("FAIL")] == (
+        [f"FAIL: pairs12 {name} is worse beyond its bound"] if worse else []
+    )
+
+
+@pytest.mark.parametrize("incorrect", ["parent", "change"])
+def test_an_incorrect_run_on_either_side_fails_the_comparison(tmp_path, capsys, incorrect):
+    """One exit code answers the check: the summary is still written, and the run is named."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        for directory, sha in ((parent, "aaa"), (change, "bbb")):
+            wrong = directory.name == incorrect and seed == 2
+            write_result(directory, "pairs12", seed, sha, {"context_samples_per_s": 100.0}, correct=not wrong)
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 1
+
+    summary = json.loads(out.read_text())
+    assert summary[incorrect]["incorrect_runs"] == 1
+    assert summary["workloads"]["pairs12"]["context_samples_per_s"]["worse_beyond_bound"] is False
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("FAIL")] == [f"FAIL: {incorrect} has 1 incorrect runs"]

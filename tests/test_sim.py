@@ -302,6 +302,32 @@ class TestSampleStream:
             if prev is not None and (prev.lat, prev.lon) == (s.lat, s.lon):
                 assert n == 0
 
+    def test_positions_equal_the_per_tick_formula_bit_for_bit(self):
+        """Segment lengths computed once per walk change no bit of any position.
+
+        Unequal segments (7, 2.5, 0.5 and 40 s), a tick of 0.5 s that lands
+        exactly on every waypoint, and twenty ticks past the last one.
+        """
+        start = at("09:00:00")
+        legs = [(0.0, 40.1, -100.3), (7.0, 40.1002, -100.2997), (9.5, 40.1003, -100.3001), (10.0, 40.0999, -100.3),
+                (50.0, 40.1005, -100.2991)]
+        trajectory = tuple(sim.Waypoint(start + timedelta(seconds=s), lat, lon) for s, lat, lon in legs)
+        recipient = sim.RecipientSpec("r1", (), trajectory)
+        end = trajectory[-1].t + timedelta(seconds=10)
+        scenario = sim.Scenario("walk", 1, 0.5, end, (), (recipient,), (), sim.ConsentPolicy())
+        samples = list(sim.sample_stream(scenario, recipient))
+        assert len(samples) == 121 and samples[-1].t == end
+        assert {wp.t for wp in trajectory} <= {s.t for s in samples}
+        for k, s in enumerate(samples):
+            t = start + timedelta(seconds=k * 0.5)
+            if t >= trajectory[-1].t:
+                want = trajectory[-1].lat, trajectory[-1].lon
+            else:  # the segment holding t, its length measured again at this tick
+                a, b = next((a, b) for a, b in zip(trajectory, trajectory[1:]) if a.t <= t < b.t)
+                frac = (t - a.t).total_seconds() / (b.t - a.t).total_seconds()
+                want = a.lat + (b.lat - a.lat) * frac, a.lon + (b.lon - a.lon) * frac
+            assert (s.t, s.lat.hex(), s.lon.hex()) == (t, want[0].hex(), want[1].hex())
+
     def test_positions_stay_inside_waypoint_bounding_box(self):
         rng = random.Random(4)
         for _ in range(20):

@@ -50,6 +50,19 @@ class TestRfc3339:
     def test_parse_accepts_offsets(self):
         assert parse_rfc3339("2021-06-05T11:00:00+02:00") == datetime(2021, 6, 5, 9, 0, 0, tzinfo=UTC)
 
+    @pytest.mark.parametrize(
+        "text, micros",
+        [
+            ("2021-06-05T09:00:00Z", 0),
+            ("2021-06-05t09:00:00z", 0),
+            ("2021-06-05T09:00:00.5Z", 500_000),
+            ("2021-06-05T09:00:00.1234567Z", 123_456),  # past the microsecond: dropped
+            ("2021-06-05T09:00:00-00:00", 0),
+        ],
+    )
+    def test_parse_accepts_every_rfc3339_form(self, text, micros):
+        assert parse_rfc3339(text) == datetime(2021, 6, 5, 9, 0, 0, micros, tzinfo=UTC)
+
     def test_year_below_1000_is_padded(self):
         dt = datetime(999, 6, 5, 9, 0, 0, tzinfo=UTC)
         assert format_rfc3339(dt) == "0999-06-05T09:00:00Z"
@@ -57,8 +70,28 @@ class TestRfc3339:
 
     @pytest.mark.parametrize(
         "bad",
-        # the last two are past the datetime range once shifted to UTC
-        ["yesterday", "2021-06-05T09:00:00", "", 42, "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"],
+        [
+            "yesterday",
+            "2021-06-05T09:00:00",
+            "",
+            42,
+            # past the datetime range once shifted to UTC
+            "0001-01-01T00:00:00+01:00",
+            "9999-12-31T23:59:59-01:00",
+            # ISO 8601 forms that are not RFC 3339, which fromisoformat takes from Python 3.11 on
+            "20240101T000000Z",
+            "2024-W01-1T00:00:00Z",
+            "2024-01-01T00Z",
+            "2024-01-01T00:00:00,5Z",
+            " 2024-01-01T00:00:00Z ",
+            "2024-01-01T00:00:00Z\n",
+            "2024-01-01 00:00:00Z",
+            "2024-01-01T00:00:00+0000",
+            "2024-01-01T00:00:00.Z",
+            "２０２４-01-01T00:00:00Z",  # full-width digits
+            "2024-13-01T00:00:00Z",
+            "2016-12-31T23:59:60Z",  # an RFC 3339 leap second, which datetime cannot hold
+        ],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):

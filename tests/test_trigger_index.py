@@ -17,11 +17,12 @@ import math
 import shutil
 import tempfile
 from datetime import timedelta
+from itertools import count
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wandrelay import protocol
+from wandrelay import protocol, service as service_module, sim
 from wandrelay.engine import (
     EARTH_RADIUS_M,
     HEAP_BOUND,
@@ -29,6 +30,8 @@ from wandrelay.engine import (
     TriggerIndex,
     evaluate_sample,
     expire_messages,
+    grid_cell,
+    grid_neighbours,
     haversine_distance,
 )
 from wandrelay.ids import IdFactory
@@ -47,7 +50,7 @@ from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
 from client import error_code, ids_of, push, request, submit
-from conftest import at
+from conftest import FIXTURE_PATHS, at
 
 M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 PLACES = (
@@ -233,6 +236,96 @@ def test_cells_follow_the_position_while_the_buckets_empty_and_refill():
     third = fenced(3, *here)
     index.add(third)
     assert index.candidates(sample(6, here)) == [third]
+
+
+def test_a_standing_recipient_sees_fences_filed_into_and_removed_from_its_cells():
+    """The cached buckets of a position that holds still follow every add and remove."""
+    here, there = near(40.0, -100.0, 0.0, 0.0), near(40.0, -100.0, 5.0, 0.0)
+    assert grid_cell(*there) != grid_cell(*here) and grid_cell(*there) in grid_neighbours(*here)
+    index = TriggerIndex()
+    ticks = count()
+
+    def standing():
+        return index.candidates(ContextSample("r1", at("09:00:00") + timedelta(seconds=next(ticks)), *here, True))
+
+    first = fenced(1, *here)
+    index.add(first)
+    assert standing() == [first]
+    second = fenced(2, *here)  # into the bucket the cache holds
+    index.add(second)
+    assert standing() == [first, second]
+    third = fenced(3, *there)  # into a new bucket, in a cell the last probe found empty
+    index.add(third)
+    assert standing() == [first, second, third]
+    index.remove(first.message_id)  # its bucket keeps the second
+    assert standing() == [second, third]
+    index.remove(third.message_id)  # the last message leaves its bucket
+    assert standing() == [second]
+    index.remove(second.message_id)
+    assert standing() == []
+    fourth = fenced(4, *there)  # the buckets refill while the recipient stands
+    index.add(fourth)
+    assert standing() == [fourth]
+
+
+class CellCount(dict):
+    """A bucket map that counts its lookups of cells (marker ids are strings)."""
+
+    cells = 0
+
+    def get(self, key, default=None):
+        if isinstance(key, tuple):
+            self.cells += 1
+        return super().get(key, default)
+
+
+class CountedIndex(TriggerIndex):
+    """A TriggerIndex that tallies, for each ``candidates`` call, the cells it probed and why it may have."""
+
+    tally = {"calls": 0, "with buckets": 0, "moved or changed": 0, "probes": 0, "unexplained": 0}
+
+    def __init__(self):
+        super().__init__()
+        self._buckets = CellCount()
+        self.changed = False  # add or remove since the last probe
+        self.probed_at = None  # the position of the last probe
+
+    def add(self, message):
+        super().add(message)
+        self.changed = True
+
+    def remove(self, message_id):
+        super().remove(message_id)
+        self.changed = True
+
+    def candidates(self, sample):
+        position = sample.lat, sample.lon
+        before = self._buckets.cells
+        due = bool(self._buckets) and (self.changed or position != self.probed_at)
+        result = super().candidates(sample)
+        probes = self._buckets.cells - before
+        tally = self.tally
+        tally["calls"] += 1
+        tally["with buckets"] += bool(self._buckets)
+        tally["probes"] += probes
+        tally["moved or changed"] += due
+        tally["unexplained"] += probes != (8 if due else 0)
+        if probes:
+            self.changed, self.probed_at = False, position
+        return result
+
+
+def test_in_a_twelve_pair_pass_cells_are_probed_only_after_a_move_or_a_change(monkeypatch):
+    monkeypatch.setattr(service_module, "TriggerIndex", CountedIndex)
+    monkeypatch.setattr(CountedIndex, "tally", dict.fromkeys(CountedIndex.tally, 0))
+    for path in FIXTURE_PATHS:
+        sim.run(sim.load_scenario(path))
+    tally = CountedIndex.tally
+    assert tally["unexplained"] == 0
+    assert tally["probes"] == 8 * tally["moved or changed"]
+    # The same pass every time: of the 18,744 worn samples that ask for candidates, 16,601 find
+    # something filed, and only the 9,001 of those that moved or follow a change probe the cells.
+    assert (tally["calls"], tally["with buckets"], tally["moved or changed"]) == (18_744, 16_601, 9_001)
 
 
 def windowed(seed, start, end, marker=None):

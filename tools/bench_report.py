@@ -20,6 +20,10 @@ digest of ``src/wandrelay``).
 Traced runs (``trace1``) are left out: their per-layer figures are not
 end-to-end metrics. Standard library only.
 
+The exit code is 1 when either side has an incorrect run or any metric is
+worse beyond its bound, each named on a ``FAIL`` line, and 0 otherwise; the
+summary is written either way.
+
 Usage: python tools/bench_report.py PARENT_DIR CHANGE_DIR --out BENCH_6.json
 """
 
@@ -142,6 +146,15 @@ def fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.6g}"
 
 
+def failures(summary: dict[str, Any]) -> list[str]:
+    """What makes the comparison fail: incorrect runs on either side, metrics worse beyond their bounds."""
+    found = [f"{name} has {summary[name]['incorrect_runs']} incorrect runs"
+             for name in ("parent", "change") if summary[name]["incorrect_runs"]]
+    for workload, metrics in summary["workloads"].items():
+        found += [f"{workload} {name} is worse beyond its bound" for name, m in metrics.items() if m["worse_beyond_bound"]]
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -159,7 +172,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"{m['unit']:4s} change won {m['change_wins']}/{m['pairs']}  {verdict}  {raw}")
         speed = summary["slice_p50_ms"][workload]
         print(f"{workload:14s} {'slice_p50_ms':22s} {fmt(speed['parent']):>12s} -> {fmt(speed['change']):>12s} ms")
-    return 0
+    found = failures(summary)
+    for failure in found:
+        print(f"FAIL: {failure}")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
