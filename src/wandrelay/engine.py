@@ -1,9 +1,10 @@
 """Trigger evaluation core.
 
 Pure functions that read their inputs and change none of them: given one
-context sample and a recipient's pending messages, decide what fires and
-what has become undeliverable. The caller owns per-recipient sample
-ordering and passes the last processed timestamp for the out-of-order guard.
+context sample and a recipient's pending messages, decide which messages
+fire and which have become undeliverable. The caller owns per-recipient
+sample ordering: it runs ``check_order`` before it hands a sample over, and
+it stamps each fired message with the sample's time.
 
 ``TriggerIndex`` keeps one recipient's pending messages by the conditions
 that can fire them, so the caller hands ``expire_messages`` and
@@ -58,26 +59,6 @@ class ContextSample:
     visible_markers: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionResult:
-    """Per-condition outcome; a field is set iff the schedule declares it."""
-
-    geofence_hit: bool | None = None
-    window_hit: bool | None = None
-    marker_hit: bool | None = None
-
-    def present(self) -> tuple[bool, ...]:
-        return tuple(h for h in (self.geofence_hit, self.window_hit, self.marker_hit) if h is not None)
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
-    message_id: str
-    delivered_at: datetime
-    triggering_sample: ContextSample
-    satisfied: ConditionResult
-
-
 def haversine_distance(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in meters on a sphere of radius 6 371 000 m."""
     phi1 = math.radians(lat1)
@@ -126,19 +107,16 @@ def window_contains(window: TimeWindow, t: datetime) -> bool:
     return window.start <= t <= window.end
 
 
-def evaluate_schedule(schedule: TriggerSchedule, sample: ContextSample) -> tuple[bool, ConditionResult]:
-    """Test every declared condition against one sample and combine."""
-    geofence_hit = window_hit = marker_hit = None
+def evaluate_schedule(schedule: TriggerSchedule, sample: ContextSample) -> bool:
+    """Whether the schedule fires at this sample: its declared conditions, combined."""
+    hits = []
     if schedule.geofence is not None:
-        geofence_hit = geofence_contains(schedule.geofence, sample.lat, sample.lon)
+        hits.append(geofence_contains(schedule.geofence, sample.lat, sample.lon))
     if schedule.window is not None:
-        window_hit = window_contains(schedule.window, sample.t)
+        hits.append(window_contains(schedule.window, sample.t))
     if schedule.marker is not None:
-        marker_hit = schedule.marker.marker_id in sample.visible_markers
-    result = ConditionResult(geofence_hit=geofence_hit, window_hit=window_hit, marker_hit=marker_hit)
-    hits = result.present()
-    fires = all(hits) if schedule.specificity is Specificity.SPECIFIC else any(hits)
-    return fires, result
+        hits.append(schedule.marker.marker_id in sample.visible_markers)
+    return all(hits) if schedule.specificity is Specificity.SPECIFIC else any(hits)
 
 
 def check_order(t: datetime, last_t: datetime | None) -> None:
@@ -147,19 +125,14 @@ def check_order(t: datetime, last_t: datetime | None) -> None:
         raise OutOfOrderSample(f"sample at {format_rfc3339(t)} not after {format_rfc3339(last_t)}")
 
 
-def evaluate_sample(
-    sample: ContextSample,
-    pending: Sequence[ArMessage],
-    last_t: datetime | None = None,
-) -> tuple[list[DeliveryRecord], list[ArMessage]]:
-    """Process one sample: returns (deliveries, still-pending messages).
+def evaluate_sample(sample: ContextSample, pending: Sequence[ArMessage]) -> tuple[list[ArMessage], list[ArMessage]]:
+    """Process one sample: returns (fired, still-pending messages).
 
-    No delivery can happen while the glasses are off; a scheduleless message
-    fires at the first worn sample, a scheduled one when its combinator holds
-    with every condition tested against this same sample. Deliveries come out
+    Nothing fires while the glasses are off; a scheduleless message fires at
+    the first worn sample, a scheduled one when its combinator holds with
+    every condition tested against this same sample. Fired messages come out
     ordered by (created_at, message_id) and leave the pending set for good.
     """
-    check_order(sample.t, last_t)
     for message in pending:
         if message.recipient_id != sample.recipient_id:
             raise ValueError(f"{message.message_id} is not addressed to {sample.recipient_id}")
@@ -167,28 +140,16 @@ def evaluate_sample(
     if not sample.wearing:
         return [], list(pending)
 
-    deliveries: list[DeliveryRecord] = []
+    fired: list[ArMessage] = []
     still_pending: list[ArMessage] = []
     for message in pending:
-        if message.schedule is None:
-            fires, satisfied = True, ConditionResult()
-        else:
-            fires, satisfied = evaluate_schedule(message.schedule, sample)
-        if fires:
-            deliveries.append(
-                DeliveryRecord(
-                    message_id=message.message_id,
-                    delivered_at=sample.t,
-                    triggering_sample=sample,
-                    satisfied=satisfied,
-                )
-            )
+        if message.schedule is None or evaluate_schedule(message.schedule, sample):
+            fired.append(message)
         else:
             still_pending.append(message)
-    if len(deliveries) > 1:
-        order = {m.message_id: (m.created_at, m.message_id) for m in pending}
-        deliveries.sort(key=lambda d: order[d.message_id])
-    return deliveries, still_pending
+    if len(fired) > 1:
+        fired.sort(key=lambda m: (m.created_at, m.message_id))
+    return fired, still_pending
 
 
 def schedule_unsatisfiable(schedule: TriggerSchedule | None, now: datetime) -> bool:

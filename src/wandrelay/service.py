@@ -308,8 +308,7 @@ class DeliveryService:
         _check_origin(origin, recipient_id)
         if sample.t > LAST_CAPTURE_START:
             raise ParseError(f"sample is after {format_rfc3339(LAST_CAPTURE_START)}, the last capture start")
-        last_t = self._last_t.get(recipient_id)
-        check_order(sample.t, last_t)  # before the index moves
+        check_order(sample.t, self._last_t.get(recipient_id))  # before the index moves
         index = self._pending[recipient_id]
         lapsed = index.lapsed(sample.t)
         if lapsed:
@@ -320,7 +319,7 @@ class DeliveryService:
                     {"ev": "expired", "message_id": message.message_id, "at": format_rfc3339(sample.t)},
                 )
         candidates = index.candidates(sample) if sample.wearing else ()
-        deliveries = evaluate_sample(sample, candidates, last_t)[0] if candidates else ()
+        fired = evaluate_sample(sample, candidates)[0] if candidates else ()
         self._last_t[recipient_id] = sample.t
 
         # The head of the capture line keeps recording the point of view
@@ -328,27 +327,25 @@ class DeliveryService:
         head = self._captures.head(recipient_id)
         if head is not None:
             head.see(sample.t)
-        if not deliveries:
+        if not fired:
             return []
 
         playbacks: list[dict[str, Any]] = []
         starts: list[dict[str, Any]] = []
-        for delivery in deliveries:
-            message_id = delivery.message_id
+        for message in fired:
+            message_id = message.message_id
             try:
                 self._record(
-                    recipient_id,
-                    {"ev": "delivered", "message_id": message_id, "at": format_rfc3339(delivery.delivered_at)},
+                    recipient_id, {"ev": "delivered", "message_id": message_id, "at": format_rfc3339(sample.t)}
                 )
             except DataDirUnwritable as exc:
                 # The earlier deliveries are durable and their captures run:
                 # play them. This one stays Pending and fires at a later sample.
                 return playbacks + starts + [protocol.error_frame(exc, to=recipient_id)]
-            message = self._records[message_id].message
-            playbacks.append(_playback(message, delivery.delivered_at))
+            playbacks.append(_playback(message, sample.t))
             # Behind a running capture, this one starts once that one finalizes.
             if self._captures.join(recipient_id, message_id):
-                session = self._captures.begin_capture(recipient_id, delivery.delivered_at, message.voice_note)
+                session = self._captures.begin_capture(recipient_id, sample.t, message.voice_note)
                 session.see(sample.t)
                 starts.append(_reaction_start(session, recipient_id))
         return playbacks + starts

@@ -28,8 +28,8 @@ unterminated last line is an append cut short, never acknowledged: it is
 dropped, and the repair cuts it off the file. A log whose snapshot is no
 longer the size its first line names is one a crash left between the
 snapshot's rename and the log's removal: its events are in the snapshot,
-and the repair removes it. (A log written before logs named their snapshot
-counts as folded when its events end the snapshot.) A bad line anywhere
+and the repair removes it. A log without that first line is never taken
+as folded: its events are applied after the snapshot's. A bad line anywhere
 else, or a file that is not what it should hold, is corruption and raises
 ParseError naming the file.
 
@@ -40,7 +40,6 @@ composed reaction records ever reach disk.
 from __future__ import annotations
 
 import errno
-import itertools
 import json
 import os
 from pathlib import Path
@@ -232,15 +231,14 @@ class FileStore:
         return principals, queues
 
 
-def _log_entries(path: Path, torn: list[tuple[Path, int]] | None = None) -> Iterator[Any]:
-    """Parse a log line by line; an unterminated last line is dropped and noted in ``torn``, if given,
-    as (path, size to keep)."""
+def _log_entries(path: Path, torn: list[tuple[Path, int]]) -> Iterator[Any]:
+    """Parse a log line by line; an unterminated last line is dropped and noted in ``torn`` as
+    (path, size to keep)."""
     with open(path, "rb") as fh:
         kept = 0
         for lineno, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
-                if torn is not None:
-                    torn.append((path, kept))
+                torn.append((path, kept))
                 return
             kept += len(line)
             if not line.strip():
@@ -277,29 +275,18 @@ def _snapshot_events(path: Path) -> Iterator[Any]:
             raise ParseError(f"{path}: char {pos}: expected ',' and an event, or the end of the events")
 
 
-def _ends_snapshot(log: Path, snap: Path) -> bool:
-    """Whether a log's events are the last of its snapshot's: how a log written before logs named
-    their snapshot is known to be folded. It reads both files again, one event at a time."""
-    count = sum(1 for _ in _log_entries(log))
-    total = sum(1 for _ in _snapshot_events(snap)) if snap.exists() else 0
-    if total < count:
-        return False
-    tail = itertools.islice(_snapshot_events(snap), total - count, None)
-    return all(a == b for a, b in zip(tail, _log_entries(log)))
-
-
 def _replay_log(log: Path, snap: Path, recipient_id: str, apply: Apply, torn: list[tuple[Path, int]]) -> bool:
     """Apply a log's events unless they are already in its snapshot; returns whether they were.
 
-    The first line decides: a ``{"snap":N}`` line against the snapshot's
-    size, or, in a log older than those lines, whether its events end the
-    snapshot. A folded log is still read to its end.
+    The first line decides: a ``{"snap":N}`` line naming another size than
+    the snapshot's marks the log folded, and a log without one is not. A
+    folded log is still read to its end.
     """
     folded = None
     for entry in _log_entries(log, torn):
         if folded is None:
             follows = _follows(entry)
-            folded = follows != _size(snap) if follows is not None else _ends_snapshot(log, snap)
+            folded = follows is not None and follows != _size(snap)
             if follows is not None:
                 continue
         if not folded:

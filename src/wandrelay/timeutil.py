@@ -29,16 +29,10 @@ def parse_rfc3339(text: str) -> datetime:
     """
     if not isinstance(text, str):
         raise ParseError(f"timestamp must be a string, got {type(text).__name__}")
-    match = _DATE_TIME.fullmatch(text)
-    if match is None:
+    if _DATE_TIME.fullmatch(text) is None:
         raise ParseError(f"bad timestamp {text!r}: not an RFC 3339 date-time")
-    fraction, offset = match.groups()
-    # datetime.fromisoformat (3.10) takes neither a fraction of other than 3 or 6 digits nor "Z".
-    raw = text[:19] + fraction[:7].ljust(7, "0") + offset if fraction else text
-    if offset in ("Z", "z"):
-        raw = raw[:-1] + "+00:00"
     try:
-        dt = datetime.fromisoformat(raw)
+        dt = datetime.fromisoformat(text.upper())  # it takes "Z" and any fraction, but not "t" or "z"
     except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}") from None
     try:

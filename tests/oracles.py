@@ -10,6 +10,7 @@ here imports the code paths it verifies.
 from __future__ import annotations
 
 from bisect import bisect_right
+from datetime import datetime
 from math import asin, cos, radians, sin, sqrt
 
 from wandrelay.model import ArMessage, Specificity
@@ -39,30 +40,26 @@ def oracle_condition_flags(message: ArMessage, sample: ContextSample) -> dict[st
     return flags
 
 
-def brute_force_deliveries(
-    messages: list[ArMessage], samples: list[ContextSample]
-) -> dict[str, tuple]:
+def brute_force_deliveries(messages: list[ArMessage], samples: list[ContextSample]) -> dict[str, datetime]:
     """First qualifying sample per message, every pair tested independently.
 
-    Returns message_id -> (delivered_at, flags dict); undelivered messages
-    are absent.
+    Returns message_id -> delivered_at; undelivered messages are absent.
     """
-    out: dict[str, tuple] = {}
+    out: dict[str, datetime] = {}
     for message in messages:
         for sample in samples:
             if not sample.wearing:
                 continue
             if message.schedule is None:
-                out[message.message_id] = (sample.t, {})
+                out[message.message_id] = sample.t
                 break
-            flags = oracle_condition_flags(message, sample)
-            values = list(flags.values())
+            values = list(oracle_condition_flags(message, sample).values())
             if message.schedule.specificity is Specificity.SPECIFIC:
                 fired = all(values)
             else:
                 fired = any(values)
             if fired:
-                out[message.message_id] = (sample.t, flags)
+                out[message.message_id] = sample.t
                 break
     return out
 

@@ -1,9 +1,9 @@
 """The benchmark still finds what it uses of the program.
 
-``bench/tracing.py`` swaps functions by their module attribute names, and
-``bench/workloads.py`` builds samples with ``dataclasses.replace``, so a
-rename or a change of type in ``src/`` would otherwise break only benchmark
-runs.
+``bench/tracing.py`` swaps functions by their module attribute names and
+reads their arguments and results, and ``bench/workloads.py`` builds samples
+with ``dataclasses.replace``, so a rename or a change of signature or type in
+``src/`` would otherwise break only benchmark runs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,15 @@ import types
 from datetime import datetime
 from pathlib import Path
 
+from wandrelay import protocol
 from wandrelay.engine import ContextSample, sample_from_dict, sample_to_dict
+from wandrelay.model import Geofence, MarkerCondition, TriggerSchedule
+from wandrelay.service import DeliveryService
 from wandrelay.timeutil import UTC
+
+from client import ids_of, push, submit
+from genrandom import lat_off, lon_off
+from test_service import make_message, sample
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,11 +36,15 @@ def load(name: str) -> types.ModuleType:
     return module
 
 
+def program() -> types.SimpleNamespace:
+    """The modules the benchmark traces, by the names it imports them under."""
+    return types.SimpleNamespace(**{name: importlib.import_module(f"wandrelay.{name}") for name in load("run").MODULES})
+
+
 def test_tracer_installs_on_the_program_and_uninstalls():
-    modules = {name: importlib.import_module(f"wandrelay.{name}") for name in load("run").MODULES}
     tracer = load("tracing").Tracer()
     try:
-        tracer.install(types.SimpleNamespace(**modules))  # AttributeError if a name is gone
+        tracer.install(program())  # AttributeError if a name is gone
         swapped = list(tracer._undo)
     finally:
         tracer.uninstall()
@@ -55,3 +66,26 @@ def test_a_context_sample_takes_dataclasses_replace():
         "visible_markers": ["m1", "m2"],
     }
     assert sample_from_dict(sample_to_dict(shown)) == shown
+
+
+def test_the_tracer_counts_the_candidates_and_deliveries_of_a_context_sample():
+    """The evaluate span reads ``evaluate_sample``'s candidates argument and its fired list."""
+    service = DeliveryService()
+    service.register_principal("s1")
+    service.register_principal("r1")
+    direct = [make_message(seed=1), make_message(seed=2)]
+    # Filed under its marker, so a candidate when "mk" is seen, but its fence is 500 m away.
+    fence = Geofence(lat=lat_off(500.0), lon=lon_off(0.0), radius=10.0)
+    far = TriggerSchedule(marker=MarkerCondition("mk"), geofence=fence)
+    for message in [*direct, make_message(far, seed=3)]:
+        submit(service, message)
+    tracer = load("tracing").Tracer()
+    try:
+        tracer.install(program())
+        frames = push(service, sample(markers=("mk",)))
+    finally:
+        tracer.uninstall()
+    playbacks = ids_of(frames, protocol.PLAYBACK)
+    assert sorted(playbacks) == sorted(m.message_id for m in direct)
+    assert tracer.counts["engine.deliveries"] == len(playbacks)
+    assert tracer.counts["engine.evaluate_scanned"] == 3

@@ -7,7 +7,9 @@ import pytest
 
 from wandrelay.engine import (
     ContextSample,
+    check_order,
     evaluate_sample,
+    evaluate_schedule,
     expire_messages,
     geofence_contains,
     haversine_distance,
@@ -117,15 +119,14 @@ class TestWindow:
 class TestEvaluateSample:
     def test_direct_message_delivers_on_first_worn_sample(self):
         message = build_message(None)
-        deliveries, still = evaluate_sample(sample(), [message])
-        assert [d.message_id for d in deliveries] == [message.message_id]
+        fired, still = evaluate_sample(sample(), [message])
+        assert fired == [message]
         assert still == []
-        assert deliveries[0].satisfied.present() == ()
 
     def test_nothing_delivers_while_not_wearing(self):
         messages = [build_message(None), build_message(TriggerSchedule(marker=MarkerCondition("mk")))]
-        deliveries, still = evaluate_sample(sample(wearing=False, markers=("mk",)), messages)
-        assert deliveries == []
+        fired, still = evaluate_sample(sample(wearing=False, markers=("mk",)), messages)
+        assert fired == []
         assert still == messages
 
     def test_specific_requires_all_conditions_at_one_sample(self):
@@ -136,14 +137,12 @@ class TestEvaluateSample:
         )
         message = build_message(schedule)
         # inside the fence but before the window: nothing
-        deliveries, still = evaluate_sample(sample("09:00:00"), [message])
-        assert deliveries == []
-        # inside both: delivery with both flags true
-        deliveries, still = evaluate_sample(sample("09:05:30"), still, at("09:00:00"))
-        assert len(deliveries) == 1
-        satisfied = deliveries[0].satisfied
-        assert satisfied.geofence_hit is True and satisfied.window_hit is True
-        assert satisfied.marker_hit is None
+        fired, still = evaluate_sample(sample("09:00:00"), [message])
+        assert fired == []
+        assert not evaluate_schedule(schedule, sample("09:00:00"))
+        # inside both: it fires
+        fired, still = evaluate_sample(sample("09:05:30"), still)
+        assert fired == [message]
         assert still == []
 
     def test_flexible_delivers_on_any_condition(self):
@@ -153,29 +152,28 @@ class TestEvaluateSample:
             specificity=Specificity.FLEXIBLE,
         )
         message = build_message(schedule)
-        deliveries, still = evaluate_sample(sample("09:00:00", markers=("mk-poster",)), [message])
-        assert len(deliveries) == 1
-        satisfied = deliveries[0].satisfied
-        assert satisfied.window_hit is False and satisfied.marker_hit is True
+        fired, still = evaluate_sample(sample("09:00:00", markers=("mk-poster",)), [message])
+        assert fired == [message]
         assert still == []
+        assert not evaluate_schedule(schedule, sample("09:00:00"))
 
     def test_deliveries_ordered_by_created_at_then_id(self):
         first = build_message(None, created="08:50:00")
         second = build_message(None, created="08:51:00")
-        deliveries, _ = evaluate_sample(sample(), [second, first])
-        assert [d.message_id for d in deliveries] == [first.message_id, second.message_id]
+        fired, _ = evaluate_sample(sample(), [second, first])
+        assert fired == [first, second]
 
+
+class TestCheckOrder:
     def test_out_of_order_sample_rejected(self):
-        message = build_message(None)
         with pytest.raises(OutOfOrderSample):
-            evaluate_sample(sample("09:00:00"), [message], last_t=at("09:00:00"))
+            check_order(at("09:00:00"), at("09:00:00"))
+        with pytest.raises(OutOfOrderSample):
+            check_order(at("08:59:59"), at("09:00:00"))
 
-    def test_condition_fields_present_iff_declared(self):
-        schedule = TriggerSchedule(geofence=Geofence(lat=lat_off(0), lon=lon_off(0), radius=10.0))
-        deliveries, _ = evaluate_sample(sample(), [build_message(schedule)])
-        satisfied = deliveries[0].satisfied
-        assert satisfied.geofence_hit is True
-        assert satisfied.window_hit is None and satisfied.marker_hit is None
+    def test_a_later_or_first_sample_passes(self):
+        check_order(at("09:00:01"), at("09:00:00"))
+        check_order(at("09:00:00"), None)
 
 
 class TestExpiry:
@@ -226,8 +224,8 @@ class TestExpiry:
         message = build_message(schedule)
         expired, pending = expire_messages(at("09:04:00"), [message])
         assert expired == []
-        deliveries, pending = evaluate_sample(sample("09:04:00"), pending)
-        assert len(deliveries) == 1
+        fired, pending = evaluate_sample(sample("09:04:00"), pending)
+        assert fired == [message]
 
         message2 = build_message(schedule)
         expired, pending = expire_messages(at("09:04:01"), [message2])

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from wandrelay import engine
 from wandrelay.engine import (
     _cell_units,
+    check_order,
     evaluate_sample,
+    evaluate_schedule,
     expire_messages,
     grid_cell,
     grid_neighbours,
@@ -21,30 +23,27 @@ from wandrelay.model import MAX_GEOFENCE_RADIUS_M, Specificity
 from wandrelay.sim import MARKER_VISIBILITY_M
 
 from genrandom import destination, random_messages, random_stream
-from oracles import brute_force_deliveries, oracle_condition_flags, oracle_haversine
+from oracles import brute_force_deliveries, oracle_condition_flags
 
 
 def run_engine(messages, samples, *, with_expiry=True):
-    """Apply the engine sequentially over a stream, collecting deliveries."""
+    """Apply the engine over a stream as the service does, collecting (message, firing sample) pairs."""
     pending = list(messages)
     last_t = None
     deliveries = []
     for sample in samples:
+        check_order(sample.t, last_t)
         if with_expiry:
             _, pending = expire_messages(sample.t, pending)
-        new, pending = evaluate_sample(sample, pending, last_t)
-        deliveries.extend(new)
+        fired, pending = evaluate_sample(sample, pending)
+        deliveries.extend((message, sample) for message in fired)
         last_t = sample.t
     return deliveries, pending
 
 
-def flags_of(record):
-    mapping = {
-        "geofence": record.satisfied.geofence_hit,
-        "window": record.satisfied.window_hit,
-        "marker": record.satisfied.marker_hit,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
+def delivered_at(deliveries):
+    """message_id -> delivery time, in delivery order."""
+    return {message.message_id: sample.t for message, sample in deliveries}
 
 
 def check_engine_matches_oracle(seed: int) -> None:
@@ -53,10 +52,7 @@ def check_engine_matches_oracle(seed: int) -> None:
     span_end = samples[-1].t
     messages = random_messages(rng, span_end)
     deliveries, _ = run_engine(messages, samples)
-    expected = brute_force_deliveries(messages, samples)
-
-    got = {d.message_id: (d.delivered_at, flags_of(d)) for d in deliveries}
-    assert got == expected
+    assert delivered_at(deliveries) == brute_force_deliveries(messages, samples)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,7 +68,7 @@ def test_at_most_once_delivery(seed):
     samples = random_stream(rng)
     messages = random_messages(rng, samples[-1].t)
     deliveries, _ = run_engine(messages, samples)
-    ids = [d.message_id for d in deliveries]
+    ids = [message.message_id for message, _ in deliveries]
     assert len(ids) == len(set(ids))
 
 
@@ -83,37 +79,43 @@ def test_no_delivery_while_not_wearing(seed):
     samples = random_stream(rng)
     messages = random_messages(rng, samples[-1].t)
     deliveries, _ = run_engine(messages, samples)
-    assert all(d.triggering_sample.wearing for d in deliveries)
+    assert all(sample.wearing for _, sample in deliveries)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_combinator_soundness(seed):
-    """AND deliveries satisfy every flag; OR deliveries at least one.
+    """At the firing sample, AND deliveries satisfy every flag; OR deliveries at least one.
 
-    Geofence hits are recomputed with the independent haversine oracle.
+    The flags are recomputed by the oracle, geofence hits with the
+    independent haversine.
     """
     rng = random.Random(seed)
     samples = random_stream(rng)
     messages = random_messages(rng, samples[-1].t)
-    by_id = {m.message_id: m for m in messages}
     deliveries, _ = run_engine(messages, samples)
-    for record in deliveries:
-        message = by_id[record.message_id]
+    for message, sample in deliveries:
         if message.schedule is None:
             continue
-        flags = flags_of(record)
-        assert flags == oracle_condition_flags(message, record.triggering_sample)
+        flags = oracle_condition_flags(message, sample)
         if message.schedule.specificity is Specificity.SPECIFIC:
             assert all(flags.values())
-            if message.schedule.window is not None:
-                assert message.schedule.window.start <= record.delivered_at <= message.schedule.window.end
-            if message.schedule.geofence is not None:
-                g = message.schedule.geofence
-                s = record.triggering_sample
-                assert oracle_haversine(g.lat, g.lon, s.lat, s.lon) <= g.radius
         else:
             assert any(flags.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_evaluate_schedule_matches_the_oracle_at_every_pair(seed):
+    """Every (message, sample) pair, fired or not: the evaluator is the all/any of the oracle's flags."""
+    rng = random.Random(seed)
+    samples = random_stream(rng)
+    messages = [m for m in random_messages(rng, samples[-1].t) if m.schedule is not None]
+    for message in messages:
+        combine = all if message.schedule.specificity is Specificity.SPECIFIC else any
+        for sample in samples:
+            want = combine(oracle_condition_flags(message, sample).values())
+            assert evaluate_schedule(message.schedule, sample) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,9 +127,7 @@ def test_expiry_never_blocks_a_delivery(seed):
     messages = random_messages(rng, samples[-1].t)
     with_expiry, _ = run_engine(messages, samples, with_expiry=True)
     without_expiry, _ = run_engine(messages, samples, with_expiry=False)
-    assert [(d.message_id, d.delivered_at) for d in with_expiry] == [
-        (d.message_id, d.delivered_at) for d in without_expiry
-    ]
+    assert list(delivered_at(with_expiry).items()) == list(delivered_at(without_expiry).items())
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,16 +138,14 @@ def test_monotonicity_dropping_a_quiet_sample(seed, pick):
     samples = random_stream(rng)
     messages = random_messages(rng, samples[-1].t)
     deliveries, _ = run_engine(messages, samples)
-    delivery_times = {d.delivered_at for d in deliveries}
+    delivery_times = {sample.t for _, sample in deliveries}
     quiet = [i for i, s in enumerate(samples) if s.t not in delivery_times]
     if not quiet:
         return
     index = quiet[pick % len(quiet)]
     pruned = samples[:index] + samples[index + 1 :]
     pruned_deliveries, _ = run_engine(messages, pruned)
-    assert [(d.message_id, d.delivered_at) for d in deliveries] == [
-        (d.message_id, d.delivered_at) for d in pruned_deliveries
-    ]
+    assert list(delivered_at(deliveries).items()) == list(delivered_at(pruned_deliveries).items())
 
 
 def test_conservation_after_expiry_accounting():
@@ -157,17 +155,15 @@ def test_conservation_after_expiry_accounting():
         samples = random_stream(rng, max_samples=80)
         messages = random_messages(rng, samples[-1].t, max_messages=12)
         pending = list(messages)
-        last_t = None
         delivered, expired = [], []
         for sample in samples:
             newly_expired, pending = expire_messages(sample.t, pending)
             expired.extend(newly_expired)
-            new, pending = evaluate_sample(sample, pending, last_t)
-            delivered.extend(new)
-            last_t = sample.t
+            fired, pending = evaluate_sample(sample, pending)
+            delivered.extend(fired)
         assert len(delivered) + len(expired) + len(pending) == len(messages)
         ids = (
-            [d.message_id for d in delivered]
+            [m.message_id for m in delivered]
             + [m.message_id for m in expired]
             + [m.message_id for m in pending]
         )

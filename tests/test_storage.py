@@ -372,13 +372,24 @@ def test_a_log_that_repeats_the_end_of_its_snapshot_is_kept(tmp_path):
     assert (tmp_path / "queues" / "r1.log").read_bytes().startswith(b'{"snap":')
 
 
-def test_a_log_without_a_size_line_that_ends_its_snapshot_is_removed(tmp_path):
-    """A log written before logs named their snapshot is folded when its events end the snapshot."""
-    (tmp_path / "queues").mkdir()
-    (tmp_path / "queues" / "r1.snap.json").write_text('{"v":1,"events":[{"ev":"a"},{"ev":"b"}]}')
-    (tmp_path / "queues" / "r1.log").write_text('{"ev":"b"}\n')
-    assert FileStore(tmp_path).recover() == (set(), {"r1": [{"ev": "a"}, {"ev": "b"}]})
-    assert not (tmp_path / "queues" / "r1.log").exists()
+def test_a_log_without_a_size_line_is_never_taken_as_folded(tmp_path):
+    """Only a ``{"snap":N}`` first line marks a log folded. A log without one that repeats the end of
+    its snapshot applies that event a second time: the start is refused, and no file changes."""
+    first = durable(tmp_path)
+    submit(first, make_message())
+    first.close()
+    snap = tmp_path / "queues" / "r1.snap.json"
+    last = json.loads(snap.read_text())["events"][-1]
+    assert last["ev"] == "enqueued"
+    (tmp_path / "queues" / "r1.log").write_text(json.dumps(last, separators=(",", ":")) + "\n")
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    with pytest.raises(ParseError, match="DuplicateMessageId"):
+        DeliveryService(FileStore(tmp_path))
+    assert files() == before
 
 
 def hello(service, role, principal):

@@ -152,7 +152,6 @@ def test_index_delivers_and_expires_what_a_full_scan_does(data):
         ids, spots = IdFactory(7), []
         pending = []  # the full pending set, in enqueue order
         clock = at("09:00:00")
-        last_t = None  # the last sample sent
         durable_t = None  # the last sample that stored an event: what a restart keeps of the guard
         guard_t = None  # the service's out-of-order guard
         position = None  # the last sample's, which a "still" sample repeats
@@ -171,15 +170,15 @@ def test_index_delivers_and_expires_what_a_full_scan_does(data):
                 markers = data.draw(st.frozensets(st.sampled_from(MARKERS)))
                 sample = ContextSample("r1", clock, lat, lon, data.draw(st.booleans()), markers)
                 expired, pending = expire_messages(clock, pending)
-                delivered, pending = evaluate_sample(sample, pending, last_t)
+                delivered, pending = evaluate_sample(sample, pending)
                 before = len(events)
                 frames = push(service, sample)
-                want = [d.message_id for d in delivered]
+                want = [m.message_id for m in delivered]
                 assert ids_of(frames, protocol.PLAYBACK) == want
                 assert events[before:] == [("expired", m.message_id) for m in expired] + [
                     ("delivered", i) for i in want
                 ]
-                last_t = guard_t = clock
+                guard_t = clock
                 if expired or delivered:
                     durable_t = clock
             elif step == "crash":
@@ -192,7 +191,7 @@ def test_index_delivers_and_expires_what_a_full_scan_does(data):
                 assert [i for ev, i in events[before:] if ev == "expired"] == [m.message_id for m in pending]
                 assert not service._pending["r1"]._buckets
                 if pending:
-                    last_t = guard_t = durable_t = clock
+                    guard_t = durable_t = clock
                 pending = []
             elif guard_t is not None:  # stale: refused, and nothing moves
                 t = guard_t - timedelta(seconds=data.draw(st.integers(0, 5)))
