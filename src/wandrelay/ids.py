@@ -2,16 +2,18 @@
 
 26-character Crockford base32 strings: 48 bits of millisecond timestamp
 followed by 80 bits of entropy, so ids sort lexicographically by creation
-time. The entropy source is injectable; the simulator passes a seeded RNG to
-keep whole runs reproducible.
+time. The timestamp counts from the Unix epoch, so no id is made for an
+earlier time. The entropy source is injectable; the simulator passes a seeded
+RNG to keep whole runs reproducible.
 """
 
 from __future__ import annotations
 
 import random
-from datetime import datetime
+from datetime import datetime, timezone
 
 _ALPHABET = "0123456789ABCDEFGHJKMNPQRSTVWXYZ"
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def _encode(value: int, length: int) -> str:
@@ -34,7 +36,10 @@ class IdFactory:
         self._last: tuple[int, int] | None = None
 
     def __call__(self, created_at: datetime) -> str:
-        millis = int(created_at.timestamp() * 1000)
+        seconds = created_at.timestamp()
+        if seconds < 0:  # a negative count would encode as its low 50 bits and sort after every later id
+            raise ValueError(f"no message id for {created_at.isoformat()}, before the Unix epoch")
+        millis = int(seconds * 1000)
         entropy = self._rng.getrandbits(80)
         # Bump entropy monotonically if two ids land on the same millisecond,
         # so id order always follows issue order.

@@ -31,7 +31,7 @@ from . import protocol
 from .engine import ContextSample, grid_cell, grid_neighbours, haversine_distance, sample_payload
 from .engine import sample_to_dict  # unused here: the benchmark's tracer wraps it by this name
 from .errors import ParseError, WandRelayError
-from .ids import IdFactory
+from .ids import EPOCH, IdFactory
 from .model import (
     MessageState,
     TimeWindow,
@@ -221,6 +221,9 @@ def scenario_from_dict(doc: Mapping[str, Any], *, source: str = "<scenario>") ->
                 if label in actions:
                     raise ParseError(f"duplicate label {label!r}")
                 at = parse_rfc3339(a["at"])
+                if at < EPOCH:
+                    raise ParseError(f"submission at {format_rfc3339(at)} is before {format_rfc3339(EPOCH)}, "
+                                     "where message ids start")
                 if at >= end:
                     raise ParseError(f"submission at {format_rfc3339(at)} is not before the scenario end")
                 sender_id, recipient_id = str(a["sender_id"]), str(a["recipient_id"])

@@ -3,12 +3,25 @@
 All timestamps in the system are timezone-aware UTC datetimes; the canonical
 text form is ``YYYY-MM-DDTHH:MM:SSZ`` (the year always four digits,
 fractional seconds kept only when nonzero, with trailing zeros trimmed).
+
+Consecutive timestamps mostly share their minute (a simulated CONTEXT stream
+ticks once a second), so each function remembers the last minute it handled:
+``_last_formatted`` holds ``((year, month, day, hour, minute), prefix)``, the
+key of the last datetime rendered the long way with its ``YYYY-MM-DDTHH:MM:``
+text, and ``_last_parsed`` holds ``(prefix, minute)``, the first 17
+characters of the last 20-character ``...Z`` stamp the full parser accepted
+with that minute as a datetime. A whole-second datetime or stamp in that
+minute is answered from it; anything else takes the full path, which then
+replaces the cache. Each cache is one tuple, read with one unpack and
+replaced whole, so a thread never pairs one minute's key or prefix with
+another minute's value; a race costs at most a full-path call. Results and
+refusals do not depend on what is cached.
 """
 
 from __future__ import annotations
 
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from .errors import ParseError
 
@@ -17,6 +30,10 @@ UTC = timezone.utc
 # RFC 3339's date-time: seconds required, an optional "." fraction, then "Z"
 # or a numeric offset; "T" and "Z" may be lower case.
 _DATE_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?([Zz]|[+-][0-9]{2}:[0-9]{2})")
+_SECONDS = {"%02d" % s: timedelta(seconds=s) for s in range(60)}  # no "60": datetime has no leap second
+
+_last_formatted: tuple[tuple[int, int, int, int, int], str] = ((0, 0, 0, 0, 0), "")
+_last_parsed: tuple[str, datetime] = ("", datetime.min)
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -27,6 +44,12 @@ def parse_rfc3339(text: str) -> datetime:
     week forms, no missing seconds, no "," fraction. Digits past the
     microsecond are dropped.
     """
+    global _last_parsed
+    prefix, minute = _last_parsed
+    if type(text) is str and len(text) == 20 and text[19] == "Z" and text[:17] == prefix:
+        seconds = _SECONDS.get(text[17:19])
+        if seconds is not None:
+            return minute + seconds
     if not isinstance(text, str):
         raise ParseError(f"timestamp must be a string, got {type(text).__name__}")
     if _DATE_TIME.fullmatch(text) is None:
@@ -36,16 +59,25 @@ def parse_rfc3339(text: str) -> datetime:
     except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}") from None
     try:
-        return dt.astimezone(UTC)
+        dt = dt.astimezone(UTC)
     except OverflowError:  # an offset that takes it past year 1 or 9999
         raise ParseError(f"timestamp {text!r} is out of range in UTC") from None
+    if len(text) == 20 and text[19] == "Z":
+        _last_parsed = (text[:17], dt.replace(second=0))
+    return dt
 
 
 def format_rfc3339(dt: datetime) -> str:
     """Render an aware datetime in the canonical UTC form."""
+    global _last_formatted
     if dt.tzinfo is not UTC:
-        if dt.tzinfo is None:
+        if dt.utcoffset() is None:  # no tzinfo, or one that gives no offset: astimezone would read local time
             raise ValueError("naive datetime cannot be serialized")
         dt = dt.astimezone(UTC)
+    key = (dt.year, dt.month, dt.day, dt.hour, dt.minute)
+    minute, prefix = _last_formatted
+    if key == minute and not dt.microsecond:
+        return "%s%02dZ" % (prefix, dt.second)
     text = dt.isoformat()[:-6]  # without its "+00:00"
+    _last_formatted = (key, text[:17])
     return (text.rstrip("0") if dt.microsecond else text) + "Z"

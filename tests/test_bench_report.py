@@ -16,13 +16,14 @@ _spec.loader.exec_module(bench_report)
 
 
 def write_result(directory: Path, workload: str, seed: int, sha: str, values: dict[str, float], trace: int = 0,
-                 raw: dict[str, float] | None = None, slice_ms: float | None = None, correct: bool = True):
+                 raw: dict[str, float] | None = None, slice_ms: float | None = None, correct: bool = True,
+                 failed: int = 0, attempted: int = 10):
     units = {"context_samples_per_s": "1/s", "restart_s": "s"}
     doc = {
         "result": {
             "correct": correct,
-            "attempted": 10,
-            "failed": 0,
+            "attempted": attempted,
+            "failed": failed,
             "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()},
         },
         "meta": {"workload": workload, "seed": seed, "seconds": 30.0, "trace": trace,
@@ -141,3 +142,55 @@ def test_an_incorrect_run_on_either_side_fails_the_comparison(tmp_path, capsys, 
     assert summary["workloads"]["pairs12"]["context_samples_per_s"]["worse_beyond_bound"] is False
     printed = capsys.readouterr().out.splitlines()
     assert [line for line in printed if line.startswith("FAIL")] == [f"FAIL: {incorrect} has 1 incorrect runs"]
+
+
+@pytest.mark.parametrize(
+    "parent_ops, change_ops, fails",
+    [
+        ((0, 10), (1, 10), True),
+        ((1, 10), (2, 10), True),
+        ((1, 10), (0, 10), False),
+        ((1, 10), (2, 20), False),  # the same share of more attempts
+        ((0, 0), (1, 10), True),
+    ],
+)
+def test_a_larger_failed_share_on_the_change_fails_the_comparison(tmp_path, capsys, parent_ops, change_ops, fails):
+    """Operations are summed over a workload's runs on each side; only the change failing a larger share fails."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        for directory, sha, (failed, attempted) in ((parent, "aaa", parent_ops), (change, "bbb", change_ops)):
+            write_result(directory, "pairs12", seed, sha, {"context_samples_per_s": 100.0},
+                         failed=failed if seed == 2 else 0, attempted=attempted if seed == 2 else 0)
+        write_result(parent, "deep_queue", seed, "aaa", {"context_samples_per_s": 100.0}, failed=1)
+        write_result(change, "deep_queue", seed, "bbb", {"context_samples_per_s": 100.0}, failed=1)
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == (1 if fails else 0)
+
+    summary = json.loads(out.read_text())
+    assert summary["failed_ops"]["pairs12"] == {
+        "parent": {"failed": parent_ops[0], "attempted": parent_ops[1]},
+        "change": {"failed": change_ops[0], "attempted": change_ops[1]},
+    }
+    assert summary["failed_ops"]["deep_queue"]["change"] == {"failed": 3, "attempted": 30}
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert printed == ([f"FAIL: pairs12 change failed {change_ops[0]} of {change_ops[1]} operations, a larger share "
+                        f"than the parent's {parent_ops[0]} of {parent_ops[1]}"] if fails else [])
+
+
+@pytest.mark.parametrize("only", ["parent", "change"])
+def test_a_workload_only_one_side_ran_fails_the_comparison(tmp_path, capsys, only):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        write_result(parent, "pairs12", seed, "aaa", {"context_samples_per_s": 100.0})
+        write_result(change, "pairs12", seed, "bbb", {"context_samples_per_s": 100.0})
+        write_result(tmp_path / only, "durable_churn", seed, "aaa" if only == "parent" else "bbb", {"restart_s": 0.2})
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 1
+
+    summary = json.loads(out.read_text())
+    assert summary["one_sided"] == {"durable_churn": only}  # deep_queue, which neither side ran, is not named
+    assert list(summary["workloads"]) == ["pairs12"]
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert printed == [f"FAIL: durable_churn has runs only on the {only} side"]

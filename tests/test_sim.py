@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from wandrelay import analytics, protocol, sim
 from wandrelay.engine import haversine_distance, sample_to_dict
 from wandrelay.errors import ParseError, WandRelayError
+from wandrelay.ids import EPOCH
 from wandrelay.model import MessageState, TimeWindow
 from wandrelay.storage import FileStore
 
@@ -105,6 +106,16 @@ class TestLoadScenario:
         doc = minimal_scenario()
         doc["sender_script"][0]["at"] = "2021-06-05T09:30:00Z"
         with pytest.raises(ParseError, match="before the scenario end"):
+            sim.scenario_from_dict(doc)
+
+    def test_submission_before_the_unix_epoch_rejected(self):
+        """A message id counts milliseconds from 1970; the epoch itself is accepted."""
+        doc = minimal_scenario()
+        doc["sender_script"][0]["at"] = "1970-01-01T00:00:00Z"
+        assert sim.scenario_from_dict(doc).sender_script[0].at == EPOCH
+        doc["sender_script"][0]["at"] = "1969-12-31T23:59:59.999Z"
+        with pytest.raises(ParseError, match=r"sender_script\[0\]: submission at 1969-12-31T23:59:59.999Z is before "
+                                             r"1970-01-01T00:00:00Z, where message ids start"):
             sim.scenario_from_dict(doc)
 
     def test_duplicate_labels_rejected(self):

@@ -20,9 +20,15 @@ digest of ``src/wandrelay``).
 Traced runs (``trace1``) are left out: their per-layer figures are not
 end-to-end metrics. Standard library only.
 
-The exit code is 1 when either side has an incorrect run or any metric is
-worse beyond its bound, each named on a ``FAIL`` line, and 0 otherwise; the
-summary is written either way.
+For each workload it also gives each side's failed and attempted operations
+(``failed_ops``), and it names in ``one_sided`` a workload of
+``BENCHMARK.json`` that only one side ran.
+
+The exit code is 1, with each cause named on a ``FAIL`` line, when either side
+has an incorrect run, a workload has runs on one side only, a workload's
+change runs fail a larger share of their attempted operations than its parent
+runs, or any metric is worse beyond its bound; it is 0 otherwise. The summary
+is written either way.
 
 Usage: python tools/bench_report.py PARENT_DIR CHANGE_DIR --out BENCH_6.json
 """
@@ -58,15 +64,25 @@ def one_of(runs: list[dict[str, Any]], key: str) -> Any:
     return values[0] if len(values) == 1 else values
 
 
+def operations(runs: list[dict[str, Any]]) -> dict[str, int]:
+    return {"failed": sum(run["result"]["failed"] for run in runs),
+            "attempted": sum(run["result"]["attempted"] for run in runs)}
+
+
+def failed_share(ops: dict[str, int]) -> float:
+    return ops["failed"] / ops["attempted"] if ops["attempted"] else 0.0
+
+
 def side(runs: list[dict[str, Any]]) -> dict[str, Any]:
+    ops = operations(runs)
     return {
         "git_sha": one_of(runs, "git_sha"),
         "src_sha256": one_of(runs, "src_sha256"),
         "seeds": sorted({run["meta"]["seed"] for run in runs}),
         "runs": len(runs),
         "incorrect_runs": sum(not run["result"]["correct"] for run in runs),
-        "failed_ops": sum(run["result"]["failed"] for run in runs),
-        "attempted_ops": sum(run["result"]["attempted"] for run in runs),
+        "failed_ops": ops["failed"],
+        "attempted_ops": ops["attempted"],
     }
 
 
@@ -95,9 +111,13 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
 
     workloads: dict[str, Any] = {}
     slices: dict[str, Any] = {}
+    failed_ops: dict[str, Any] = {}
+    one_sided: dict[str, str] = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         before, after = by_seed(parent, workload), by_seed(change, workload)
         if not before or not after:
+            if before or after:
+                one_sided[workload] = "parent" if before else "change"
             continue
 
         def paired(figure, name: str) -> list[tuple[float, float]]:
@@ -130,6 +150,7 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
                 metrics[name]["change_raw"] = spread([c for _, c in raws])
         workloads[workload] = metrics
         slices[workload] = {"parent": slice_p50_ms(list(before.values())), "change": slice_p50_ms(list(after.values()))}
+        failed_ops[workload] = {"parent": operations(list(before.values())), "change": operations(list(after.values()))}
     everything = parent + change
     return {
         "parent": side(parent),
@@ -139,6 +160,8 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
         "seconds": one_of(everything, "seconds"),
         "workloads": workloads,
         "slice_p50_ms": slices,
+        "failed_ops": failed_ops,
+        "one_sided": one_sided,
     }
 
 
@@ -147,9 +170,16 @@ def fmt(value: float | None) -> str:
 
 
 def failures(summary: dict[str, Any]) -> list[str]:
-    """What makes the comparison fail: incorrect runs on either side, metrics worse beyond their bounds."""
+    """What makes the comparison fail: incorrect runs on either side, a workload only one side ran, a larger
+    failed share of operations on the change, metrics worse beyond their bounds."""
     found = [f"{name} has {summary[name]['incorrect_runs']} incorrect runs"
              for name in ("parent", "change") if summary[name]["incorrect_runs"]]
+    found += [f"{workload} has runs only on the {name} side" for workload, name in summary["one_sided"].items()]
+    for workload, ops in summary["failed_ops"].items():
+        before, after = ops["parent"], ops["change"]
+        if failed_share(after) > failed_share(before):
+            found.append(f"{workload} change failed {after['failed']} of {after['attempted']} operations, "
+                         f"a larger share than the parent's {before['failed']} of {before['attempted']}")
     for workload, metrics in summary["workloads"].items():
         found += [f"{workload} {name} is worse beyond its bound" for name, m in metrics.items() if m["worse_beyond_bound"]]
     return found
