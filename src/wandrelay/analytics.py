@@ -25,6 +25,8 @@ from .storage import read_journal
 CATEGORIES = ("location", "time", "marker", "specific", "flexible", "direct")
 
 _DELIVERED_STATES = {MessageState.DELIVERED, MessageState.REACTED, MessageState.REACTION_DECLINED}
+# The only frame kinds a run log's report reads; a tuple, so a kind of any type is simply not among them.
+_COUNTED_KINDS = (protocol.SUBMIT, protocol.PLAYBACK, protocol.SENDER_VIEW_RESP)
 
 
 def categorize(message: ArMessage) -> str:
@@ -106,6 +108,8 @@ def summarize_frames_groups(groups: Iterable[Iterable[Mapping[str, Any]]]) -> Re
     for frames in groups:
         for frame in frames:
             kind = frame.get("kind")
+            if kind not in _COUNTED_KINDS:  # mostly CONTEXT, whose payload is never opened
+                continue
             payload = frame.get("payload", {})
             try:
                 if kind == protocol.SUBMIT:

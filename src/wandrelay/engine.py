@@ -41,6 +41,7 @@ EARTH_RADIUS_M = 6_371_000.0
 GRID_CELL_M = 32.0
 # No TriggerIndex heap holds more than this many entries per pending message.
 HEAP_BOUND = 2
+_NO_MARKERS: frozenset[str] = frozenset()  # every sample without markers shares it
 
 
 @dataclass(slots=True)
@@ -56,7 +57,7 @@ class ContextSample:
     lat: float
     lon: float
     wearing: bool
-    visible_markers: frozenset[str] = frozenset()
+    visible_markers: frozenset[str] = _NO_MARKERS
 
 
 def haversine_distance(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -355,7 +356,7 @@ def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
     try:
         recipient_id, position, wearing = d["recipient_id"], d["position"], d["wearing"]
         lat, lon = position["lat"], position["lon"]
-        markers = d.get("visible_markers", [])
+        markers = d.get("visible_markers", _NO_MARKERS)
         t = parse_rfc3339(d["t"])
         if not isinstance(recipient_id, str):
             raise _wrong_type("recipient_id", recipient_id, "a string")
@@ -369,9 +370,11 @@ def sample_from_dict(d: Mapping[str, Any]) -> ContextSample:
             if isinstance(lon, bool) or not isinstance(lon, (int, float)):
                 raise _wrong_type("lon", lon, "a number")
             lon = float(lon)
-        if not isinstance(markers, list) or (markers and not all(isinstance(m, str) for m in markers)):
-            raise _wrong_type("visible_markers", markers, "a list of strings")
+        if markers is not _NO_MARKERS:  # absent: no markers
+            if not isinstance(markers, list) or (markers and not all(isinstance(m, str) for m in markers)):
+                raise _wrong_type("visible_markers", markers, "a list of strings")
+            markers = frozenset(markers) if markers else _NO_MARKERS
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the largest float
         raise ParseError(f"bad context sample: {exc}") from None
     check_position(lat, lon)
-    return ContextSample(recipient_id, t, lat, lon, wearing, frozenset(markers))
+    return ContextSample(recipient_id, t, lat, lon, wearing, markers)

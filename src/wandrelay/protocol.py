@@ -122,10 +122,11 @@ class FrameRecorder:
         self._fh: TextIO | None = None if path is None else open(path, "w", encoding="utf-8")
 
     def record(self, frame: dict[str, Any]) -> None:
-        safe = loggable_frame(frame)
-        self.frames.append(safe)
+        if frame.get("kind") == REACTION_FRAME:  # the one kind loggable_frame changes
+            frame = loggable_frame(frame)
+        self.frames.append(frame)
         if self._fh is not None:
-            self._fh.write(dumps_canonical(safe) + "\n")
+            self._fh.write(dumps_canonical(frame) + "\n")
 
     def close(self) -> None:
         if self._fh is not None:

@@ -310,8 +310,10 @@ def _track(
     for m in scenario.markers:
         for cell in grid_neighbours(m.lat, m.lon):
             cells.setdefault(cell, []).append(m)
-    # Each segment's length in seconds, computed once rather than at every tick in it.
+    # Each segment's length in seconds, and whether it holds one position, computed once rather than at every
+    # tick in it. A held segment's formula adds a zero to the start, which is ``a.lat + 0.0`` bit for bit.
     lengths = [(b.t - a.t).total_seconds() for a, b in zip(trajectory, trajectory[1:])]
+    held = [a.lat == b.lat and a.lon == b.lon for a, b in zip(trajectory, trajectory[1:])]
     i = w = 0  # the waypoint at or before t, and the first session not over before t
     position, visible, markers = {}, frozenset(), []
     last_lat = last_lon = None
@@ -328,6 +330,8 @@ def _track(
         a = trajectory[i]
         if t <= start or i == last:
             lat, lon = a.lat, a.lon
+        elif held[i]:
+            lat, lon = a.lat + 0.0, a.lon + 0.0
         else:
             b = trajectory[i + 1]
             frac = (t - a.t).total_seconds() / lengths[i]

@@ -57,13 +57,15 @@ _MAX_STEM = 255 - len(_SNAP)  # 255 bytes: the common file-name limit
 _SNAP_HEAD, _SNAP_TAIL = b'{"v":1,"events":[', b"]}"
 _HEAD, _TAIL = _SNAP_HEAD.decode(), _SNAP_TAIL.decode()
 _DECODER = json.JSONDecoder()
+# Built once: json.dumps with separators builds a new encoder per call. ASCII-only, as json.dumps writes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 Queues = dict[str, list[dict[str, Any]]]  # recipient -> its queue's events, oldest first
 Apply = Callable[[str, Any], None]  # takes (recipient id, stored event), one event at a time
 
 
 def _line(obj: dict[str, Any]) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    return _ENCODER.encode(obj).encode() + b"\n"
 
 
 def _follows(entry: Any) -> int | None:

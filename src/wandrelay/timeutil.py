@@ -5,17 +5,29 @@ text form is ``YYYY-MM-DDTHH:MM:SSZ`` (the year always four digits,
 fractional seconds kept only when nonzero, with trailing zeros trimmed).
 
 Consecutive timestamps mostly share their minute (a simulated CONTEXT stream
-ticks once a second), so each function remembers the last minute it handled:
-``_last_formatted`` holds ``((year, month, day, hour, minute), prefix)``, the
-key of the last datetime rendered the long way with its ``YYYY-MM-DDTHH:MM:``
-text, and ``_last_parsed`` holds ``(prefix, minute)``, the first 17
-characters of the last 20-character ``...Z`` stamp the full parser accepted
-with that minute as a datetime. A whole-second datetime or stamp in that
-minute is answered from it; anything else takes the full path, which then
-replaces the cache. Each cache is one tuple, read with one unpack and
-replaced whole, so a thread never pairs one minute's key or prefix with
-another minute's value; a race costs at most a full-path call. Results and
-refusals do not depend on what is cached.
+ticks once a second), so each function keeps the last minute it handled in
+one tuple.
+
+``_last_formatted`` is ``(low, high, prefix)``: the first instant of the
+last minute in which the formatter rendered a whole-second datetime the long
+way, the first instant of the minute after it, and that minute's
+``YYYY-MM-DDTHH:MM:`` text. A whole-second UTC datetime with
+``low <= dt < high`` is the prefix plus its seconds' text from a table of
+60. The range's last minute, 9999-12-31T23:59, has no minute after it and is
+never stored; the initial bounds are equal, so no datetime lies between
+them.
+
+``_last_parsed`` is ``(prefix, minute)``: the first 17 characters of the
+last 20-character ``...Z`` stamp the full parser accepted, and that minute
+as a datetime. A whole-second ``...Z`` stamp with that prefix is the minute
+plus its seconds.
+
+Anything else takes the full path. A whole-second datetime or a ``...Z``
+stamp then replaces its function's tuple; a fraction leaves the formatter's
+as it is. Each cache is read with one unpack and replaced whole, so a thread
+never pairs one minute's bounds with another minute's text, nor one prefix
+with another minute's value; a race costs at most a full-path call. Results
+and refusals do not depend on what is cached.
 """
 
 from __future__ import annotations
@@ -32,7 +44,11 @@ UTC = timezone.utc
 _DATE_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?([Zz]|[+-][0-9]{2}:[0-9]{2})")
 _SECONDS = {"%02d" % s: timedelta(seconds=s) for s in range(60)}  # no "60": datetime has no leap second
 
-_last_formatted: tuple[tuple[int, int, int, int, int], str] = ((0, 0, 0, 0, 0), "")
+_SECOND_TEXT = tuple("%02dZ" % s for s in range(60))
+_MINUTE = timedelta(minutes=1)
+_LAST_MINUTE = datetime.max.replace(second=0, microsecond=0, tzinfo=UTC)  # no next minute to bound it
+
+_last_formatted: tuple[datetime, datetime, str] = (_LAST_MINUTE, _LAST_MINUTE, "")
 _last_parsed: tuple[str, datetime] = ("", datetime.min)
 
 
@@ -74,10 +90,13 @@ def format_rfc3339(dt: datetime) -> str:
         if dt.utcoffset() is None:  # no tzinfo, or one that gives no offset: astimezone would read local time
             raise ValueError("naive datetime cannot be serialized")
         dt = dt.astimezone(UTC)
-    key = (dt.year, dt.month, dt.day, dt.hour, dt.minute)
-    minute, prefix = _last_formatted
-    if key == minute and not dt.microsecond:
-        return "%s%02dZ" % (prefix, dt.second)
-    text = dt.isoformat()[:-6]  # without its "+00:00"
-    _last_formatted = (key, text[:17])
-    return (text.rstrip("0") if dt.microsecond else text) + "Z"
+    if dt.microsecond:
+        return dt.isoformat()[:-6].rstrip("0") + "Z"  # without its "+00:00" and the fraction's trailing zeros
+    low, high, prefix = _last_formatted
+    if low <= dt < high:
+        return prefix + _SECOND_TEXT[dt.second]
+    text = dt.isoformat()[:-6]
+    low = dt - timedelta(0, dt.second)  # half the cost of dt.replace(second=0)
+    if low != _LAST_MINUTE:
+        _last_formatted = (low, low + _MINUTE, text[:17])
+    return text + "Z"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from wandrelay.analytics import (
     summarize_frames_groups,
 )
 from wandrelay.engine import ContextSample
-from wandrelay.errors import EmptyInput, IncompleteLog
+from wandrelay.errors import EmptyInput, IncompleteLog, ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import (
     Geofence,
@@ -160,6 +161,30 @@ class TestSummarize:
     def test_declined_reaction_still_counts_as_delivered(self):
         report = summarize_frames_groups([run_mini(consent="no").frames])
         assert report.pairs[0].tallies["direct"].received == 1
+
+    def test_frames_the_report_does_not_read_are_never_opened(self):
+        """Only SUBMIT, PLAYBACK and SENDER_VIEW_RESP count; the payload of any other kind is not looked at."""
+
+        class Sealed(dict):
+            def get(self, key, *default):
+                assert key != "payload", "opened a frame the report does not read"
+                return super().get(key, *default)
+
+        frames = run_mini().frames
+        want = render_csv(summarize_frames_groups([frames]))
+        unread = [
+            {"v": 1, "kind": "CONTEXT", "payload": ["not", "an", "object"]},
+            {"v": 1, "kind": "CONTEXT"},
+            {"v": 1, "kind": "ACK", "payload": {"message": 42, "message_id": [], "records": "junk"}},
+            Sealed(v=1, kind="CONTEXT", payload={}),
+            {"v": 1, "kind": ["SUBMIT"], "payload": None},
+        ]
+        assert render_csv(summarize_frames_groups([frames + unread])) == want
+        assert render_csv(summarize_frames_groups([unread[:2] + frames[:3] + unread[2:] + frames[3:]])) == want
+
+    def test_a_submit_without_a_payload_is_refused(self):
+        with pytest.raises(ParseError, match=re.escape("bad SUBMIT frame: KeyError('message')")):
+            summarize_frames_groups([run_mini().frames + [{"v": 1, "kind": "SUBMIT"}]])
 
     def test_matches_independent_recount_on_random_logs(self):
         rng = random.Random(31337)

@@ -194,3 +194,37 @@ def test_a_workload_only_one_side_ran_fails_the_comparison(tmp_path, capsys, onl
     assert list(summary["workloads"]) == ["pairs12"]
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert printed == [f"FAIL: durable_churn has runs only on the {only} side"]
+
+
+@pytest.mark.parametrize("mixed", ["parent", "change"])
+def test_a_side_that_mixes_source_trees_fails_the_comparison(tmp_path, capsys, mixed):
+    """One side's runs from two trees, as a results directory that kept older runs holds, are not one side."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        for directory, sha in ((parent, "aaa"), (change, "bbb")):
+            other = directory.name == mixed and seed == 3
+            write_result(directory, "pairs12", seed, "ccc" if other else sha, {"context_samples_per_s": 100.0})
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 1
+
+    summary = json.loads(out.read_text())
+    trees = ["aaaaaa", "cccccc"] if mixed == "parent" else ["bbbbbb", "cccccc"]
+    assert summary[mixed]["src_sha256"] == trees
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert printed == [f"FAIL: {mixed} mixes runs of 2 source trees: {trees}"]
+
+
+def test_two_sides_of_one_source_tree_pass(tmp_path, capsys):
+    """A change to the benchmark alone compares one program tree with itself."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        write_result(parent, "pairs12", seed, "aaa", {"context_samples_per_s": 100.0})
+        write_result(change, "pairs12", seed, "aaa", {"context_samples_per_s": 100.0})
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 0
+
+    summary = json.loads(out.read_text())
+    assert summary["parent"]["src_sha256"] == summary["change"]["src_sha256"] == "aaaaaa"
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")] == []

@@ -229,6 +229,20 @@ def test_a_year_below_1000_survives_a_restart(tmp_path):
     assert DeliveryService(FileStore(tmp_path)).message_states() == {message.message_id: MessageState.PENDING}
 
 
+def test_a_non_ascii_transcript_is_stored_as_json_dumps_writes_it(tmp_path):
+    """The log keeps json.dumps's compact ASCII bytes: escapes for every non-ASCII character, surrogate pairs too."""
+    reaction = {"message_id": A, "recipient_audio": [{"t": "2021-06-05T09:00:03Z", "transcript": "très ☃ 😀 \u2028"}],
+                "sender_voice_note": {"duration": 2.0, "transcript": "Grüße"}, "consent": "Yes"}
+    events = [{"ev": "reacted", "message_id": A, "reaction": reaction}, {"ev": "declined", "message_id": B, "at": "é"}]
+    store = FileStore(tmp_path)
+    for event in events:
+        store.record_event("r1", event)
+    written = (tmp_path / "queues" / "r1.log").read_bytes()
+    lines = [json.dumps(event, separators=(",", ":")).encode() + b"\n" for event in events]
+    assert written == b'{"snap":0}\n' + b"".join(lines)  # a new log names its (absent) snapshot's size first
+    assert written.isascii()
+
+
 def to(recipient, seed):
     return compose("s1", recipient, "dog", 1.0, VoiceNote(2.0, "x"), now=at("08:55:00"),
                    id_factory=IdFactory(seed))

@@ -164,6 +164,8 @@ class _NoOffset(tzinfo):
 # Minutes whose stamps share a 17-character prefix; years below 1000 included.
 MINUTES = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59)).map(
     lambda dt: dt.replace(second=0, microsecond=0, tzinfo=UTC))
+# The first and the last minute of the datetime range; the last has no next minute to bound a cache.
+RANGE_END_MINUTES = [datetime(1, 1, 1, tzinfo=UTC), datetime(9999, 12, 31, 23, 59, tzinfo=UTC)]
 # Forms outside the RFC 3339 grammar, refused whatever the cache holds.
 REFUSED = [
     "20240101T000000Z", "2024-W01-1T00:00:00Z", "2024-01-01T00Z", "2024-01-01T00:00:00,5Z",
@@ -222,6 +224,29 @@ class TestMinuteCache:
         for dt in dts:
             assert format_rfc3339(dt) == reference_format(dt), dt
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(RANGE_END_MINUTES + [datetime(2021, 6, 5, 9, 0, tzinfo=UTC)]),
+                              st.integers(0, 59), st.one_of(st.just(0), st.integers(0, 999_999))),
+                    min_size=1, max_size=30))
+    def test_both_ends_of_the_datetime_range_equal_the_references(self, items):
+        """The first and the last minute datetime holds, interleaved with another and repeated: no bound overflows."""
+        for minute, second, micros in items + items:
+            dt = minute + timedelta(seconds=second, microseconds=micros)
+            text = reference_format(dt)
+            assert format_rfc3339(dt) == text, dt
+            assert outcome(parse_rfc3339, text) == outcome(reference_parse, text), text
+
+    def test_every_second_at_both_ends_of_the_datetime_range(self):
+        other = datetime(2021, 6, 5, 9, 0, tzinfo=UTC)
+        for _ in range(2):
+            for minute in RANGE_END_MINUTES:
+                for s in range(60):
+                    for dt in (minute + timedelta(seconds=s), minute + timedelta(seconds=s, microseconds=250_000),
+                               other + timedelta(seconds=s)):
+                        text = reference_format(dt)
+                        assert format_rfc3339(dt) == text
+                        assert parse_rfc3339(text) == dt == reference_parse(text)
+
     def test_a_minute_parsed_once_is_not_matched_again(self, monkeypatch):
         matched = []
 
@@ -247,6 +272,10 @@ class TestMinuteCache:
         dts = [Counting(2031, 2, 3, 4, 5, s, tzinfo=UTC) for s in range(60)]
         assert [format_rfc3339(dt) for dt in dts] == [f"2031-02-03T04:05:{s:02d}Z" for s in range(60)]
         assert rendered == dts[:1]
+        fraction = Counting(2031, 2, 3, 4, 6, 0, 500_000, tzinfo=UTC)  # rendered, but the cached minute stays
+        assert format_rfc3339(fraction) == "2031-02-03T04:06:00.5Z"
+        assert [format_rfc3339(dt) for dt in dts] == [f"2031-02-03T04:05:{s:02d}Z" for s in range(60)]
+        assert rendered == [dts[0], fraction]
 
     def test_two_threads_never_mix_their_minutes(self):
         """Each thread parses and formats its own minute; a cache read half from the other's would show."""

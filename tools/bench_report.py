@@ -25,7 +25,8 @@ For each workload it also gives each side's failed and attempted operations
 ``BENCHMARK.json`` that only one side ran.
 
 The exit code is 1, with each cause named on a ``FAIL`` line, when either side
-has an incorrect run, a workload has runs on one side only, a workload's
+has an incorrect run or runs of more than one source tree (``src_sha256``), a
+workload has runs on one side only, a workload's
 change runs fail a larger share of their attempted operations than its parent
 runs, or any metric is worse beyond its bound; it is 0 otherwise. The summary
 is written either way.
@@ -170,10 +171,13 @@ def fmt(value: float | None) -> str:
 
 
 def failures(summary: dict[str, Any]) -> list[str]:
-    """What makes the comparison fail: incorrect runs on either side, a workload only one side ran, a larger
-    failed share of operations on the change, metrics worse beyond their bounds."""
+    """What makes the comparison fail: incorrect runs on either side, a side whose runs come from more than one
+    source tree, a workload only one side ran, a larger failed share of operations on the change, metrics worse
+    beyond their bounds. Both sides may share one tree."""
     found = [f"{name} has {summary[name]['incorrect_runs']} incorrect runs"
              for name in ("parent", "change") if summary[name]["incorrect_runs"]]
+    found += [f"{name} mixes runs of {len(summary[name]['src_sha256'])} source trees: {summary[name]['src_sha256']}"
+              for name in ("parent", "change") if isinstance(summary[name]["src_sha256"], list)]
     found += [f"{workload} has runs only on the {name} side" for workload, name in summary["one_sided"].items()]
     for workload, ops in summary["failed_ops"].items():
         before, after = ops["parent"], ops["change"]
