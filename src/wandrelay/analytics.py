@@ -2,8 +2,9 @@
 
 From a run log, counts come only from SUBMIT and PLAYBACK frames plus the
 terminal states reported by the closing sender-view frames. From a data dir,
-they come from the queue journals' ``enqueued`` and ``delivered`` events,
-which the report reads and never repairs. Each (sender, recipient) pair gets
+they come from the message records of a service recovered from it, as
+``serve`` recovers it but without the repairs, so the report refuses what
+``serve`` refuses and writes nothing. Each (sender, recipient) pair gets
 per-category sent/received counts and an integer-percent delivery rate;
 summary rows (median / mean / sample SD) are computed over those integer
 rates, excluding pairs with nothing sent in a category.
@@ -18,9 +19,10 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import protocol
-from .errors import DuplicateMessageId, EmptyInput, IncompleteLog, ParseError, WandRelayError
-from .model import EVENT_TRANSITIONS, ArMessage, MessageState, Specificity, message_from_dict
-from .storage import read_journal
+from .errors import EmptyInput, IncompleteLog, ParseError
+from .model import ArMessage, MessageState, Specificity, message_from_dict
+from .service import DeliveryService
+from .storage import JournalReader
 
 CATEGORIES = ("location", "time", "marker", "specific", "flexible", "direct")
 
@@ -137,45 +139,24 @@ def summarize_frames_groups(groups: Iterable[Iterable[Mapping[str, Any]]]) -> Re
 
 
 def summarize_data_dirs(roots: Sequence[str | Path]) -> Report:
-    """Aggregate data dirs, read and never repaired, into a deliverability report.
+    """Aggregate data dirs, each recovered as ``serve`` recovers it, into a deliverability report.
 
-    Each dir's messages count in ``(created_at, message_id)`` order, so pairs
-    come in the order of their first message. A message is received exactly
-    when its queue holds a ``delivered`` event: a Pending one counts as sent
-    and not received, as the end of a run would expire it.
+    Each dir is read by ``DeliveryService`` over a ``JournalReader``, so a
+    journal that recovery refuses is refused here too, with a ``ParseError``
+    naming the dir. Its messages count in ``(created_at, message_id)``
+    order, so pairs come in the order of their first message. A message is
+    received exactly when it was delivered: a Pending one counts as sent and
+    not received, as the end of a run would expire it.
     """
     outcomes = []
     for root in roots:
-        found = _data_dir_messages(Path(root))
-        outcomes += sorted(found.values(), key=lambda item: (item[0].created_at, item[0].message_id))
-    return _summarize(outcomes)
-
-
-def _data_dir_messages(root: Path) -> dict[str, list[Any]]:
-    """message_id -> [message, received] for every message in a data dir, counted as the journal is read.
-
-    A journal that recovery refuses is refused here too, with a ``ParseError``
-    naming the dir and the queue: a second ``enqueued`` event for one id is
-    ``DuplicateMessageId``, as in ``DeliveryService._apply``.
-    """
-    found: dict[str, list[Any]] = {}
-
-    def take(recipient_id: str, event: Any) -> None:
         try:
-            kind = event["ev"]
-            if kind == "enqueued":
-                message = message_from_dict(event["message"])
-                if found.setdefault(message.message_id, [message, False])[0] is not message:
-                    raise DuplicateMessageId(message.message_id)
-            elif kind == "delivered":
-                found[event["message_id"]][1] = True
-            elif kind not in EVENT_TRANSITIONS:
-                raise ValueError(f"unknown stored event kind {kind!r}")
-        except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"{root}: queue {recipient_id}: bad stored event: {exc!r}") from None
-
-    read_journal(root, take)
-    return found
+            records = DeliveryService(JournalReader(root)).records.values()
+        except ParseError as exc:
+            raise ParseError(f"{root}: {exc.detail}") from None
+        ordered = sorted(records, key=lambda r: (r.message.created_at, r.message.message_id))
+        outcomes += [(r.message, r.delivered_at is not None) for r in ordered]
+    return _summarize(outcomes)
 
 
 def _summarize(outcomes: Iterable[Sequence[Any]]) -> Report:

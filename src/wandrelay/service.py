@@ -144,7 +144,7 @@ class DeliveryService:
         self._markers = set(declared_markers) if declared_markers is not None else None
 
         self._principals: set[str] = set()
-        self._records: dict[str, MessageRecord] = {}
+        self.records: dict[str, MessageRecord] = {}
         self._by_sender: dict[str, list[MessageRecord]] = {}
         self._pending: defaultdict[str, TriggerIndex] = defaultdict(TriggerIndex)
         self._last_t: dict[str, datetime] = {}
@@ -159,17 +159,25 @@ class DeliveryService:
 
         The only code that changes them: live operations call it once the
         store holds the event, and recovery calls it for every stored event,
-        so both run the same transitions.
+        so both run the same transitions; ``report`` reads a data dir by
+        recovering it. An event filed under a queue other than its message's
+        recipient's is refused before anything changes.
         """
         kind = event["ev"]
         if kind == "enqueued":
             record = MessageRecord(message_from_dict(event["message"]))
-            if self._records.setdefault(record.message.message_id, record) is not record:
+        elif kind in EVENT_TRANSITIONS:
+            record = self.records[event["message_id"]]
+        else:
+            raise ParseError(f"unknown stored event kind {kind!r}")
+        if record.message.recipient_id != recipient_id:  # live operation files no event under another queue
+            raise ParseError(f"{record.message.message_id} is addressed to {record.message.recipient_id}")
+        if kind == "enqueued":
+            if self.records.setdefault(record.message.message_id, record) is not record:
                 raise DuplicateMessageId(record.message.message_id)
             self._by_sender.setdefault(record.message.sender_id, []).append(record)
             self._pending[recipient_id].add(record.message)
-        elif kind in EVENT_TRANSITIONS:
-            record = self._records[event["message_id"]]
+        else:
             if record.advance(EVENT_TRANSITIONS[kind]) is MessageState.PENDING:
                 self._pending[recipient_id].remove(record.message.message_id)
             if kind in ("delivered", "expired"):
@@ -180,8 +188,6 @@ class DeliveryService:
                 record.delivered_at = at
             elif kind == "reacted":
                 record.reaction = reaction_from_dict(event["reaction"])
-        else:
-            raise ParseError(f"unknown stored event kind {kind!r}")
 
     def _record(self, recipient_id: str, event: dict[str, Any]) -> None:
         """Make the event durable, then apply it."""
@@ -195,7 +201,7 @@ class DeliveryService:
             try:
                 self._apply(recipient_id, event)
             except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
-                raise ParseError(f"queue {recipient_id}: stored event cannot be applied: {exc!r}") from None
+                raise ParseError(f"queue {recipient_id}: bad stored event: {exc!r}") from None
 
         self._principals.update(self._store.replay(apply))
 
@@ -210,32 +216,29 @@ class DeliveryService:
             self._store.record_principal(principal)
             self._principals.add(principal)
 
-    def end_of_run(self, at: datetime) -> list[str]:
+    def end_of_run(self, at: datetime) -> None:
         """Scenario end: expire whatever is still pending, discard open captures.
 
         The privacy-preserving default applies to any capture without an
         answer: it is discarded and the message marked ReactionDeclined. So
         does a Delivered message whose capture was lost with an earlier
-        process. Returns the ids of messages expired here.
+        process.
         """
         stamp = format_rfc3339(at)
-        expired_ids: list[str] = []
         for recipient_id, index in list(self._pending.items()):
             for message in list(index.messages.values()):
                 self._record(recipient_id, {"ev": "expired", "message_id": message.message_id, "at": stamp})
-                expired_ids.append(message.message_id)
         for recipient_id, session, line in self._captures.drain():
             session.awaiting = True
             finalize(session, False)
             for message_id in line:
                 self._record(recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
-        for message_id, record in self._records.items():
+        for message_id, record in self.records.items():
             if record.state is MessageState.DELIVERED:
                 self._record(record.message.recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
-        return expired_ids
 
     def message_states(self) -> dict[str, MessageState]:
-        return {message_id: record.state for message_id, record in self._records.items()}
+        return {message_id: record.state for message_id, record in self.records.items()}
 
     # -- requests ---------------------------------------------------------------------
 
@@ -288,7 +291,7 @@ class DeliveryService:
         _check_origin(origin, message.sender_id)
         if message.recipient_id not in self._principals:
             raise UnknownRecipient(message.recipient_id)
-        if message.message_id in self._records:
+        if message.message_id in self.records:
             raise DuplicateMessageId(message.message_id)
         check_new_message(
             message.sender_id, message.recipient_id, message.content_id, message.scale, message.schedule, self._markers
@@ -361,7 +364,7 @@ class DeliveryService:
         UnknownMessage, so no answer tells whether another's message exists.
         One already answered raises ``closed``.
         """
-        record = self._records.get(message_id)
+        record = self.records.get(message_id)
         if record is None or record.message.recipient_id != origin:
             raise UnknownMessage(f"no capture session for {message_id}")
         if record.state in (MessageState.REACTED, MessageState.REACTION_DECLINED):
@@ -422,7 +425,7 @@ class DeliveryService:
             # An answer given after the last capture start starts the next
             # capture at that start, so its deadline is still a datetime.
             started_at = min(at, LAST_CAPTURE_START)
-            session = self._captures.begin_capture(recipient_id, started_at, self._records[next_id].message.voice_note)
+            session = self._captures.begin_capture(recipient_id, started_at, self.records[next_id].message.voice_note)
             frames.append(_reaction_start(session, recipient_id))
         return frames
 

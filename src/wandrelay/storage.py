@@ -21,11 +21,12 @@ Recovery keeps none either. ``read_journal`` hands each stored event to its
 caller's ``apply`` as it parses it: it walks the snapshot's array in place
 with ``json.JSONDecoder.raw_decode`` and reads the log line by line, so the
 most it holds beyond what ``apply`` keeps is one snapshot's text. It writes
-nothing, so ``report`` can read a live server's data dir;
-``FileStore.replay()`` then repairs what a crash can leave behind, once the
-last event is applied, so a recovery that fails writes nothing. An
-unterminated last line is an append cut short, never acknowledged: it is
-dropped, and the repair cuts it off the file. A log whose snapshot is no
+nothing. ``FileStore.replay()`` then repairs what a crash can leave behind,
+once the last event is applied, so a recovery that fails writes nothing.
+``JournalReader`` reads without the repairs and has no write methods, so
+``report`` recovers a service from a live server's data dir without
+changing a byte of it. An unterminated last line is an append cut short,
+never acknowledged: it is dropped, and the repair cuts it off the file. A log whose snapshot is no
 longer the size its first line names is one a crash left between the
 snapshot's rename and the log's removal: its events are in the snapshot,
 and the repair removes it. A log without that first line is never taken
@@ -231,6 +232,20 @@ class FileStore:
         queues: Queues = {}
         principals = self.replay(lambda recipient_id, event: queues.setdefault(recipient_id, []).append(event))
         return principals, queues
+
+
+class JournalReader:
+    """A data dir read as ``FileStore.replay`` reads it, without the repairs.
+
+    It has no write methods, so a service recovered from it fails at once
+    on any write rather than dropping it.
+    """
+
+    def __init__(self, data_dir: str | Path):
+        self.root = Path(data_dir)
+
+    def replay(self, apply: Apply) -> set[str]:
+        return read_journal(self.root, apply)[0]
 
 
 def _log_entries(path: Path, torn: list[tuple[Path, int]]) -> Iterator[Any]:

@@ -88,6 +88,27 @@ def test_raw_figures_and_reference_slices_stand_beside_the_scaled_ones(tmp_path,
     assert any(line.split()[:5] == ["pairs12", "slice_p50_ms", "11", "->", "13"] for line in printed.splitlines())
 
 
+def test_raw_wins_are_counted_per_pair_beside_the_scaled_ones(tmp_path, capsys):
+    """A workload can lose most scaled pairs while winning most raw ones; both counts are written and printed."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (scaled_after, raw_after) in enumerate([(95.0, 110.0), (98.0, 105.0), (101.0, 99.0), (100.0, 100.0)],
+                                                     start=1):
+        write_result(parent, "deep_queue", seed, "aaa", {"context_samples_per_s": 100.0, "restart_s": 0.2},
+                     raw={"context_samples_per_s": 100.0, "restart_s": 0.2})
+        write_result(change, "deep_queue", seed, "bbb", {"context_samples_per_s": scaled_after, "restart_s": 0.2},
+                     raw={"context_samples_per_s": raw_after, "restart_s": 0.1 * seed})
+    out = tmp_path / "BENCH.json"
+
+    assert bench_report.main([str(parent), str(change), "--out", str(out)]) == 0
+
+    metrics = json.loads(out.read_text())["workloads"]["deep_queue"]
+    rate, restart = metrics["context_samples_per_s"], metrics["restart_s"]
+    assert (rate["change_wins"], rate["change_wins_raw"]) == (1, 2)  # the ties count for neither
+    assert (restart["change_wins"], restart["change_wins_raw"]) == (0, 1)  # lower is better
+    printed = capsys.readouterr().out
+    assert "change won 1/4" in printed and "raw 100 -> 102.5 won 2/4" in printed
+
+
 def test_directory_without_results_is_an_error(tmp_path):
     (tmp_path / "empty").mkdir()
     write_result(tmp_path / "change", "pairs12", 1, "bbb", {"restart_s": 0.2})

@@ -275,7 +275,7 @@ class LiveEqualsReplay(RuleBasedStateMachine):
         indexed = {(r, mid) for r, index in self.service._pending.items() for mid in index.messages}
         pending = {
             (record.message.recipient_id, mid)
-            for mid, record in self.service._records.items()
+            for mid, record in self.service.records.items()
             if record.state is MessageState.PENDING
         }
         assert indexed == pending

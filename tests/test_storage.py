@@ -41,11 +41,11 @@ A, B, C, D = (
 )
 
 
-def enqueued(message_id, content, scale, note, schedule, created):
+def enqueued(message_id, content, scale, note, schedule, created, recipient="r1"):
     return (
-        '{"ev":"enqueued","message":{"v":1,"message_id":"%s","sender_id":"s1","recipient_id":"r1",'
+        '{"ev":"enqueued","message":{"v":1,"message_id":"%s","sender_id":"s1","recipient_id":"%s",'
         '"content_id":"%s","scale":%s,"voice_note":%s,"schedule":%s,"created_at":"2021-06-05T%sZ",'
-        '"state":"Pending"}}' % (message_id, content, scale, note, schedule, created)
+        '"state":"Pending"}}' % (message_id, recipient, content, scale, note, schedule, created)
     )
 
 
@@ -440,8 +440,9 @@ def test_hello_refuses_a_principal_too_long_for_a_file_name(tmp_path):
 
 DELIVERED_A = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}' % A
 ENQUEUED_A = enqueued(A, "dog", "1.0", '{"duration":2.0,"transcript":"x"}', "null", "08:50:00")
-ENQUEUED_B = enqueued(B, "bee", "1.5", '{"duration":1.0,"transcript":"hi"}', "null", "08:51:00")
+ENQUEUED_B = enqueued(B, "bee", "1.5", '{"duration":1.0,"transcript":"hi"}', "null", "08:51:00", recipient="r0")
 DELIVERED_B = '{"ev":"delivered","message_id":"%s","at":"2021-06-05T09:00:00Z"}' % B
+DECLINED_A = '{"ev":"declined","message_id":"%s","at":"2021-06-05T09:00:20Z"}' % A
 REACTED_A = (
     '{"ev":"reacted","message_id":"%s","reaction":{"message_id":"%s","started_at":"2021-06-05T09:00:00Z",' % (A, A)
     + '"tracks":{"scene":[],"recipient_audio":[{"t":"2021-06-05T09:00:03Z","transcript":"wow"}],'
@@ -477,15 +478,25 @@ REACTED_A = (
         ({"queues/r1.log": ENQUEUED_A.replace('"state":"Pending"', '"state":"Delivered"') + "\n"}, "queue r1:"),
         ({"queues/r1.log": "\n".join([ENQUEUED_A, DELIVERED_A, REACTED_A.replace('"transcript":"wow"', '"transcript":5')])
           + "\n"}, "queue r1:"),
+        ({"queues/r1.log": "\n".join([ENQUEUED_A, DECLINED_A, DELIVERED_A]) + "\n"}, "queue r1:"),
+        ({"queues/r1.log": "\n".join([ENQUEUED_A, DELIVERED_A, DELIVERED_A.replace("delivered", "expired")]) + "\n"},
+         "queue r1:"),
+        ({"queues/r1.log": "\n".join([ENQUEUED_A, DELIVERED_A.replace("2021-06-05T09:00:00Z", "09:00")]) + "\n"},
+         "queue r1:"),
+        # r2's message filed under r1's queue: r1's first worn sample would fail on it
+        ({"queues/r1.log": ENQUEUED_A.replace('"recipient_id":"r1"', '"recipient_id":"r2"') + "\n"}, "queue r1:"),
     ],
     ids=["principal-missing", "principal-not-object", "snapshot-not-json", "snapshot-without-events",
          "snapshot-events-not-list", "snapshot-event-not-object", "log-line-not-event", "unknown-ev",
          "transition-of-unknown-message", "bad-message", "illegal-transition", "snapshot-bad-midway",
-         "illegal-transition-beside-repairs", "enqueued-twice", "enqueued-not-pending", "reaction-transcript-not-string"],
+         "illegal-transition-beside-repairs", "enqueued-twice", "enqueued-not-pending", "reaction-transcript-not-string",
+         "declined-before-delivered", "expired-after-delivered", "delivered-at-not-a-timestamp",
+         "enqueued-under-another-queue"],
 )
 def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, files, named):
     """serve exits 1 with ``error: ParseError:`` naming the file or queue, never with InternalError,
-    leaves no file open and writes nothing: the repairs a recovery makes come after its last event."""
+    leaves no file open and writes nothing: the repairs a recovery makes come after its last event.
+    ``report`` refuses the same journals with the same text after the dir's name, and writes nothing either."""
     data = tmp_path / "data"
     (data / "queues").mkdir(parents=True)
     for name, content in files.items():
@@ -497,6 +508,9 @@ def test_malformed_store_stops_recovery_with_a_parse_error(tmp_path, capsys, fil
     before = stored()
     with pytest.raises(ParseError, match=named):
         DeliveryService(FileStore(data))
+    assert stored() == before
+    with pytest.raises(ParseError, match=re.escape(f"{data}: ") + ".*" + re.escape(named)):
+        summarize_data_dirs([data])
     assert stored() == before
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -11,7 +11,8 @@ parent's, in the metric's bad direction, by more than the metric's bound (a
 fraction of the parent's median). That is the regression rule a change is
 held to, and the script prints it beside each row.
 Beside those scaled figures it gives the same spread of the raw wall-clock
-values (``meta["raw"]``, as ``parent_raw`` and ``change_raw``), and for each
+values (``meta["raw"]``, as ``parent_raw`` and ``change_raw``) and the
+same-seed pairs the change won on them (``change_wins_raw``), and for each
 workload each side's median reference slice (``meta["speed"]["slice_p50_ms"]``):
 a gain that comes only from slower reference slices shows as a scaled gain
 with no raw one and a longer slice. It also records the seeds, ``nproc``, the
@@ -101,6 +102,11 @@ def raw(run: dict[str, Any], name: str) -> float | None:
     return run["meta"].get("raw", {}).get(name)
 
 
+def wins(pairs: list[tuple[float, float]], higher: bool) -> int:
+    """How many (parent, change) pairs the change won; a tie counts for neither."""
+    return sum((c > p) if higher else (c < p) for p, c in pairs)
+
+
 def worse_beyond_bound(parent: float, change: float, higher: bool, bound: float) -> bool:
     """Whether ``change`` is worse than ``parent`` by more than ``bound`` times ``parent``."""
     return change < parent * (1 - bound) if higher else change > parent * (1 + bound)
@@ -140,7 +146,7 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
                 "parent": before_spread,
                 "change": after_spread,
                 "pairs": len(pairs),
-                "change_wins": sum((c > p) if higher else (c < p) for p, c in pairs),
+                "change_wins": wins(pairs, higher),
                 "worse_beyond_bound": worse_beyond_bound(
                     before_spread["median"], after_spread["median"], higher, metric["bound"]
                 ),
@@ -149,6 +155,7 @@ def report(parent: list[dict[str, Any]], change: list[dict[str, Any]], benchmark
             if raws:
                 metrics[name]["parent_raw"] = spread([p for p, _ in raws])
                 metrics[name]["change_raw"] = spread([c for _, c in raws])
+                metrics[name]["change_wins_raw"] = wins(raws, higher)
         workloads[workload] = metrics
         slices[workload] = {"parent": slice_p50_ms(list(before.values())), "change": slice_p50_ms(list(after.values()))}
         failed_ops[workload] = {"parent": operations(list(before.values())), "change": operations(list(after.values()))}
@@ -200,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     for workload, metrics in summary["workloads"].items():
         for name, m in metrics.items():
-            raw = f"raw {m['parent_raw']['median']:.6g} -> {m['change_raw']['median']:.6g}" if "change_raw" in m else ""
+            raw = (f"raw {m['parent_raw']['median']:.6g} -> {m['change_raw']['median']:.6g} "
+                   f"won {m['change_wins_raw']}/{m['change_raw']['runs']}" if "change_raw" in m else "")
             verdict = "WORSE BEYOND BOUND" if m["worse_beyond_bound"] else "within bound"
             print(f"{workload:14s} {name:22s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g} "
                   f"{m['unit']:4s} change won {m['change_wins']}/{m['pairs']}  {verdict}  {raw}")
