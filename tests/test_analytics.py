@@ -239,7 +239,91 @@ class TestDataDirs:
             service.close()
 
 
+TEXT_HEADER = (
+    "Location Sent  Location Rcvd  Location Rate  Time Sent  Time Rcvd  Time Rate"
+    "  Marker Sent  Marker Rcvd  Marker Rate  Specific Sent  Specific Rcvd  Specific Rate"
+    "  Flexible Sent  Flexible Rcvd  Flexible Rate  Direct Sent  Direct Rcvd  Direct Rate"
+)
+CSV_HEADER = (
+    "pair,sender,recipient,location_sent,location_received,location_rate,time_sent,time_received,time_rate,"
+    "marker_sent,marker_received,marker_rate,specific_sent,specific_received,specific_rate,"
+    "flexible_sent,flexible_received,flexible_rate,direct_sent,direct_received,direct_rate"
+)
+# The text report's cells after the first column, for a category with nothing sent
+TEXT_UNSENT = {
+    "location": "              0              0            N/A",
+    "time": "          0          0        N/A",
+    "marker": "            0            0          N/A",
+    "specific": "              0              0            N/A",
+    "flexible": "              0              0            N/A",
+    "direct": "            0            0          N/A",
+}
+TEXT_SD = (
+    "SD                N/A            N/A            N/A        N/A        N/A        N/A"
+    "          N/A          N/A          N/A            N/A            N/A            N/A"
+    "            N/A            N/A            N/A          N/A          N/A          N/A"
+)
+CSV_SD = "SD,,," + ",".join(["N/A"] * 18)
+
+
+def text_row(label, **cells):
+    """A text row: the label padded as in a report with summary rows, then each category's cells."""
+    return label.ljust(6) + "".join(cells.get(c, TEXT_UNSENT[c]) for c in analytics.CATEGORIES)
+
+
+def csv_row(label, **cells):
+    return label + "," + ",".join(cells.get(c, "0,0,N/A") for c in analytics.CATEGORIES)
+
+
 class TestRendering:
+    """The exact renderings pin the reports that the twelve-pair golden does not cover."""
+
+    def test_an_empty_report_is_its_header(self):
+        report = summarize_frames_groups([[]])
+        assert render_text(report) == "Pair  " + TEXT_HEADER + "\n"
+        assert render_csv(report) == CSV_HEADER + "\n"
+
+    def test_one_pair_has_no_sd(self):
+        report = summarize_frames_groups([run_mini().frames])
+        direct = "            1            1         100%"
+        assert render_text(report) == "\n".join([
+            "Pair    " + TEXT_HEADER,
+            text_row("s1/r1", direct=direct),
+            text_row("Median", direct=direct),
+            text_row("Mean", direct="            1            1       100.0%"),
+            TEXT_SD,
+        ]) + "\n"
+        assert render_csv(report) == "\n".join([
+            CSV_HEADER,
+            csv_row("s1/r1,s1,r1", direct="1,1,100%"),
+            csv_row("Median,,", direct="1,1,100%"),
+            csv_row("Mean,,", direct="1,1,100.0%"),
+            CSV_SD,
+        ]) + "\n"
+
+    def test_a_pending_message_in_a_data_dir_is_sent_and_not_received(self, tmp_path):
+        service = DeliveryService(FileStore(tmp_path))
+        for principal in ("s1", "r1"):
+            service.register_principal(principal)
+        assert submit(service, message_with(TriggerSchedule(geofence=FENCE)))[0]["kind"] == "ACK"
+        report = analytics.summarize_data_dirs([tmp_path])
+        service.close()
+        location = "              1              0             0%"
+        assert render_text(report) == "\n".join([
+            "Pair    " + TEXT_HEADER,
+            text_row("s1/r1", location=location),
+            text_row("Median", location=location),
+            text_row("Mean", location="              1              0           0.0%"),
+            TEXT_SD,
+        ]) + "\n"
+        assert render_csv(report) == "\n".join([
+            CSV_HEADER,
+            csv_row("s1/r1,s1,r1", location="1,0,0%"),
+            csv_row("Median,,", location="1,0,0%"),
+            csv_row("Mean,,", location="1,0,0.0%"),
+            CSV_SD,
+        ]) + "\n"
+
     def test_text_report_is_aligned_and_complete(self):
         report = summarize_frames_groups([run_mini().frames])
         text = render_text(report)
