@@ -7,7 +7,9 @@ they come from the message records of a service recovered from it, as
 ``serve`` refuses and writes nothing. Each (sender, recipient) pair gets
 per-category sent/received counts and an integer-percent delivery rate;
 summary rows (median / mean / sample SD) are computed over those integer
-rates, excluding pairs with nothing sent in a category.
+rates, excluding pairs with nothing sent in a category. The text and CSV
+renderings lay out one table: the same rows with the same cells, under
+their own headers.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import protocol
-from .errors import EmptyInput, IncompleteLog, ParseError
+from .errors import IncompleteLog, ParseError
 from .model import ArMessage, MessageState, Specificity, message_from_dict
 from .service import DeliveryService
 from .storage import JournalReader
@@ -57,9 +59,10 @@ class Stats:
     sd: float | None  # sample standard deviation; None when n < 2
 
 
-def stats(values: Sequence[float]) -> Stats:
+def stats(values: Sequence[float]) -> Stats | None:
+    """None for an empty list: a column with no values has no statistics."""
     if not values:
-        raise EmptyInput("stats over an empty list")
+        return None
     return Stats(
         median=float(statistics.median(values)),
         mean=statistics.fmean(values),
@@ -143,17 +146,14 @@ def summarize_data_dirs(roots: Sequence[str | Path]) -> Report:
 
     Each dir is read by ``DeliveryService`` over a ``JournalReader``, so a
     journal that recovery refuses is refused here too, with a ``ParseError``
-    naming the dir. Its messages count in ``(created_at, message_id)``
+    naming the dir once. Its messages count in ``(created_at, message_id)``
     order, so pairs come in the order of their first message. A message is
     received exactly when it was delivered: a Pending one counts as sent and
     not received, as the end of a run would expire it.
     """
     outcomes = []
     for root in roots:
-        try:
-            records = DeliveryService(JournalReader(root)).records.values()
-        except ParseError as exc:
-            raise ParseError(f"{root}: {exc.detail}") from None
+        records = DeliveryService(JournalReader(root)).records.values()
         ordered = sorted(records, key=lambda r: (r.message.created_at, r.message.message_id))
         outcomes += [(r.message, r.delivered_at is not None) for r in ordered]
     return _summarize(outcomes)
@@ -169,26 +169,13 @@ def _summarize(outcomes: Iterable[Sequence[Any]]) -> Report:
         tally.received += received
 
     ordered = list(pairs.values())
-
-    def column(values: list[float]) -> Stats | None:
-        return stats(values) if values else None
-
-    sent_stats = {
-        c: column([float(p.tallies[c].sent) for p in ordered]) for c in CATEGORIES
-    }
-    received_stats = {
-        c: column([float(p.tallies[c].received) for p in ordered]) for c in CATEGORIES
-    }
-    rate_stats = {
-        c: column([float(p.tallies[c].rate) for p in ordered if p.tallies[c].rate is not None])
-        for c in CATEGORIES
-    }
-    return Report(
-        pairs=ordered,
-        sent_stats=sent_stats,
-        received_stats=received_stats,
-        rate_stats=rate_stats,
-    )
+    report = Report(pairs=ordered, sent_stats={}, received_stats={}, rate_stats={})
+    for c in CATEGORIES:
+        tallies = [p.tallies[c] for p in ordered]
+        report.sent_stats[c] = stats([float(t.sent) for t in tallies])
+        report.received_stats[c] = stats([float(t.received) for t in tallies])
+        report.rate_stats[c] = stats([float(t.rate) for t in tallies if t.rate is not None])
+    return report
 
 
 def summarize_paths(paths: Sequence[str | Path]) -> Report:
@@ -221,37 +208,30 @@ def _fmt_rate_sd(x: float | None) -> str:
     return "N/A" if x is None else f"{x:.1f}"
 
 
-def _table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])] + [
-            cell.rjust(w) for cell, w in zip(row[1:], widths[1:])
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
-
-
-def _summary_rows(report: Report) -> list[tuple[str, list[str]]]:
-    """The Median, Mean and SD rows' cells, shared by both renderings."""
-    rows = []
-    for name, attr, fmt_rate in (
+def _body(report: Report) -> Iterator[tuple[str, list[str], list[str]]]:
+    """Every body row as (label, sender and recipient, cells): one row per pair, then Median, Mean
+    and SD when there are pairs. A summary row leaves sender and recipient empty."""
+    for pair in report.pairs:
+        cells = []
+        for c in CATEGORIES:
+            tally = pair.tallies[c]
+            cells += [str(tally.sent), str(tally.received), _fmt_rate(tally.rate)]
+        yield pair.pair_id, [pair.sender_id, pair.recipient_id], cells
+    if not report.pairs:
+        return
+    for label, attr, fmt_rate in (
         ("Median", "median", _fmt_rate),
         ("Mean", "mean", _fmt_rate_mean),
         ("SD", "sd", _fmt_rate_sd),
     ):
-        def pick(column: Stats | None) -> float | None:
-            return None if column is None else getattr(column, attr)
-
-        cells: list[str] = []
+        cells = []
         for c in CATEGORIES:
-            cells += [
-                _fmt_count(pick(report.sent_stats[c])),
-                _fmt_count(pick(report.received_stats[c])),
-                fmt_rate(pick(report.rate_stats[c])),
-            ]
-        rows.append((name, cells))
-    return rows
+            sent, received, rate = (
+                None if column is None else getattr(column, attr)
+                for column in (report.sent_stats[c], report.received_stats[c], report.rate_stats[c])
+            )
+            cells += [_fmt_count(sent), _fmt_count(received), fmt_rate(rate)]
+        yield label, ["", ""], cells
 
 
 def render_text(report: Report) -> str:
@@ -260,16 +240,13 @@ def render_text(report: Report) -> str:
     for c in CATEGORIES:
         title = c.capitalize()
         header += [f"{title} Sent", f"{title} Rcvd", f"{title} Rate"]
-    rows = [header]
-    for pair in report.pairs:
-        row = [pair.pair_id]
-        for c in CATEGORIES:
-            tally = pair.tallies[c]
-            row += [str(tally.sent), str(tally.received), _fmt_rate(tally.rate)]
-        rows.append(row)
-    if report.pairs:
-        rows += [[name] + cells for name, cells in _summary_rows(report)]
-    return _table(rows) + "\n"
+    rows = [header] + [[label] + cells for label, _parties, cells in _body(report)]
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    lines = []
+    for row in rows:
+        cells = [row[0].ljust(widths[0])] + [cell.rjust(w) for cell, w in zip(row[1:], widths[1:])]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def render_csv(report: Report) -> str:
@@ -278,12 +255,6 @@ def render_csv(report: Report) -> str:
     for c in CATEGORIES:
         header += [f"{c}_sent", f"{c}_received", f"{c}_rate"]
     lines = [",".join(header)]
-    for pair in report.pairs:
-        cells = [pair.pair_id, pair.sender_id, pair.recipient_id]
-        for c in CATEGORIES:
-            tally = pair.tallies[c]
-            cells += [str(tally.sent), str(tally.received), _fmt_rate(tally.rate)]
-        lines.append(",".join(cells))
-    if report.pairs:
-        lines += [",".join([name, "", ""] + cells) for name, cells in _summary_rows(report)]
+    for label, parties, cells in _body(report):
+        lines.append(",".join([label] + parties + cells))
     return "\n".join(lines) + "\n"

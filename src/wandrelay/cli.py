@@ -1,6 +1,7 @@
 """Operator command line: serve | send | simulate | report | validate.
 
-Exit codes: 0 success, 1 input/scenario error, 2 internal error. Every
+Exit codes: 0 success, 1 input/scenario error or an unwritable output
+file, 2 internal error. Every
 failure prints one greppable line to stderr: ``error: <Code>: <detail>``.
 
 The simulator and the analytics are imported only by the commands that use
@@ -144,7 +145,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ParseError(f"cannot read {exc.filename}: {exc.strerror}") from None
     rendered = analytics.render_csv(report) if args.format == "csv" else analytics.render_text(report)
     if args.out:
-        Path(args.out).write_text(rendered)
+        try:
+            Path(args.out).write_text(rendered)
+        except OSError as exc:
+            raise DataDirUnwritable(f"{args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(rendered)
     return 0

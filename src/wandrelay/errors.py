@@ -109,10 +109,6 @@ class IncompleteLog(WandRelayError):
     code = "IncompleteLog"
 
 
-class EmptyInput(WandRelayError):
-    code = "EmptyInput"
-
-
 # -- CLI / server ---------------------------------------------------------------
 
 class AddressInUse(WandRelayError):

@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
-from .errors import ParseError, WandRelayError
+from .errors import DataDirUnwritable, ParseError, WandRelayError
 
 PROTOCOL_VERSION = 1
 
@@ -114,12 +114,18 @@ class FrameRecorder:
     """Keeps every frame it records in ``frames`` and writes it to a log file, if given.
 
     A run's recorder: ``frames`` is the whole wire history, which the run
-    returns and ``report`` can read back from the file.
+    returns and ``report`` can read back from the file. A file that cannot
+    be opened is DataDirUnwritable, naming it.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.frames: list[dict[str, Any]] = []
-        self._fh: TextIO | None = None if path is None else open(path, "w", encoding="utf-8")
+        self._fh: TextIO | None = None
+        if path is not None:
+            try:
+                self._fh = open(path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise DataDirUnwritable(f"{path}: {exc.strerror}") from None
 
     def record(self, frame: dict[str, Any]) -> None:
         if frame.get("kind") == REACTION_FRAME:  # the one kind loggable_frame changes

@@ -238,14 +238,22 @@ class JournalReader:
     """A data dir read as ``FileStore.replay`` reads it, without the repairs.
 
     It has no write methods, so a service recovered from it fails at once
-    on any write rather than dropping it.
+    on any write rather than dropping it. Every ParseError names the dir
+    once: ``read_journal``'s name its files, and a refusal by ``apply`` gets
+    the dir in front.
     """
 
     def __init__(self, data_dir: str | Path):
         self.root = Path(data_dir)
 
     def replay(self, apply: Apply) -> set[str]:
-        return read_journal(self.root, apply)[0]
+        def named(recipient_id: str, event: Any) -> None:
+            try:
+                apply(recipient_id, event)
+            except ParseError as exc:
+                raise ParseError(f"{self.root}: {exc.detail}") from None
+
+        return read_journal(self.root, named)[0]
 
 
 def _log_entries(path: Path, torn: list[tuple[Path, int]]) -> Iterator[Any]:

@@ -161,6 +161,13 @@ class TestSimulate:
         kinds = [f["kind"] for f in protocol.read_frames(out)]
         assert "PLAYBACK" in kinds and "SENDER_VIEW_RESP" in kinds
 
+    def test_an_out_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        scenario = mini_scenario_file(tmp_path)
+        out = tmp_path / "missing" / "run.ndjson"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: DataDirUnwritable: {out}: ") and "No such file" in err, err
+
     def test_deterministic_across_invocations(self, tmp_path):
         scenario = mini_scenario_file(tmp_path)
         a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
@@ -229,6 +236,21 @@ class TestReport:
         out = tmp_path / "report.csv"
         assert main(["report", str(log), "--format", "csv", "--out", str(out)]) == 0
         assert out.read_text().startswith("pair,")
+
+    def test_a_dir_without_queues_is_named_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plain").mkdir()
+        assert main(["report", "plain"]) == 1
+        assert capsys.readouterr().err == "error: ParseError: plain: not a data dir, it has no queues/\n"
+
+    def test_an_out_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        scenario = mini_scenario_file(tmp_path)
+        log = tmp_path / "run.ndjson"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(log)]) == 0
+        out = tmp_path / "missing" / "report.txt"
+        assert main(["report", str(log), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: DataDirUnwritable: {out}: ") and "No such file" in err, err
 
     def test_missing_log_exit_1(self, capsys):
         assert main(["report", "missing.ndjson"]) == 1

@@ -4,17 +4,19 @@ import errno
 import io
 import json
 import os
+import re
 import socket
 import statistics
 import sys
 import threading
 import time
 from datetime import timedelta
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from wandrelay import protocol
+from wandrelay import errors, protocol
 from wandrelay.errors import AddressInUse, ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import MessageState, VoiceNote, compose, message_to_dict
@@ -624,3 +626,16 @@ def test_each_request_is_answered_in_one_write():
         assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     assert counting.writes == expected
     assert received == b"".join(expected)
+
+
+def test_the_documented_error_codes_are_the_codes_errors_py_defines():
+    """The "Error codes" list in docs/protocol.md names every code of the error family, and no other."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
+    section = doc.split("## Error codes", 1)[1]
+    listed = section.split("lines:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"`(\w+)`", listed)
+    defined = {
+        cls.code for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.WandRelayError)
+    }
+    assert len(documented) == len(set(documented))
+    assert set(documented) == defined
