@@ -1,8 +1,8 @@
 """Operator command line: serve | send | simulate | report | validate.
 
 Exit codes: 0 success, 1 input/scenario error or an unwritable output
-file, 2 internal error. Every
-failure prints one greppable line to stderr: ``error: <Code>: <detail>``.
+file, 2 internal error. Every failure prints one greppable line to stderr:
+``error: <Code>: <detail>``.
 
 The simulator and the analytics are imported only by the commands that use
 them, so a ``serve`` (re)start does not pay for them.
