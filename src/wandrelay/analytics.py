@@ -22,13 +22,12 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import protocol
 from .errors import IncompleteLog, ParseError
-from .model import ArMessage, MessageState, Specificity, message_from_dict
+from .model import DELIVERED_STATES, ArMessage, MessageState, Specificity, message_from_dict
 from .service import DeliveryService
 from .storage import JournalReader
 
 CATEGORIES = ("location", "time", "marker", "specific", "flexible", "direct")
 
-_DELIVERED_STATES = {MessageState.DELIVERED, MessageState.REACTED, MessageState.REACTION_DECLINED}
 # The only frame kinds a run log's report reads; a tuple, so a kind of any type is simply not among them.
 _COUNTED_KINDS = (protocol.SUBMIT, protocol.PLAYBACK, protocol.SENDER_VIEW_RESP)
 
@@ -134,7 +133,7 @@ def summarize_frames_groups(groups: Iterable[Iterable[Mapping[str, Any]]]) -> Re
         state = final_states.get(message_id)
         if state is None or state is MessageState.PENDING:
             raise IncompleteLog(f"{message_id} has no terminal state")
-        delivered = state in _DELIVERED_STATES
+        delivered = state in DELIVERED_STATES
         if delivered != (message_id in playback_ids):
             raise IncompleteLog(f"{message_id}: playback frames disagree with state {state.value}")
         outcomes.append((message, delivered))

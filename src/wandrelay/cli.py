@@ -130,6 +130,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed_override is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed_override)
     out = Path(args.out) if args.out else Path(f"{Path(args.scenario).stem}.runlog.ndjson")
+    # The run log opens before the data dir is made, so a refused --out leaves no dir behind.
+    protocol.FrameRecorder(out).close()
     data_dir = _data_dir(args)
     store = FileStore(data_dir) if data_dir else None
     sim.run(scenario, store=store, log_path=out)

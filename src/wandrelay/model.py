@@ -74,6 +74,9 @@ ALLOWED_TRANSITIONS: dict[MessageState, frozenset[MessageState]] = {
     MessageState.EXPIRED: frozenset(),
 }
 
+# The states a message reaches only once delivered: the ones with a delivery time.
+DELIVERED_STATES = frozenset({MessageState.DELIVERED, MessageState.REACTED, MessageState.REACTION_DECLINED})
+
 # Stored event kind -> the state that event moves its message to.
 EVENT_TRANSITIONS: dict[str, MessageState] = {
     "delivered": MessageState.DELIVERED,

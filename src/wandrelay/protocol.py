@@ -14,6 +14,7 @@ inside REACTION_NOTIFY and sender-view frames.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
@@ -62,8 +63,47 @@ def error_frame(exc: WandRelayError, to: str | None = None) -> dict[str, Any]:
     return make_frame(ERROR, {"code": exc.code, "detail": exc.detail}, to=to)
 
 
+class LazyArray(Sequence):
+    """A JSON array whose elements are built only when read or encoded.
+
+    Element ``i`` is ``build(*(column[i] for column in columns))``. A
+    sender's view holds thousands of records: ``encode_frames`` encodes
+    them one at a time, so their dicts never all exist at once. In process
+    it reads as the list of its elements: it iterates, indexes, slices and
+    compares equal to that list.
+    """
+
+    def __init__(self, build: Callable[..., Any], *columns: Sequence[Any]):
+        self._build = build
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return list(map(self._build, *(column[index] for column in self._columns)))
+        return self._build(*(column[index] for column in self._columns))
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._build, *self._columns)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == (list(other) if isinstance(other, LazyArray) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _default(obj: Any) -> list[Any]:
+    """A LazyArray as the list it reads as: ``dumps_canonical`` builds it whole, ``encode_frames`` does not."""
+    if isinstance(obj, LazyArray):
+        return list(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 # Built once: json.dumps with any non-default argument builds a new encoder per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, default=_default)
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -73,6 +113,44 @@ def dumps_canonical(obj: Any) -> str:
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
     return (dumps_canonical(frame) + "\n").encode("utf-8")
+
+
+def encode_frames(frames: Iterable[dict[str, Any]]) -> bytearray:
+    """The frames' lines, in order, in one buffer: what one write sends.
+
+    A view whose records are a LazyArray is written piece by piece: its
+    dicts key by key, and the records one by one straight into the buffer.
+    Every other frame is one ``encode_frame``. The bytes are those of
+    ``encode_frame`` either way.
+    """
+    out = bytearray()
+    for frame in frames:
+        if isinstance(frame["payload"].get("records"), LazyArray):
+            _encode_into(out, frame)
+            out += b"\n"
+        else:
+            out += encode_frame(frame)
+    return out
+
+
+def _encode_into(out: bytearray, obj: Any) -> None:
+    if isinstance(obj, dict):
+        out += b"{"
+        for n, (key, value) in enumerate(obj.items()):
+            if n:
+                out += b","
+            out += dumps_canonical(key).encode("utf-8") + b":"
+            _encode_into(out, value)
+        out += b"}"
+    elif isinstance(obj, LazyArray):
+        out += b"["
+        for n, element in enumerate(obj):
+            if n:
+                out += b","
+            out += dumps_canonical(element).encode("utf-8")
+        out += b"]"
+    else:
+        out += dumps_canonical(obj).encode("utf-8")
 
 
 def decode_frame(line: str | bytes) -> dict[str, Any]:
@@ -128,8 +206,12 @@ class FrameRecorder:
                 raise DataDirUnwritable(f"{path}: {exc.strerror}") from None
 
     def record(self, frame: dict[str, Any]) -> None:
-        if frame.get("kind") == REACTION_FRAME:  # the one kind loggable_frame changes
+        kind = frame.get("kind")
+        if kind == REACTION_FRAME:  # the one kind loggable_frame changes
             frame = loggable_frame(frame)
+        elif kind == SENDER_VIEW_RESP and isinstance(frame["payload"].get("records"), LazyArray):
+            # Kept as plain data, like every recorded frame: the records as they stood at the request.
+            frame = {**frame, "payload": {**frame["payload"], "records": list(frame["payload"]["records"])}}
         self.frames.append(frame)
         if self._fh is not None:
             self._fh.write(dumps_canonical(frame) + "\n")

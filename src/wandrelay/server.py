@@ -25,7 +25,9 @@ A request's direct replies leave in one write, in order, and the socket has
 Nagle's algorithm off. With it on, a write made while an earlier one is
 unacknowledged waits for the client's delayed ACK, about 40 ms on Linux:
 the second of two replies written one by one, or the reply to a request
-that a client sent in one burst behind another.
+that a client sent in one burst behind another. The replies are encoded
+after the lock is released: a sender's view is fixed when it is answered,
+and its records are encoded one at a time into that write.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _send(self, frames: list[dict[str, Any]]) -> None:
         """One write per request: its replies leave together, in order."""
         if frames:
-            self.wfile.write(b"".join(map(protocol.encode_frame, frames)))
+            self.wfile.write(protocol.encode_frames(frames))
 
 
 class WandRelayServer(socketserver.ThreadingTCPServer):

@@ -17,15 +17,18 @@ does not call the engine at all.
 
 Privacy boundary: the only payloads ever addressed to a sender are ACK/ERROR,
 REACTION_NOTIFY, and SENDER_VIEW_RESP, and those are built by
-``_sender_record``, which reads one message's record (its state, delivery
-time and consented reaction), and from consented reaction records, which by
-construction carry no coordinates, marker ids, or trigger-evaluation details.
+``_sender_record``, which reads one message's id, its state at the view's
+request, and what that state shows of its delivery time and consented
+reaction, and from consented reaction records, which by construction carry
+no coordinates, marker ids, or trigger-evaluation details. A view builds
+each record only as it is read or encoded.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from datetime import datetime
+from operator import attrgetter
 from typing import Any
 
 from . import protocol
@@ -43,6 +46,7 @@ from .errors import (
     WandRelayError,
 )
 from .model import (
+    DELIVERED_STATES,
     EVENT_TRANSITIONS,
     ArMessage,
     MessageRecord,
@@ -109,12 +113,17 @@ def _playback(message: ArMessage, delivered_at: datetime) -> dict[str, Any]:
     )
 
 
-def _sender_record(record: MessageRecord) -> dict[str, Any]:
-    """Everything a sender may learn about one of their messages."""
-    out: dict[str, Any] = {"message_id": record.message.message_id, "state": record.state.value}
-    if record.delivered_at is not None:
+def _sender_record(record: MessageRecord, state: MessageState) -> dict[str, Any]:
+    """Everything a sender may learn about one of their messages, as it stood in ``state``.
+
+    The delivery time and the reaction are set once, with the state that
+    shows them, so a record read after a later request still shows the
+    message as it was in ``state``.
+    """
+    out: dict[str, Any] = {"message_id": record.message.message_id, "state": state.value}
+    if state in DELIVERED_STATES:
         out["delivered_at"] = format_rfc3339(record.delivered_at)
-    if record.reaction is not None:
+    if state is MessageState.REACTED:
         out["reaction"] = reaction_to_dict(record.reaction)
     return out
 
@@ -195,13 +204,20 @@ class DeliveryService:
         self._apply(recipient_id, event)
 
     def _recover(self) -> None:
-        """Apply each stored event as the store reads it, so no queue's events are held."""
+        """Apply each stored event as the store reads it, so no queue's events are held.
+
+        An event that cannot be applied is a ParseError naming its queue and
+        the cause; the store's reader puts the data dir in front.
+        """
 
         def apply(recipient_id: str, event: Any) -> None:
             try:
                 self._apply(recipient_id, event)
+            except ParseError as exc:  # the refusal's own code, named once
+                raise ParseError(f"queue {recipient_id}: bad stored event: {exc.detail}") from None
             except (WandRelayError, LookupError, TypeError, ValueError, AttributeError) as exc:
-                raise ParseError(f"queue {recipient_id}: bad stored event: {exc!r}") from None
+                cause = exc if isinstance(exc, WandRelayError) else repr(exc)  # "Code: detail", or the Python error
+                raise ParseError(f"queue {recipient_id}: bad stored event: {cause}") from None
 
         self._principals.update(self._store.replay(apply))
 
@@ -433,16 +449,12 @@ class DeliveryService:
         """One record per message this sender submitted, oldest first."""
         sender_id = _field(payload, "sender_id", str)
         _check_origin(origin, sender_id)
-        records = sorted(
-            self._by_sender.get(sender_id, []), key=lambda r: (r.message.created_at, r.message.message_id)
-        )
-        return [
-            protocol.make_frame(
-                protocol.SENDER_VIEW_RESP,
-                {"sender_id": sender_id, "records": [_sender_record(r) for r in records]},
-                to=sender_id,
-            )
-        ]
+        # Oldest first, ties by id: two stable sorts on keys the records hold, so no key tuple is built.
+        records = sorted(self._by_sender.get(sender_id, []), key=attrgetter("message.message_id"))
+        records.sort(key=attrgetter("message.created_at"))
+        # Each record's dict is built only as it is read or encoded, from its state at this request.
+        view = protocol.LazyArray(_sender_record, records, [r.state for r in records])
+        return [protocol.make_frame(protocol.SENDER_VIEW_RESP, {"sender_id": sender_id, "records": view}, to=sender_id)]
 
 
 _HANDLERS = {

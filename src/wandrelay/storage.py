@@ -18,11 +18,12 @@ once the snapshot is durable; recovery is the snapshot's events, then the
 log's.
 
 Recovery keeps none either. ``read_journal`` hands each stored event to its
-caller's ``apply`` as it parses it: it walks the snapshot's array in place
-with ``json.JSONDecoder.raw_decode`` and reads the log line by line, so the
-most it holds beyond what ``apply`` keeps is one snapshot's text. It writes
-nothing. ``FileStore.replay()`` then repairs what a crash can leave behind,
-once the last event is applied, so a recovery that fails writes nothing.
+caller's ``apply`` as it parses it: it walks the snapshot's array a block
+at a time with ``json.JSONDecoder.raw_decode`` and reads the log line by
+line, so the most it holds beyond what ``apply`` keeps is one block of a
+snapshot's text and the event that block cuts. It writes nothing.
+``FileStore.replay()`` then repairs what a crash can leave behind, once the
+last event is applied, so a recovery that fails writes nothing.
 ``JournalReader`` reads without the repairs and has no write methods, so
 ``report`` recovers a service from a live server's data dir without
 changing a byte of it. An unterminated last line is an append cut short,
@@ -32,7 +33,8 @@ snapshot's rename and the log's removal: its events are in the snapshot,
 and the repair removes it. A log without that first line is never taken
 as folded: its events are applied after the snapshot's. A bad line anywhere
 else, or a file that is not what it should hold, is corruption and raises
-ParseError naming the file.
+ParseError naming the file; a ParseError from ``apply`` gets the dir in
+front.
 
 Reaction capture buffers are deliberately NOT stored here; only consented,
 composed reaction records ever reach disk.
@@ -40,6 +42,7 @@ composed reaction records ever reach disk.
 
 from __future__ import annotations
 
+import codecs
 import errno
 import json
 import os
@@ -58,6 +61,12 @@ _MAX_STEM = 255 - len(_SNAP)  # 255 bytes: the common file-name limit
 _SNAP_HEAD, _SNAP_TAIL = b'{"v":1,"events":[', b"]}"
 _HEAD, _TAIL = _SNAP_HEAD.decode(), _SNAP_TAIL.decode()
 _DECODER = json.JSONDecoder()
+# A snapshot is read this many bytes at a time. Before the file's end, an
+# event is taken as whole only with _MARGIN characters after it: a number
+# cut by the block can still parse ("1." of "1.5" is 1), and what follows
+# it must show whether the events go on or the tail comes.
+_BLOCK = 1 << 16
+_MARGIN = 4
 # Built once: json.dumps with separators builds a new encoder per call. ASCII-only, as json.dumps writes.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
@@ -238,22 +247,14 @@ class JournalReader:
     """A data dir read as ``FileStore.replay`` reads it, without the repairs.
 
     It has no write methods, so a service recovered from it fails at once
-    on any write rather than dropping it. Every ParseError names the dir
-    once: ``read_journal``'s name its files, and a refusal by ``apply`` gets
-    the dir in front.
+    on any write rather than dropping it.
     """
 
     def __init__(self, data_dir: str | Path):
         self.root = Path(data_dir)
 
     def replay(self, apply: Apply) -> set[str]:
-        def named(recipient_id: str, event: Any) -> None:
-            try:
-                apply(recipient_id, event)
-            except ParseError as exc:
-                raise ParseError(f"{self.root}: {exc.detail}") from None
-
-        return read_journal(self.root, named)[0]
+        return read_journal(self.root, apply)[0]
 
 
 def _log_entries(path: Path, torn: list[tuple[Path, int]]) -> Iterator[Any]:
@@ -276,28 +277,56 @@ def _log_entries(path: Path, torn: list[tuple[Path, int]]) -> Iterator[Any]:
 
 
 def _snapshot_events(path: Path) -> Iterator[Any]:
-    """Walk a snapshot's event array in place, one event at a time.
+    """Walk a snapshot's event array one block at a time, one event at a time.
 
     A snapshot is its events' log lines joined by "," between ``_SNAP_HEAD``
     and ``_SNAP_TAIL``, as ``snapshot()`` writes it; anything else is refused.
+    Its head and tail are checked before any event is read. The text is
+    decoded ``_BLOCK`` bytes at a time; an event is parsed in place with
+    ``raw_decode``, and one that may run on past the text read so far (it
+    fails, or ends within ``_MARGIN`` characters of it) is parsed again with
+    the next block added. So the text held is about one block beside the
+    event it cuts, and a bad event is refused once the file's end is read.
+    Every refusal names its position in the file: a ``byte`` for text that
+    is not UTF-8, a ``char`` for the rest.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc!r}") from None
-    if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
-        raise ParseError(f"{path}: a snapshot starts {_HEAD} and ends {_TAIL}")
-    pos, end = len(_HEAD), len(text) - len(_TAIL)
-    while pos < end:
-        try:
-            event, pos = _DECODER.raw_decode(text, pos)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc!r}") from None
-        yield event
-        if pos < end - 1 and text[pos] == ",":
-            pos += 1
-        elif pos != end:
-            raise ParseError(f"{path}: char {pos}: expected ',' and an event, or the end of the events")
+    with open(path, "rb") as fh:
+        head = fh.read(len(_SNAP_HEAD))
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - len(_SNAP_TAIL), len(_SNAP_HEAD)))
+        if head != _SNAP_HEAD or fh.read() != _SNAP_TAIL:
+            raise ParseError(f"{path}: a snapshot starts {_HEAD} and ends {_TAIL}")
+        if size == len(_SNAP_HEAD) + len(_SNAP_TAIL):
+            return
+        fh.seek(len(_SNAP_HEAD))
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        text, base, pos, eof = "", len(_HEAD), 0, False  # base: the file position of text[0], in characters
+        while True:
+            try:
+                event, end = _DECODER.raw_decode(text, pos)
+                complete = eof or end + _MARGIN <= len(text)
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                if eof:
+                    at = base + getattr(exc, "pos", pos)
+                    raise ParseError(f"{path}: char {at}: {getattr(exc, 'msg', exc)}") from None
+                complete = False
+            if not complete:
+                offset = fh.tell() - len(decoder.getstate()[0])  # the file position of the bytes decoded next
+                block = fh.read(max(_BLOCK, len(text) - pos))  # an event longer than a block doubles the read
+                try:
+                    more = decoder.decode(block, final=not block)
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}: byte {offset + exc.start}: not UTF-8: {exc.reason}") from None
+                text, base, pos, eof = text[pos:] + more, base + pos, 0, not block
+                continue
+            yield event
+            # Before the file's end is read, the tail lies past the _MARGIN characters after the event.
+            if text.startswith(",", end) and (not eof or end + 1 < len(text) - len(_TAIL)):
+                pos = end + 1
+            elif eof and end == len(text) - len(_TAIL):
+                return
+            else:
+                raise ParseError(f"{path}: char {base + end}: expected ',' and an event, or the end of the events")
 
 
 def _replay_log(log: Path, snap: Path, recipient_id: str, apply: Apply, torn: list[tuple[Path, int]]) -> bool:
@@ -325,11 +354,20 @@ def read_journal(root: Path, apply: Apply) -> tuple[set[str], list[tuple[Path, i
 
     Queues come in the order of their snapshots' file names, then those
     with only a log in the order of the logs' names; a queue's snapshot
-    events come before its log's. What ``apply`` raises reaches the caller
-    as it is. Returns the principals, the torn tails (each log with the size
-    its complete lines take) and the logs already folded into their
-    snapshots; ``FileStore.replay()`` repairs the last two.
+    events come before its log's. Every ParseError names the dir once: the
+    reader's own name their files, and one that ``apply`` raises gets the
+    dir in front; anything else ``apply`` raises reaches the caller as it
+    is. Returns the principals, the torn tails (each log with the size its
+    complete lines take) and the logs already folded into their snapshots;
+    ``FileStore.replay()`` repairs the last two.
     """
+
+    def named(recipient_id: str, event: Any) -> None:
+        try:
+            apply(recipient_id, event)
+        except ParseError as exc:
+            raise ParseError(f"{root}: {exc.detail}") from None
+
     queues_dir = root / "queues"
     if not queues_dir.is_dir():
         raise ParseError(f"{root}: not a data dir, it has no queues/")
@@ -348,7 +386,7 @@ def read_journal(root: Path, apply: Apply) -> tuple[set[str], list[tuple[Path, i
         snap, log = queues_dir / f"{stem}{_SNAP}", queues_dir / f"{stem}.log"
         if snap.exists():
             for event in _snapshot_events(snap):
-                apply(recipient_id, event)
-        if log.exists() and _replay_log(log, snap, recipient_id, apply, torn):
+                named(recipient_id, event)
+        if log.exists() and _replay_log(log, snap, recipient_id, named, torn):
             folded.append(log)
     return principals, torn, folded

@@ -38,6 +38,7 @@ from wandrelay.storage import FileStore
 from conftest import FIXTURE_PATHS, at
 from genrandom import lat_off, lon_off, random_scenario_dict
 from test_protocol import serving
+from test_storage import A, ENQUEUED_A
 
 
 def mini_scenario_file(tmp_path: Path, scale=1.0) -> Path:
@@ -167,6 +168,16 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: DataDirUnwritable: {out}: ") and "No such file" in err, err
+
+    def test_a_refused_out_leaves_no_data_dir_behind(self, tmp_path, monkeypatch, capsys):
+        """The run log is opened before the data dir is made, so an ``--out`` that cannot be written
+        exits 1 and creates no ``--data-dir``."""
+        monkeypatch.chdir(tmp_path)
+        scenario = mini_scenario_file(tmp_path)
+        out = tmp_path / "missing" / "x.ndjson"
+        assert main(["simulate", "--scenario", str(scenario), "--data-dir", "newdata", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: DataDirUnwritable: {out}: ")
+        assert not (tmp_path / "newdata").exists()
 
     def test_deterministic_across_invocations(self, tmp_path):
         scenario = mini_scenario_file(tmp_path)
@@ -342,6 +353,27 @@ def vm_hwm_kb(pid: int) -> int:
         if line.startswith("VmHWM:"):
             return int(line.split()[1])
     raise AssertionError(f"no VmHWM for process {pid}")
+
+
+@pytest.mark.parametrize(
+    "log, cause",
+    [
+        (b'{"ev":"moved"}\n', "unknown stored event kind 'moved'"),
+        (f"{ENQUEUED_A}\n{ENQUEUED_A}\n".encode(), f"DuplicateMessageId: {A}"),
+    ],
+    ids=["parse-error", "another-code"],
+)
+def test_serve_and_report_refuse_a_bad_data_dir_with_the_same_line(tmp_path, monkeypatch, capsys, log, cause):
+    """One line names the code once, the dir once, the queue and the cause; a cause with a code of its
+    own keeps it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data" / "queues").mkdir(parents=True)
+    (tmp_path / "data" / "queues" / "r1.log").write_bytes(log)
+    line = f"error: ParseError: data: queue r1: bad stored event: {cause}\n"
+    assert main(["report", "data"]) == 1
+    assert capsys.readouterr().err == line
+    assert main(["serve", "--listen", "127.0.0.1:0", "--data-dir", "data"]) == 1
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.slow

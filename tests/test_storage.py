@@ -8,8 +8,11 @@ import gc
 import json
 import os
 import re
+import shutil
+import socket
 import stat
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,12 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wandrelay import protocol
+from wandrelay import protocol, storage
 from wandrelay.analytics import summarize_data_dirs
 from wandrelay.cli import main
 from wandrelay.errors import ParseError
 from wandrelay.ids import IdFactory
 from wandrelay.model import MarkerCondition, MessageState, TriggerSchedule, VoiceNote, compose, message_to_dict
+from wandrelay.server import WandRelayServer
 from wandrelay.service import DeliveryService
 from wandrelay.storage import FileStore
 
@@ -545,40 +549,119 @@ def test_report_refuses_a_message_enqueued_twice_as_recovery_does(tmp_path, caps
     assert stored() == before
 
 
-def test_recovery_holds_no_more_than_one_snapshot_beside_the_state_it_builds(tmp_path, monkeypatch):
-    """Recovering about 2,000 messages, pending and settled, from a snapshot and a log peaks at most
-    1.5 times the snapshot's bytes above the state the service keeps: events are applied as they are
-    parsed, and no queue's parsed journal is held."""
-    monkeypatch.setattr(os, "fsync", lambda fd: None)  # durability is not what is measured here
-    service = durable(tmp_path)
+@pytest.fixture(scope="module")
+def deep_dir(tmp_path_factory):
+    """About 2,000 messages of one sender, from a snapshot and a log: 900 delivered (one answered, the
+    others' captures lost with the process) and 900 parked behind a marker that never shows, all in the
+    snapshot, then 200 more parked in the log a crash left. Tests that write work on a copy."""
+    root = tmp_path_factory.mktemp("deep")
     parked = TriggerSchedule(marker=MarkerCondition("mk-never"))
-    settled = [make_message(seed=n) for n in range(900)]
-    for message in settled:
-        submit(service, message)
-    for n in range(900):
-        submit(service, make_message(parked, seed=1000 + n))
-    push(service, sample("09:00:00"))  # delivers the direct ones, one capture after another
-    for message in settled:
-        consent(service, message.message_id, "no", at("09:00:10"))
-    service.close()
-    service = DeliveryService(FileStore(tmp_path))
-    for n in range(200):  # then a crash: these stay in the log
-        submit(service, make_message(parked, seed=2000 + n, created="08:56:00"))
+    with mock.patch.object(os, "fsync", lambda fd: None):  # durability is not what is measured here
+        service = durable(root)
+        settled = [make_message(seed=n) for n in range(900)]
+        for message in settled:
+            submit(service, message)
+        for n in range(900):
+            submit(service, make_message(parked, seed=1000 + n))
+        push(service, sample("09:00:00"))  # delivers the direct ones, one capture after another
+        for message in settled:
+            consent(service, message.message_id, "no", at("09:00:10"))
+        service.close()
+        service = DeliveryService(FileStore(root))
+        for n in range(200):  # then a crash: these stay in the log
+            submit(service, make_message(parked, seed=2000 + n, created="08:56:00"))
     del service
-    snapshot_bytes = (tmp_path / "queues" / "r1.snap.json").stat().st_size
-    assert (tmp_path / "queues" / "r1.log").exists()
+    assert (root / "queues" / "r1.log").exists()
+    return root
 
+
+def copy_of(root: Path, tmp_path: Path) -> Path:
+    return shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+
+
+def test_recovery_holds_no_more_than_one_snapshot_beside_the_state_it_builds(deep_dir, tmp_path):
+    """Recovering about 2,000 messages, pending and settled, from a snapshot and a log peaks at most three
+    snapshot blocks above the state the service keeps, however long the snapshot: events are applied as
+    they are parsed, the snapshot is read a block at a time, and no queue's parsed journal is held."""
+    root = copy_of(deep_dir, tmp_path)
+    assert (root / "queues" / "r1.snap.json").stat().st_size > 8 * storage._BLOCK
     gc.collect()
     tracemalloc.start()
     try:
-        recovered = DeliveryService(FileStore(tmp_path))
+        recovered = DeliveryService(FileStore(root))
         gc.collect()
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     states = recovered.message_states()
     assert len(states) == 2000 and sum(s is MessageState.PENDING for s in states.values()) == 1100
-    assert peak - retained <= 1.5 * snapshot_bytes, (peak - retained) / snapshot_bytes
+    assert peak - retained <= 3 * storage._BLOCK, (peak - retained) / storage._BLOCK
+
+
+def materialized(frame: dict) -> dict:
+    """A SENDER_VIEW_RESP as plain data, its records read now."""
+    return {**frame, "payload": {**frame["payload"], "records": list(frame["payload"]["records"])}}
+
+
+def test_a_served_view_is_the_canonical_line_of_its_records(deep_dir, tmp_path):
+    """Over TCP, the 2,000-record SENDER_VIEW_RESP is byte for byte ``dumps_canonical`` of the same view
+    built into plain lists, plus a newline."""
+    service = DeliveryService(FileStore(copy_of(deep_dir, tmp_path)))
+    (expected,) = request(service, protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}, "s1")
+    line = (protocol.dumps_canonical(materialized(expected)) + "\n").encode()
+    assert len(expected["payload"]["records"]) == 2000
+    server = WandRelayServer("127.0.0.1", 0, service)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    hello = protocol.make_frame(protocol.HELLO, {"role": "sender", "principal": "s1"}, sender="s1")
+    view = protocol.make_frame(protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}, sender="s1")
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock, sock.makefile("rwb") as wire:
+            wire.write(protocol.encode_frame(hello) + protocol.encode_frame(view))
+            wire.flush()
+            assert protocol.decode_frame(wire.readline())["kind"] == protocol.ACK
+            served = wire.readline()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert served == line
+    assert bytes(protocol.encode_frames([expected])) == line == protocol.encode_frame(expected)
+
+
+def test_answering_and_encoding_a_view_peaks_below_twice_its_line(deep_dir, tmp_path):
+    """Answering a 2,000-record SENDER_VIEW_REQ and encoding the reply for its write allocates at most twice
+    the line's bytes beyond the state already held: no record dict outlives its own encoding."""
+    service = DeliveryService(FileStore(copy_of(deep_dir, tmp_path)))
+    request(service, protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}, "s1")  # lazy set-up done once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        frames = request(service, protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}, "s1")
+        line = protocol.encode_frames(frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(line) > 100_000
+    assert peak <= 2 * len(line), peak / len(line)
+
+
+def test_a_view_shows_the_state_at_its_request(deep_dir, tmp_path):
+    """A view taken before a CONTEXT that delivers 1,100 messages and a CONSENT that settles one of them
+    reads afterwards as it read when it was answered, in process and when encoded."""
+    service = DeliveryService(FileStore(copy_of(deep_dir, tmp_path)))
+    (before,) = request(service, protocol.SENDER_VIEW_REQ, {"sender_id": "s1"}, "s1")
+    records, line = list(before["payload"]["records"]), protocol.encode_frame(before)
+    delivered = push(service, sample("09:05:00", markers=["mk-never"]))
+    assert len(ids_of(delivered, protocol.PLAYBACK)) == 1100
+    head = ids_of(delivered, protocol.REACTION_START)[0]
+    assert error_code(consent(service, head, "yes", at("09:05:10"))) is None
+    assert before["payload"]["records"] == records
+    assert bytes(protocol.encode_frames([before])) == line
+    assert sum(r["state"] == "Pending" for r in records) == 1100
+    after = view_of(service, "s1")
+    assert not any(r["state"] == "Pending" for r in after)
+    assert [(r["state"], s["state"]) for r, s in zip(records, after) if r["message_id"] == head] == [
+        ("Pending", "Reacted")
+    ]
 
 
 RECIPIENTS = ("r1", "r/2", "r\u00e9 3")  # the last two are percent-encoded in their file names
@@ -629,3 +712,102 @@ def test_a_snapshot_is_the_old_snapshot_joined_with_the_log(steps):
                     store.close()
             store = FileStore(root)
             assert store.recover() == (set(), recorded)
+
+
+class TestSnapshotBlocks:
+    """The snapshot reader walks a file in blocks; a whole-text reader, kept here as the reference, walks
+    the same file decoded at once. Both accept the same events or refuse alike."""
+
+    HEAD, TAIL = '{"v":1,"events":[', "]}"
+
+    @classmethod
+    def whole_text_events(cls, path):
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: byte {exc.start}: not UTF-8: {exc.reason}") from None
+        if not (text.startswith(cls.HEAD) and text.endswith(cls.TAIL)):
+            raise ParseError(f"{path}: a snapshot starts {cls.HEAD} and ends {cls.TAIL}")
+        pos, end = len(cls.HEAD), len(text) - len(cls.TAIL)
+        while pos < end:
+            try:
+                event, pos = json.JSONDecoder().raw_decode(text, pos)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: char {exc.pos}: {exc.msg}") from None
+            yield event
+            if pos < end - 1 and text[pos] == ",":
+                pos += 1
+            elif pos != end:
+                raise ParseError(f"{path}: char {pos}: expected ',' and an event, or the end of the events")
+
+    @staticmethod
+    def outcome(reader, path, block):
+        events = []
+        with mock.patch.object(storage, "_BLOCK", block):
+            try:
+                for event in reader(path):
+                    events.append(event)
+            except ParseError as exc:
+                return events, exc.code, exc.detail
+        return events, None, None
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(alphabet=st.sampled_from("ab\"\\é漢\U0001f600\n"), max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+    damage = st.one_of(
+        st.just(("none",)),
+        st.tuples(st.just("cut"), st.integers(1, 400)),  # a missing or torn ]}, or a file cut anywhere
+        st.just(("trailing-comma",)),
+        st.tuples(st.just("trailing"), st.binary(min_size=1, max_size=4)),
+        st.tuples(st.just("invalid-utf-8"), st.integers(0, 400), st.sampled_from([b"\xff", b"\xc3", b"\xf0\x9f"])),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(json_values, max_size=6), st.booleans(), damage, st.integers(1, 40))
+    def test_blocks_read_what_the_whole_text_reads(self, tmp_path_factory, events, ascii_only, damage, block):
+        """Events straddling block edges, multi-byte characters cut by a block, a missing or torn ``]}``, a
+        trailing ``,``, trailing bytes and invalid UTF-8: the same events, or the same refusal. On valid
+        UTF-8 the refusal's text is the same too, its ``char`` position counted from the file's start."""
+        body = ",".join(json.dumps(e, separators=(",", ":"), ensure_ascii=ascii_only) for e in events)
+        data = (self.HEAD + body + self.TAIL).encode()
+        if damage[0] == "cut":
+            data = data[: max(len(data) - damage[1], 0)]
+        elif damage[0] == "trailing-comma":
+            data = data[: -len(self.TAIL)] + b"," + self.TAIL.encode()
+        elif damage[0] == "trailing":
+            data += damage[1]
+        elif damage[0] == "invalid-utf-8":
+            at_ = min(damage[1], len(data))
+            data = data[:at_] + damage[2] + data[at_:]
+        path = tmp_path_factory.mktemp("blocks") / "r1.snap.json"
+        path.write_bytes(data)
+        blocked = self.outcome(storage._snapshot_events, path, block)
+        whole = self.outcome(self.whole_text_events, path, block)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert blocked[1] == whole[1] == "ParseError", (blocked, whole)
+        else:
+            assert blocked == whole
+            if damage[0] == "none":
+                assert blocked == (events, None, None)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 13, 64])
+    def test_a_refusal_past_a_block_names_its_place_in_the_file(self, tmp_path, block):
+        """A bad event, a trailing comma and trailing bytes after several blocks of multi-byte text are
+        refused at their character offset in the file."""
+        good = ",".join(json.dumps({"note": "\U0001f600é" * k}, ensure_ascii=False) for k in range(6))
+        cases = {
+            good + ',{"ev":x}': (len(self.HEAD) + len(good) + 7, "Expecting value"),
+            good + ",": (len(self.HEAD) + len(good), "expected ',' and an event, or the end of the events"),
+            good + "]}x": (len(self.HEAD) + len(good), "expected ',' and an event, or the end of the events"),
+        }
+        for body, (char, why) in cases.items():
+            path = tmp_path / "r1.snap.json"
+            path.write_text(self.HEAD + body + self.TAIL, encoding="utf-8")
+            events, code, detail = self.outcome(storage._snapshot_events, path, block)
+            assert len(events) == 6 and code == "ParseError"
+            assert detail == f"{path}: char {char}: {why}"
