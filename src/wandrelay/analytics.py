@@ -22,7 +22,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import protocol
 from .errors import IncompleteLog, ParseError
-from .model import DELIVERED_STATES, ArMessage, MessageState, Specificity, message_from_dict
+from .model import DELIVERED_STATES, ArMessage, MessageState, Specificity, message_from_dict, oldest_first
 from .service import DeliveryService
 from .storage import JournalReader
 
@@ -152,9 +152,8 @@ def summarize_data_dirs(roots: Sequence[str | Path]) -> Report:
     """
     outcomes = []
     for root in roots:
-        records = DeliveryService(JournalReader(root)).records.values()
-        ordered = sorted(records, key=lambda r: (r.message.created_at, r.message.message_id))
-        outcomes += [(r.message, r.delivered_at is not None) for r in ordered]
+        records = oldest_first(DeliveryService(JournalReader(root)).records.values())
+        outcomes += [(r.message, r.delivered_at is not None) for r in records]
     return _summarize(outcomes)
 
 

@@ -16,7 +16,8 @@ from datetime import datetime
 from enum import Enum
 from functools import cache
 from importlib import resources
-from typing import Any, Callable, Collection, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Collection, Iterable, Mapping
 
 from .errors import (
     EmptySchedule,
@@ -203,6 +204,13 @@ class MessageRecord:
             raise IllegalTransition(f"{old.value} -> {new_state.value} for {self.message.message_id}")
         self.state = new_state
         return old
+
+
+def oldest_first(records: Iterable[MessageRecord]) -> list[MessageRecord]:
+    """The records by their message's ``created_at``, ties by id: two stable sorts, so no key tuple is built."""
+    ordered = sorted(records, key=attrgetter("message.message_id"))
+    ordered.sort(key=attrgetter("message.created_at"))
+    return ordered
 
 
 # -- catalog ------------------------------------------------------------------

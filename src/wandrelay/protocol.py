@@ -63,14 +63,14 @@ def error_frame(exc: WandRelayError, to: str | None = None) -> dict[str, Any]:
     return make_frame(ERROR, {"code": exc.code, "detail": exc.detail}, to=to)
 
 
-class LazyArray(Sequence):
+class LazyArray:
     """A JSON array whose elements are built only when read or encoded.
 
     Element ``i`` is ``build(*(column[i] for column in columns))``. A
     sender's view holds thousands of records: ``encode_frames`` encodes
     them one at a time, so their dicts never all exist at once. In process
-    it reads as the list of its elements: it iterates, indexes, slices and
-    compares equal to that list.
+    it reads as the list of its elements: it iterates, has that list's
+    length and compares equal to it. It does not index or slice.
     """
 
     def __init__(self, build: Callable[..., Any], *columns: Sequence[Any]):
@@ -79,11 +79,6 @@ class LazyArray(Sequence):
 
     def __len__(self) -> int:
         return len(self._columns[0])
-
-    def __getitem__(self, index: Any) -> Any:
-        if isinstance(index, slice):
-            return list(map(self._build, *(column[index] for column in self._columns)))
-        return self._build(*(column[index] for column in self._columns))
 
     def __iter__(self) -> Iterator[Any]:
         return map(self._build, *self._columns)
@@ -153,19 +148,26 @@ def _encode_into(out: bytearray, obj: Any) -> None:
         out += dumps_canonical(obj).encode("utf-8")
 
 
+def check_surrogates(doc: Any, text: str, what: str) -> None:
+    """Refuse ``doc``, decoded from the JSON ``text``, if it holds an unpaired surrogate.
+
+    Only a \\u escape can spell one, which no UTF-8 file or socket can
+    carry; text without one skips the check. The ParseError names ``what``.
+    """
+    if "\\u" in text:
+        try:
+            dumps_canonical(doc).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{what} holds an unpaired surrogate") from None
+
+
 def decode_frame(line: str | bytes) -> dict[str, Any]:
     try:
         text = line.decode("utf-8") if isinstance(line, bytes) else line
         frame = json.loads(text)
     except ValueError as exc:  # not JSON, or bytes that are not UTF-8
         raise ParseError(f"bad frame: {exc}") from None
-    # Only a \u escape can spell an unpaired surrogate, which no UTF-8 file or
-    # socket can carry; frames without one skip the check.
-    if "\\u" in text:
-        try:
-            dumps_canonical(frame).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError("frame holds an unpaired surrogate") from None
+    check_surrogates(frame, text, "frame")
     if not isinstance(frame, dict):
         raise ParseError("frame must be a JSON object")
     if frame.get("v") != PROTOCOL_VERSION:

@@ -4,10 +4,12 @@ Each recipient has one capture line: the ids of its delivered messages, in
 delivery order. Only the head of a line records. Its session buffers the
 timestamps of the scene frames it saw and the recipient's utterances, in
 memory only; nothing touches storage until (and unless) the recipient
-consents. The answer finalizes the session, which then leaves the manager,
-and the next message in line starts its capture. On "No" the buffers are
-dropped on the spot. The scene track stands in for raw camera pixels as bare
-timestamps: positions and marker sightings are never buffered at all.
+consents. A session leaves the manager at its answer, which finalizes it
+and starts the capture of the next message in line, or at a run's end,
+when the service replaces the manager and every open session goes unread.
+On "No" the buffers are dropped on the spot. The scene track stands in for
+raw camera pixels as bare timestamps: positions and marker sightings are
+never buffered at all.
 """
 
 from __future__ import annotations
@@ -121,13 +123,6 @@ class CaptureManager:
             return line[0]
         del self._lines[recipient_id]
         return None
-
-    def drain(self) -> list[tuple[str, CaptureSession, list[str]]]:
-        """Empty every line: (recipient, the head's session, the line's ids)."""
-        lines = [(r, self._sessions[line[0]], list(line)) for r, line in self._lines.items()]
-        self._lines.clear()
-        self._sessions.clear()
-        return lines
 
 
 def finalize(session: CaptureSession, consent_yes: bool) -> ReactionRecord | None:

@@ -43,6 +43,7 @@ from .errors import AddressInUse, NoSession, ParseError
 from .service import DeliveryService
 
 MAX_LINE_BYTES = 1 << 20  # newline included
+CLIENT_TIMEOUT_S = 10.0  # a WireClient's connect and read timeout
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -127,8 +128,8 @@ class WandRelayServer(socketserver.ThreadingTCPServer):
 class WireClient:
     """Minimal frame client for the CLI and tests."""
 
-    def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int):
+        self._sock = socket.create_connection((host, port), timeout=CLIENT_TIMEOUT_S)
         self._file = self._sock.makefile("rwb")
 
     def send(self, frame: dict[str, Any]) -> None:

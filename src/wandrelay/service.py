@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from datetime import datetime
-from operator import attrgetter
 from typing import Any
 
 from . import protocol
@@ -55,6 +54,7 @@ from .model import (
     check_new_message,
     message_from_dict,
     message_to_dict,
+    oldest_first,
     validate_schedule,  # unused here: the benchmark's tracer wraps it by this name
     voice_note_to_dict,
 )
@@ -154,7 +154,6 @@ class DeliveryService:
 
         self._principals: set[str] = set()
         self.records: dict[str, MessageRecord] = {}
-        self._by_sender: dict[str, list[MessageRecord]] = {}
         self._pending: defaultdict[str, TriggerIndex] = defaultdict(TriggerIndex)
         self._last_t: dict[str, datetime] = {}
         self._captures = CaptureManager()
@@ -184,7 +183,6 @@ class DeliveryService:
         if kind == "enqueued":
             if self.records.setdefault(record.message.message_id, record) is not record:
                 raise DuplicateMessageId(record.message.message_id)
-            self._by_sender.setdefault(record.message.sender_id, []).append(record)
             self._pending[recipient_id].add(record.message)
         else:
             if record.advance(EVENT_TRANSITIONS[kind]) is MessageState.PENDING:
@@ -233,25 +231,19 @@ class DeliveryService:
             self._principals.add(principal)
 
     def end_of_run(self, at: datetime) -> None:
-        """Scenario end: expire whatever is still pending, discard open captures.
+        """Scenario end: expire every Pending message, then decline every Delivered one.
 
-        The privacy-preserving default applies to any capture without an
-        answer: it is discarded and the message marked ReactionDeclined. So
-        does a Delivered message whose capture was lost with an earlier
-        process.
+        Replacing the capture manager drops every open session and its
+        buffers: the privacy-preserving default applies to any capture
+        without an answer. A Delivered message is declined once, whether its
+        capture was running, waiting in line or lost to a restart.
         """
+        self._captures = CaptureManager()
         stamp = format_rfc3339(at)
-        for recipient_id, index in list(self._pending.items()):
-            for message in list(index.messages.values()):
-                self._record(recipient_id, {"ev": "expired", "message_id": message.message_id, "at": stamp})
-        for recipient_id, session, line in self._captures.drain():
-            session.awaiting = True
-            finalize(session, False)
-            for message_id in line:
-                self._record(recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
-        for message_id, record in self.records.items():
-            if record.state is MessageState.DELIVERED:
-                self._record(record.message.recipient_id, {"ev": "declined", "message_id": message_id, "at": stamp})
+        for state, kind in ((MessageState.PENDING, "expired"), (MessageState.DELIVERED, "declined")):
+            for message_id, record in self.records.items():
+                if record.state is state:
+                    self._record(record.message.recipient_id, {"ev": kind, "message_id": message_id, "at": stamp})
 
     def message_states(self) -> dict[str, MessageState]:
         return {message_id: record.state for message_id, record in self.records.items()}
@@ -449,9 +441,7 @@ class DeliveryService:
         """One record per message this sender submitted, oldest first."""
         sender_id = _field(payload, "sender_id", str)
         _check_origin(origin, sender_id)
-        # Oldest first, ties by id: two stable sorts on keys the records hold, so no key tuple is built.
-        records = sorted(self._by_sender.get(sender_id, []), key=attrgetter("message.message_id"))
-        records.sort(key=attrgetter("message.created_at"))
+        records = oldest_first(r for r in self.records.values() if r.message.sender_id == sender_id)
         # Each record's dict is built only as it is read or encoded, from its state at this request.
         view = protocol.LazyArray(_sender_record, records, [r.state for r in records])
         return [protocol.make_frame(protocol.SENDER_VIEW_RESP, {"sender_id": sender_id, "records": view}, to=sender_id)]

@@ -263,14 +263,20 @@ def scenario_from_dict(doc: Mapping[str, Any], *, source: str = "<scenario>") ->
 
 
 def load_json_object(path: str | Path) -> dict[str, Any]:
-    """Read a file holding one JSON object; any failure is a ParseError naming the file."""
+    """Read a file holding one JSON object; any failure is a ParseError naming the file.
+
+    A string no UTF-8 file can hold, an unpaired surrogate, is refused here
+    by the rule that refuses it in a wire frame, before any run writes it.
+    """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    protocol.check_surrogates(doc, text, str(path))
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return doc

@@ -179,6 +179,17 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: DataDirUnwritable: {out}: ")
         assert not (tmp_path / "newdata").exists()
 
+    def test_an_unpaired_surrogate_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        """A string no UTF-8 file can hold: ``validate`` and ``simulate`` refuse the file alike,
+        by the rule that refuses it in a wire frame, and ``simulate`` writes no run log."""
+        monkeypatch.chdir(tmp_path)
+        scenario = mini_scenario_file(tmp_path)
+        scenario.write_text(scenario.read_text().replace('"transcript": "x"', '"transcript": "\\ud800"'))
+        for command in ("validate", "simulate"):
+            assert main([command, "--scenario", str(scenario)]) == 1
+            assert capsys.readouterr().err == f"error: ParseError: {scenario} holds an unpaired surrogate\n"
+        assert list(tmp_path.iterdir()) == [scenario]
+
     def test_deterministic_across_invocations(self, tmp_path):
         scenario = mini_scenario_file(tmp_path)
         a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"

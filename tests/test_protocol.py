@@ -314,7 +314,7 @@ class TestWireServer:
 
     def test_second_hello_naming_another_principal_is_refused(self, running_server):
         host, port, _ = running_server
-        with WireClient(host, port, timeout=2.0) as client:
+        with WireClient(host, port) as client:
             assert client.hello("sender", "s1")["kind"] == protocol.ACK
             refused = client.hello("sender", "s2")
             assert refused["kind"] == protocol.ERROR
@@ -325,7 +325,7 @@ class TestWireServer:
 
     def test_over_long_line_is_refused_and_closes_the_connection(self, running_server):
         host, port, _ = running_server
-        with WireClient(host, port, timeout=5.0) as client:
+        with WireClient(host, port) as client:
             assert client.hello("sender", "s1")["kind"] == protocol.ACK
             client._file.write(b"x" * MAX_LINE_BYTES + b"\n")
             client._file.flush()
@@ -334,12 +334,12 @@ class TestWireServer:
             assert refused["payload"]["code"] == "ParseError"
             with pytest.raises(ConnectionError):  # closed: end of stream or a reset
                 client.read_frame()
-        with WireClient(host, port, timeout=5.0) as fresh:
+        with WireClient(host, port) as fresh:
             assert fresh.hello("sender", "s1")["kind"] == protocol.ACK
 
     def test_a_connection_cannot_act_for_another_recipient(self, running_server):
         host, port, service = running_server
-        with WireClient(host, port, timeout=2.0) as r1, WireClient(host, port, timeout=2.0) as r2:
+        with WireClient(host, port) as r1, WireClient(host, port) as r2:
             assert r1.hello("recipient", "r1")["kind"] == protocol.ACK
             assert r2.hello("recipient", "r2")["kind"] == protocol.ACK
             message, frame = submit_frame(recipient="r2")

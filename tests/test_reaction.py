@@ -50,15 +50,7 @@ class TestCaptureLine:
         nxt = manager.begin_capture("r1", started_at=at("09:00:10"), voice_note=NOTE)
         assert nxt.message_id == "msg-2" and manager.head("r1") is nxt
         assert manager.finish("r1") is None
-        assert manager.drain() == []
-
-    def test_drain_empties_every_line_in_delivery_order(self):
-        manager = CaptureManager()
-        head = fresh_session(manager)
-        manager.join("r1", "msg-2")
-        manager.join("r1", "msg-3")
-        assert manager.drain() == [("r1", head, ["msg-1", "msg-2", "msg-3"])]
-        assert manager.head("r1") is None and manager.drain() == []
+        assert manager.head("r1") is None and not manager.queued("r1", "msg-2")
 
 
 class TestAppend:

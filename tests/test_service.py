@@ -22,7 +22,7 @@ from wandrelay.model import (
 )
 from wandrelay.reaction import LAST_CAPTURE_START
 from wandrelay.service import DeliveryService
-from wandrelay.storage import FileStore
+from wandrelay.storage import FileStore, JournalReader
 from wandrelay.timeutil import UTC, format_rfc3339, parse_rfc3339
 
 from client import consent, error_code, ids_of, push, request, submit, utter, view_of
@@ -360,6 +360,30 @@ class TestSenderView:
         for frame in doc["reaction"]["tracks"]["scene"]:
             assert set(frame) == {"t"}
 
+    def test_a_view_holds_exactly_its_senders_messages_oldest_first(self, tmp_path):
+        """Two senders interleave submissions to one recipient. Each view lists that sender's ids and
+        no other, oldest first with a ``created_at`` tie broken by id, before a restart and after it."""
+        service = durable(tmp_path)
+        service.register_principal("s2")
+
+        def message(sender, created, seed):
+            note = VoiceNote(3.0, "hey")
+            return compose(sender, "r1", "dog", 1.0, note, now=at(created), id_factory=IdFactory(seed))
+
+        tied = sorted((message("s1", "08:51:00", seed) for seed in (1, 2)), key=lambda m: m.message_id)
+        s1 = [message("s1", "08:50:00", 3), *tied, message("s1", "08:52:00", 4)]
+        s2 = [message("s2", "08:49:00", 5), message("s2", "08:51:00", 6), message("s2", "08:53:00", 7)]
+        for m in (s1[3], s2[2], tied[1], s2[0], tied[0], s1[0], s2[1]):  # the tie's larger id first
+            assert error_code(submit(service, m)) is None
+        expected = {"s1": [m.message_id for m in s1], "s2": [m.message_id for m in s2]}
+
+        def views(svc):
+            return {sender: [r["message_id"] for r in view_of(svc, sender)] for sender in expected}
+
+        assert views(service) == expected
+        service.close()
+        assert views(DeliveryService(FileStore(tmp_path))) == expected
+
 
 def durable(tmp_path):
     service = DeliveryService(FileStore(tmp_path))
@@ -428,6 +452,38 @@ class TestDurability:
         }
         assert error_code(consent(reborn, running, "yes", at("09:00:20"))) == "NotAwaitingConsent"
         assert [r["state"] for r in view_of(reborn, "s1")] == ["ReactionDeclined"] * 2
+
+    def test_end_of_run_declines_each_delivered_message_once(self, tmp_path):
+        """A capture lost to a restart, a running one, and one queued behind it though enqueued first.
+
+        Each is declined once and keeps no session; its queue's ``declined``
+        events are in enqueue order, and a restart recovers the same states.
+        """
+        first = durable(tmp_path)
+        lost = make_message(seed=1, created="08:50:00")
+        submit(first, lost)
+        push(first, sample("09:00:00"))
+        first.close()
+        service = DeliveryService(FileStore(tmp_path))
+        queued = make_message(TriggerSchedule(window=TimeWindow(at("09:02:00"), at("09:30:00"))), seed=2)
+        running = make_message(seed=3, created="08:56:00")
+        submit(service, queued)
+        submit(service, running)
+        assert ids_of(push(service, sample("09:01:00")), protocol.REACTION_START) == [running.message_id]
+        assert ids_of(push(service, sample("09:02:00")), protocol.PLAYBACK) == [queued.message_id]
+        assert capture(service, lost.message_id) is None and capture(service, queued.message_id) is None
+        assert capture(service, running.message_id) is not None
+
+        service.end_of_run(at("09:30:00"))
+        enqueued = [lost.message_id, queued.message_id, running.message_id]
+        settled = dict.fromkeys(enqueued, MessageState.REACTION_DECLINED)
+        assert service.message_states() == settled
+        assert [capture(service, message_id) for message_id in enqueued] == [None] * 3
+        service.close()
+        events = []
+        JournalReader(tmp_path).replay(lambda recipient_id, event: events.append(event))
+        assert [e["message_id"] for e in events if e["ev"] == "declined"] == enqueued
+        assert DeliveryService(FileStore(tmp_path)).message_states() == settled
 
     def test_end_of_run_after_restart_declines_lost_captures(self, tmp_path):
         reborn, running, queued = self.lost_captures(tmp_path)
